@@ -4,9 +4,7 @@ Bernstein bounds."""
 
 from .finite_sum import (
     CustomProblem,
-    ExactEvaluation,
     FiniteSumProblem,
-    evaluate,
     full_gradient,
     full_hvp,
     full_value,
@@ -34,10 +32,6 @@ from .sampling import (
     audit_accuracy,
     bernstein_size,
     draw_subsample,
-    estimate_gradient,
-    estimate_hvp,
-    estimate_value,
-    make_hvp_estimator,
 )
 from .solver import (
     CostMeter,

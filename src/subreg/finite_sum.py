@@ -7,19 +7,16 @@ repeated evaluations are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "FiniteSumProblem",
     "CustomProblem",
-    "ExactEvaluation",
     "full_value",
     "full_gradient",
     "full_hvp",
-    "evaluate",
 ]
 
 
@@ -46,8 +43,8 @@ class FiniteSumProblem:
 
     Subclasses set ``n`` (parameter dimension) and ``N`` (component count)
     and implement per-component values and gradients.  Hessian information
-    is exposed only through its action on vectors; by default the action is
-    a forward difference of component gradients.  Instances must be
+    is exposed only through ``hessian_action``; by default the action is a
+    forward difference of component gradients.  Instances must be
     read-only after construction so they can be evaluated concurrently.
     """
 
@@ -61,7 +58,7 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def component_hvp(self, i: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.hvp_mean(np.array([i]), x, v)
+        return self.hessian_action([i], x)(v)
 
     # Batched means over an index subset.  The defaults loop over the
     # components; subclasses override them with vectorised code.
@@ -80,41 +77,29 @@ class FiniteSumProblem:
             total += self.component_gradient(int(i), x)
         return total / idx.size
 
-    @property
-    def has_exact_hvp(self) -> bool:
-        """True when the Hessian action is analytic rather than differenced."""
-        return False
+    def hessian_action(self, indices, x, base=None) -> Callable[[np.ndarray], np.ndarray]:
+        """Mean Hessian action over a frozen index set, as a closure.
 
-    def hvp_step(self, x: np.ndarray, v: np.ndarray) -> float:
-        """Forward-difference step balancing truncation against round-off."""
-        u = float(np.finfo(float).eps)
-        return float(np.sqrt(u)) * (1.0 + float(np.linalg.norm(x))) / max(
-            float(np.linalg.norm(v)), u
-        )
-
-    def hvp_mean(self, indices, x, v) -> np.ndarray:
-        x = as_vector(x, self.n)
-        v = as_vector(v, self.n, "v")
-        if not v.any():
-            return np.zeros(self.n)
-        h = self.hvp_step(x, v)
-        return (self.gradient_mean(indices, x + h * v) - self.gradient_mean(indices, x)) / h
-
-    def hvp_estimator(self, indices, x) -> Callable[[np.ndarray], np.ndarray]:
-        """Hessian action over a fixed index set, reusing the base gradient.
-
-        Each call costs one batched gradient evaluation at a shifted point;
-        the gradient at ``x`` itself is computed once up front.
+        The action is a forward difference of batched gradient means about
+        ``base``, the gradient mean at ``x`` over the same indices; callers
+        that already hold it pass it in, otherwise it is computed here once.
+        Each call then costs one batched gradient evaluation at a shifted
+        point.  Problems with analytic Hessians override this one method and
+        may ignore ``base``.
         """
         idx = as_index_set(indices, self.N)
         x = as_vector(x, self.n).copy()
-        base = self.gradient_mean(idx, x)
+        if base is None:
+            base = self.gradient_mean(idx, x)
+        u = float(np.finfo(float).eps)
+        scale = float(np.sqrt(u)) * (1.0 + float(np.linalg.norm(x)))
 
         def action(v: np.ndarray) -> np.ndarray:
             v = as_vector(v, self.n, "v")
             if not v.any():
                 return np.zeros(self.n)
-            h = self.hvp_step(x, v)
+            # Step balancing truncation against round-off.
+            h = scale / max(float(np.linalg.norm(v)), u)
             return (self.gradient_mean(idx, x + h * v) - base) / h
 
         return action
@@ -137,49 +122,26 @@ class CustomProblem(FiniteSumProblem):
         self._gradient = gradient
         self._hvp = hvp
 
-    @property
-    def has_exact_hvp(self) -> bool:
-        return self._hvp is not None
-
     def component_value(self, i: int, x) -> float:
         return float(self._value(int(i), as_vector(x, self.n)))
 
     def component_gradient(self, i: int, x) -> np.ndarray:
         return as_vector(self._gradient(int(i), as_vector(x, self.n)), self.n, "gradient")
 
-    def component_hvp(self, i: int, x, v) -> np.ndarray:
+    def hessian_action(self, indices, x, base=None):
         if self._hvp is None:
-            return super().component_hvp(i, x, v)
-        x = as_vector(x, self.n)
-        v = as_vector(v, self.n, "v")
-        return as_vector(self._hvp(int(i), x, v), self.n, "hvp")
-
-    def hvp_mean(self, indices, x, v) -> np.ndarray:
-        if self._hvp is None:
-            return super().hvp_mean(indices, x, v)
-        idx = as_index_set(indices, self.N)
-        x = as_vector(x, self.n)
-        v = as_vector(v, self.n, "v")
-        total = np.zeros(self.n)
-        for i in idx:
-            total += self._hvp(int(i), x, v)
-        return total / idx.size
-
-    def hvp_estimator(self, indices, x):
-        if self._hvp is None:
-            return super().hvp_estimator(indices, x)
+            return super().hessian_action(indices, x, base)
         idx = as_index_set(indices, self.N)
         x = as_vector(x, self.n).copy()
-        return lambda v: self.hvp_mean(idx, x, v)
 
+        def action(v: np.ndarray) -> np.ndarray:
+            v = as_vector(v, self.n, "v")
+            total = np.zeros(self.n)
+            for i in idx:
+                total += as_vector(self._hvp(int(i), x, v), self.n, "hvp")
+            return total / idx.size
 
-@dataclass
-class ExactEvaluation:
-    """Full-sample value and gradient, with an optional Hessian action."""
-
-    value: float
-    gradient: np.ndarray
-    hessian_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+        return action
 
 
 def full_value(problem: FiniteSumProblem, x) -> float:
@@ -194,13 +156,5 @@ def full_gradient(problem: FiniteSumProblem, x) -> np.ndarray:
 
 def full_hvp(problem: FiniteSumProblem, x, v) -> np.ndarray:
     """Mean Hessian action over all components."""
-    return problem.hvp_mean(np.arange(problem.N), x, v)
+    return problem.hessian_action(np.arange(problem.N), x)(v)
 
-
-def evaluate(problem: FiniteSumProblem, x, with_hessian: bool = False) -> ExactEvaluation:
-    operator = problem.hvp_estimator(np.arange(problem.N), x) if with_hessian else None
-    return ExactEvaluation(
-        value=full_value(problem, x),
-        gradient=full_gradient(problem, x),
-        hessian_operator=operator,
-    )

@@ -29,7 +29,6 @@ class RegularisedModel:
     grad: np.ndarray
     sigma: float
     hessian_action: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    base_point: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))

@@ -48,7 +48,8 @@ def sigmoid(z):
 class Dataset:
     """Feature matrix with binary labels.
 
-    ``features`` has one row per sample; ``labels`` entries must be 0 or 1.
+    ``features`` has one finite row per sample; ``labels`` entries must be 0
+    or 1.
     """
 
     features: np.ndarray
@@ -59,6 +60,11 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array (N, d)")
+        # min and max propagate NaN and reach any infinity without the N x d
+        # temporary of isfinite(features), which inflates the heap.
+        f = self.features
+        if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):
+            raise ValueError("features must be finite (found NaN or infinity)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be a vector with one entry per sample")
         if self.labels.size and not np.isin(self.labels, (0.0, 1.0)).all():

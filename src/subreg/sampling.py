@@ -1,4 +1,4 @@
-"""Bernstein-bound sample sizes and subsampled mean estimators.
+"""Bernstein-bound sample sizes, subsample draws and their empirical audit.
 
 Sample sizes come from an operator-Bernstein tail inequality: averaging
 ``m`` uniformly drawn components approximates the full mean to accuracy
@@ -19,7 +19,6 @@ every index set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +29,8 @@ __all__ = [
     "value_log_argument",
     "gradient_log_argument",
     "hessian_log_argument",
-    "SampleSizeSpec",
     "draw_subsample",
     "extend_subsample",
-    "estimate_value",
-    "estimate_gradient",
-    "estimate_hvp",
-    "make_hvp_estimator",
     "audit_accuracy",
 ]
 
@@ -74,23 +68,6 @@ def bernstein_size(kappa: float, nu: float, t: float, log_argument: float, N: in
     if not math.isfinite(raw):
         return int(N)
     return int(min(N, max(1, math.ceil(raw))))
-
-
-@dataclass(frozen=True)
-class SampleSizeSpec:
-    """A resolved Bernstein sample size together with its inputs."""
-
-    target_accuracy: float
-    bound_constant: float
-    failure_probability: float
-    log_argument: float
-    N: int
-    resolved_size: int
-
-    @classmethod
-    def resolve(cls, kappa: float, nu: float, t: float, log_argument: float, N: int):
-        size = bernstein_size(kappa, nu, t, log_argument, N)
-        return cls(nu, kappa, t, log_argument, N, size)
 
 
 def draw_subsample(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
@@ -133,30 +110,6 @@ def extend_subsample(rng: np.random.Generator, N: int, indices: np.ndarray, m: i
     return np.sort(np.concatenate([indices, extra])), np.sort(extra)
 
 
-def estimate_value(problem: FiniteSumProblem, indices, x) -> float:
-    """Mean component value over the index set."""
-    return problem.value_mean(indices, x)
-
-
-def estimate_gradient(problem: FiniteSumProblem, indices, x) -> np.ndarray:
-    """Mean component gradient over the index set."""
-    return problem.gradient_mean(indices, x)
-
-
-def estimate_hvp(problem: FiniteSumProblem, indices, x, v) -> np.ndarray:
-    """Mean Hessian action over the index set, applied to v."""
-    return problem.hvp_mean(indices, x, v)
-
-
-def make_hvp_estimator(problem: FiniteSumProblem, indices, x):
-    """Matrix-free Hessian estimate over a frozen index set.
-
-    The returned closure reuses the base-point gradient across calls, so a
-    call costs one batched gradient evaluation at a shifted point.
-    """
-    return problem.hvp_estimator(indices, x)
-
-
 def audit_accuracy(
     problem: FiniteSumProblem,
     x,
@@ -190,9 +143,9 @@ def audit_accuracy(
     for _ in range(trials):
         idx = draw_subsample(rng, problem.N, m)
         if order == 0:
-            err = abs(estimate_value(problem, idx, x) - exact)
+            err = abs(problem.value_mean(idx, x) - exact)
         else:
-            err = float(np.linalg.norm(estimate_gradient(problem, idx, x) - exact))
+            err = float(np.linalg.norm(problem.gradient_mean(idx, x) - exact))
         if err > nu:
             failures += 1
     return failures / trials

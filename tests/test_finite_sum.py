@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from subreg.finite_sum import (
-    CustomProblem,
-    evaluate,
-    full_gradient,
-    full_hvp,
-    full_value,
-)
+from subreg.finite_sum import CustomProblem, full_gradient, full_hvp, full_value
 from subreg.problems import Dataset, NetworkSpec, SquaredLossProblem
 
 from oracles import central_diff_gradient
@@ -71,13 +65,13 @@ class TestFullReductions:
         with pytest.raises(ValueError):
             full_hvp(prob, np.zeros(2), np.zeros(3))
 
-    def test_evaluate_bundle(self):
+    def test_full_index_set_bundle(self):
         prob = quadratic_problem()
         x = np.array([0.5, -1.0])
-        ev = evaluate(prob, x, with_hessian=True)
-        assert ev.value == full_value(prob, x)
-        np.testing.assert_array_equal(ev.gradient, full_gradient(prob, x))
-        np.testing.assert_allclose(ev.hessian_operator(np.array([1.0, 0.0])), [2.0, 0.0])
+        idx = np.arange(prob.N)
+        assert prob.value_mean(idx, x) == full_value(prob, x)
+        np.testing.assert_array_equal(prob.gradient_mean(idx, x), full_gradient(prob, x))
+        np.testing.assert_allclose(prob.hessian_action(idx, x)(np.array([1.0, 0.0])), [2.0, 0.0])
 
 
 class TestContractInvariants:
@@ -146,12 +140,63 @@ class TestContractInvariants:
         right = float(v @ full_hvp(prob, x, u))
         assert abs(left - right) <= 1e-8 * (1.0 + abs(left))
 
-    def test_hvp_estimator_matches_hvp_mean(self):
+    def test_hessian_action_closure_matches_fresh_action(self):
         prob = random_smooth_problem(seed=13)
         rng = np.random.default_rng(14)
         x = rng.standard_normal(prob.n)
         idx = np.array([0, 2, 5])
-        action = prob.hvp_estimator(idx, x)
+        action = prob.hessian_action(idx, x)
         for _ in range(3):
             v = rng.standard_normal(prob.n)
-            np.testing.assert_array_equal(action(v), prob.hvp_mean(idx, x, v))
+            np.testing.assert_array_equal(action(v), prob.hessian_action(idx, x)(v))
+
+
+class TestHessianAction:
+    def test_supplied_base_is_bit_identical(self):
+        ds = Dataset(np.random.default_rng(4).standard_normal((15, 3)),
+                     (np.random.default_rng(5).random(15) > 0.5).astype(float))
+        prob = SquaredLossProblem(ds, NetworkSpec(3, (2,)))
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(prob.n)
+        idx = np.array([9, 1, 4, 12])  # unsorted on purpose
+        with_base = prob.hessian_action(idx, x, base=prob.gradient_mean(idx, x))
+        without = prob.hessian_action(idx, x)
+        for _ in range(3):
+            v = rng.standard_normal(prob.n)
+            np.testing.assert_array_equal(with_base(v), without(v))
+
+    def test_exact_path_is_mean_of_callable(self):
+        rng = np.random.default_rng(8)
+        mats = [rng.standard_normal((3, 3)) for _ in range(6)]
+        prob = CustomProblem(
+            3, 6,
+            value=lambda i, x: 0.5 * float(x @ mats[i] @ x),
+            gradient=lambda i, x: 0.5 * (mats[i] + mats[i].T) @ x,
+            hvp=lambda i, x, v: mats[i] @ v + float(x @ x) * v,
+        )
+        x, v = rng.standard_normal((2, 3))
+        idx = [5, 0, 2]
+        expected = np.mean([mats[i] @ v + float(x @ x) * v for i in idx], axis=0)
+        np.testing.assert_allclose(prob.hessian_action(idx, x)(v), expected, rtol=1e-14)
+        np.testing.assert_allclose(prob.component_hvp(2, x, v), mats[2] @ v + float(x @ x) * v,
+                                   rtol=1e-14)
+
+    def test_exact_path_rejects_wrong_shape(self):
+        prob = CustomProblem(
+            3, 4,
+            value=lambda i, x: float(x @ x),
+            gradient=lambda i, x: 2.0 * x,
+            hvp=lambda i, x, v: np.append(2.0 * v, 0.0),
+        )
+        action = prob.hessian_action([0, 1], np.zeros(3))
+        with pytest.raises(ValueError, match="hvp"):
+            action(np.ones(3))
+
+    def test_invalid_sample_rejected(self):
+        prob = random_smooth_problem()
+        with pytest.raises(ValueError):
+            prob.hessian_action([], np.zeros(prob.n))
+        with pytest.raises(ValueError):
+            prob.hessian_action([prob.N], np.zeros(prob.n))
+        with pytest.raises(ValueError):
+            prob.hessian_action([0], np.zeros(prob.n))(np.zeros(prob.n + 1))

@@ -46,6 +46,12 @@ class TestLoadDataset:
         assert ds.d == 4
         np.testing.assert_allclose(ds.features[1], [3.0, 0.0, 0.0, 0.0])
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0.5,nan\n-1,0.1,0.2\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_dataset(path, "csv")
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,0.5\n1,oops\n")

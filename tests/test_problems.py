@@ -196,6 +196,13 @@ class TestMetrics:
 
 
 class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.ones((3, 2))
+        features[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(features, np.ones(3))
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 2)), np.array([0.0, 2.0]))

@@ -4,17 +4,12 @@ import pytest
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
 from subreg.problems import Dataset, NetworkSpec, SquaredLossProblem
 from subreg.sampling import (
-    SampleSizeSpec,
     audit_accuracy,
     bernstein_size,
     draw_subsample,
-    estimate_gradient,
-    estimate_hvp,
-    estimate_value,
     extend_subsample,
     gradient_log_argument,
     hessian_log_argument,
-    make_hvp_estimator,
     merged_mean,
     value_log_argument,
 )
@@ -61,11 +56,6 @@ class TestBernsteinSize:
         ts = np.linspace(0.05, 0.9, 10)
         sizes = [bernstein_size(1.0, 0.1, t, 2.0 / t, 10**9) for t in ts]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-    def test_spec_wrapper(self):
-        spec = SampleSizeSpec.resolve(1.0, 0.5, 0.2, 10.0, 10**6)
-        assert spec.resolved_size == 80
-        assert 1 <= spec.resolved_size <= spec.N
 
 
 class TestDrawSubsample:
@@ -153,33 +143,33 @@ class TestEstimators:
         prob = varied_problem()
         x = np.random.default_rng(1).standard_normal(prob.n)
         idx = np.arange(prob.N)
-        assert estimate_value(prob, idx, x) == full_value(prob, x)
-        np.testing.assert_array_equal(estimate_gradient(prob, idx, x), full_gradient(prob, x))
+        assert prob.value_mean(idx, x) == full_value(prob, x)
+        np.testing.assert_array_equal(prob.gradient_mean(idx, x), full_gradient(prob, x))
 
     def test_single_index_equals_component(self):
         prob = varied_problem(seed=2)
         x = np.random.default_rng(2).standard_normal(prob.n)
         np.testing.assert_array_equal(
-            estimate_gradient(prob, [3], x), prob.component_gradient(3, x)
+            prob.gradient_mean([3], x), prob.component_gradient(3, x)
         )
 
     def test_identical_components_any_subsample(self):
         prob = identical_problem()
         x = np.array([1.0, -2.0, 0.5])
         for idx in ([0], [1, 4], np.arange(9)):
-            assert estimate_value(prob, idx, x) == pytest.approx(float(x @ x), rel=1e-15)
+            assert prob.value_mean(idx, x) == pytest.approx(float(x @ x), rel=1e-15)
 
     def test_zero_variance_concentration(self):
         ds = Dataset(np.random.default_rng(0).standard_normal((20, 3)), np.ones(20))
         prob = SquaredLossProblem(ds, NetworkSpec(3))
         rng = np.random.default_rng(1)
         idx = draw_subsample(rng, 20, 5)
-        assert estimate_value(prob, idx, np.zeros(3)) == pytest.approx(0.25, abs=1e-15)
+        assert prob.value_mean(idx, np.zeros(3)) == pytest.approx(0.25, abs=1e-15)
 
     def test_empty_indices_rejected(self):
         prob = identical_problem()
         with pytest.raises(ValueError):
-            estimate_value(prob, [], np.zeros(3))
+            prob.value_mean([], np.zeros(3))
 
     def test_gradient_error_decays_with_sample_size(self):
         prob = varied_problem(seed=5, N=64)
@@ -189,7 +179,7 @@ class TestEstimators:
         means = []
         for m in (8, 16, 32):
             errs = [
-                np.linalg.norm(estimate_gradient(prob, draw_subsample(rng, 64, m), x) - exact)
+                np.linalg.norm(prob.gradient_mean(draw_subsample(rng, 64, m), x) - exact)
                 for _ in range(200)
             ]
             means.append(np.mean(errs))
@@ -202,17 +192,20 @@ class TestEstimators:
         rng = np.random.default_rng(6)
         x, u, v = rng.standard_normal((3, 3))
         idx = draw_subsample(rng, 15, 6)
-        left = float(u @ estimate_hvp(prob, idx, x, v))
-        right = float(v @ estimate_hvp(prob, idx, x, u))
+        left = float(u @ prob.hessian_action(idx, x)(v))
+        right = float(v @ prob.hessian_action(idx, x)(u))
         assert abs(left - right) <= 1e-3 * (1.0 + abs(left))
 
     def test_estimator_closure_frozen_sample(self):
         prob = varied_problem(seed=8)
         x = np.random.default_rng(9).standard_normal(prob.n)
         idx = np.array([1, 5, 9])
-        action = make_hvp_estimator(prob, idx, x)
+        action = prob.hessian_action(idx, x)
         v = np.array([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(action(v), estimate_hvp(prob, idx, x, v))
+        expected = (prob.component_hvp(1, x, v) + prob.component_hvp(5, x, v)
+                    + prob.component_hvp(9, x, v)) / 3
+        np.testing.assert_array_equal(action(v), prob.hessian_action(idx, x)(v))
+        np.testing.assert_allclose(action(v), expected, rtol=1e-14)
 
     def test_merged_mean(self):
         a = np.array([1.0, 2.0])

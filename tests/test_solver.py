@@ -280,6 +280,28 @@ class TestSampledMode:
         assert all(e.train_loss is None for e in res.trace)
 
 
+def poisoned_problem(what):
+    """Smooth components whose index-3 value or gradient is NaN."""
+
+    def value(i, x):
+        return math.nan if what == "value" and i == 3 else float(x @ x - x.sum())
+
+    def gradient(i, x):
+        return np.full(3, math.nan) if what == "gradient" and i == 3 else 2.0 * x - 1.0
+
+    return CustomProblem(3, 8, value, gradient)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("what", ["value", "gradient"])
+    def test_non_finite_estimate_raises(self, what, p, q):
+        cfg = SolverConfig(p=p, q=q, eps1=0.0, eps2=0.0, budget_cm=50.0, **EXACT)
+        expected = "non-finite gradient" if what == "gradient" else "non-finite function"
+        with pytest.raises(FloatingPointError, match=expected):
+            minimize(poisoned_problem(what), cfg)
+
+
 class TestGradientGrowthLoop:
     def test_halving_count_frozen(self):
         # constant gradient of norm 0.1 with omega = 0.2: the target halves
