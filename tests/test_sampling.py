@@ -57,6 +57,12 @@ class TestBernsteinSize:
         sizes = [bernstein_size(1.0, 0.1, t, 2.0 / t, 10**9) for t in ts]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
+    def test_spec_wrapper(self):
+        n = 10**6
+        size = bernstein_size(1.0, 0.5, 0.2, 10.0, n)
+        assert size == 80
+        assert 1 <= size <= n
+
 
 class TestDrawSubsample:
     def test_full_sample_is_identity(self):
