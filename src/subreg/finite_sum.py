@@ -29,13 +29,20 @@ def as_vector(x, n: int, name: str = "x") -> np.ndarray:
 
 
 def as_index_set(indices, N: int) -> np.ndarray:
-    """Validate and sort a non-empty set of component indices."""
+    """Validate a non-empty set of component indices and return it ascending.
+
+    A set that is already ascending is not sorted again and may share
+    memory with ``indices``; callers that keep the set beyond the call copy
+    it.
+    """
     idx = np.asarray(indices, dtype=np.intp).ravel()
     if idx.size == 0:
         raise ValueError("index set must be non-empty")
-    if idx.min() < 0 or idx.max() >= N:
+    if not (idx[1:] >= idx[:-1]).all():
+        idx = np.sort(idx)
+    if idx[0] < 0 or idx[-1] >= N:
         raise ValueError(f"component index out of range [0, {N})")
-    return np.sort(idx)
+    return idx
 
 
 class FiniteSumProblem:
@@ -87,7 +94,7 @@ class FiniteSumProblem:
         point.  Problems with analytic Hessians override this one method and
         may ignore ``base``.
         """
-        idx = as_index_set(indices, self.N)
+        idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
         if base is None:
             base = self.gradient_mean(idx, x)
@@ -131,7 +138,7 @@ class CustomProblem(FiniteSumProblem):
     def hessian_action(self, indices, x, base=None):
         if self._hvp is None:
             return super().hessian_action(indices, x, base)
-        idx = as_index_set(indices, self.N)
+        idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
 
         def action(v: np.ndarray) -> np.ndarray:

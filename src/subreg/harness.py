@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .finite_sum import full_value
 from .problems import Dataset, NetworkSpec, SquaredLossProblem, classification_rate, initial_point, testing_loss
 from .solver import SolverConfig, SolverResult, SolverStallError, TraceEvent, minimize
 
@@ -62,7 +63,8 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
                  scale: str = "none") -> Dataset:
     """Read a dense CSV or sparse ``label index:value`` file.
 
-    Labels map to {0, 1}: values <= 0 become 0, positive values become 1.
+    Labels map to {0, 1}: values <= 0 become 0, positive values become 1;
+    a NaN or infinite label is rejected with its line number.
     Sparse indices are 1-based; ``dim`` caps the feature dimension and is
     inferred from the largest index seen when omitted.  ``scale="minmax"``
     rescales every feature column to [0, 1].
@@ -94,7 +96,7 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
                     raise ValueError(
                         f"{path}:{lineno}: expected {width} columns, found {len(values)}"
                     )
-                raw_labels.append(values.pop(label_col))
+                raw_labels.append(_finite_label(values.pop(label_col), path, lineno))
                 rows.append(values)
         if not rows:
             raise ValueError(f"{path}: empty dataset")
@@ -109,7 +111,7 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
                     continue
                 tokens = line.split()
                 try:
-                    raw_labels.append(float(tokens[0]))
+                    label = float(tokens[0])
                     pairs = []
                     for tok in tokens[1:]:
                         index_str, value_str = tok.split(":", 1)
@@ -120,6 +122,7 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
                         max_index = max(max_index, index)
                 except (ValueError, IndexError) as exc:
                     raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+                raw_labels.append(_finite_label(label, path, lineno))
                 entries.append(pairs)
         if not entries:
             raise ValueError(f"{path}: empty dataset")
@@ -134,6 +137,13 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
     if scale == "minmax":
         features = _minmax(features)
     return Dataset(features=features, labels=labels)
+
+
+def _finite_label(label: float, path: Path, lineno: int) -> float:
+    # NaN > 0 is False, so a NaN label would silently become class 0.
+    if not math.isfinite(label):
+        raise ValueError(f"{path}:{lineno}: non-finite label {label!r}")
+    return label
 
 
 def _minmax(features: np.ndarray) -> np.ndarray:
@@ -339,7 +349,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> List[RunSu
                 RunSummary(seed, f"error: {exc}", 0, 0, math.nan, math.nan, None, None)
             )
             continue
-        final_train = problem.value_mean(np.arange(problem.N), result.x)
+        final_train = full_value(problem, result.x)
         final_test = test_loss_fn(result.x) if test_loss_fn is not None else None
         rate = (
             classification_rate(spec, result.x, config.test)

@@ -56,7 +56,9 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        # Row-major like a gathered subset, so that a full-sample evaluation
+        # in place runs the same BLAS calls as one over copied rows.
+        self.features = np.ascontiguousarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array (N, d)")
@@ -196,18 +198,30 @@ class SquaredLossProblem(FiniteSumProblem):
     def component_gradient(self, i: int, x) -> np.ndarray:
         return self.gradient_mean(np.array([i]), x)
 
+    def _rows(self, idx: np.ndarray):
+        """Features and labels of an index set validated by ``as_index_set``.
+
+        The full set 0..N-1 reads the dataset arrays in place; any other set
+        gathers a copy of its rows.  A validated set is ascending and inside
+        [0, N) but may repeat indices, so a size-N set is the full set
+        exactly when it has no repeats.
+        """
+        if idx.size == self.N and (idx[1:] != idx[:-1]).all():
+            return self.dataset.features, self.dataset.labels
+        return self.dataset.features[idx], self.dataset.labels[idx]
+
     def value_mean(self, indices, x) -> float:
         idx = as_index_set(indices, self.N)
         x = as_vector(x, self.n)
-        p, _ = _forward(self.spec, x, self.dataset.features[idx])
-        r = self.dataset.labels[idx] - p
+        a, y = self._rows(idx)
+        p, _ = _forward(self.spec, x, a)
+        r = y - p
         return float(np.sum(r * r) / idx.size)
 
     def gradient_mean(self, indices, x) -> np.ndarray:
         idx = as_index_set(indices, self.N)
         x = as_vector(x, self.n)
-        a = self.dataset.features[idx]
-        y = self.dataset.labels[idx]
+        a, y = self._rows(idx)
         p, acts = _forward(self.spec, x, a)
         # d(y - p)^2 / dz_out = -2 (y - p) p (1 - p)
         dz = -2.0 * (y - p) * p * (1.0 - p)

@@ -101,7 +101,9 @@ def extend_subsample(rng: np.random.Generator, N: int, indices: np.ndarray, m: i
         raise ValueError(f"subsample size {m} exceeds N = {N}")
     if m == indices.size:
         return indices, np.empty(0, dtype=np.intp)
-    complement = np.setdiff1d(np.arange(N, dtype=np.intp), indices, assume_unique=True)
+    outside = np.ones(N, dtype=bool)
+    outside[indices] = False
+    complement = np.flatnonzero(outside)
     need = m - indices.size
     if need == complement.size:
         extra = complement

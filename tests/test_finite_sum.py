@@ -181,6 +181,18 @@ class TestHessianAction:
         np.testing.assert_allclose(prob.component_hvp(2, x, v), mats[2] @ v + float(x @ x) * v,
                                    rtol=1e-14)
 
+    def test_exact_path_does_not_alias_caller_indices(self):
+        prob = CustomProblem(
+            2, 4,
+            value=lambda i, x: float(x @ x),
+            gradient=lambda i, x: 2.0 * x,
+            hvp=lambda i, x, v: (i + 1.0) * v,
+        )
+        idx = np.arange(4)
+        action = prob.hessian_action(idx, np.zeros(2))
+        idx[:] = 0
+        np.testing.assert_array_equal(action(np.ones(2)), np.full(2, 2.5))
+
     def test_exact_path_rejects_wrong_shape(self):
         prob = CustomProblem(
             3, 4,

@@ -52,6 +52,19 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="finite"):
             load_dataset(path, "csv")
 
+    def test_nan_label_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("nan,0.5,0.1\n1,0.2,0.3\n")
+        with pytest.raises(ValueError, match=r"d\.csv:1: non-finite label"):
+            load_dataset(path, "csv")
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_sparse_non_finite_label_rejected(self, tmp_path, label):
+        path = tmp_path / "d.txt"
+        path.write_text(f"1 1:0.5\n{label} 2:0.1\n")
+        with pytest.raises(ValueError, match=r"d\.txt:2: non-finite label"):
+            load_dataset(path, "sparse")
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,0.5\n1,oops\n")

@@ -163,6 +163,78 @@ class TestHessianAction:
         assert np.linalg.norm(h2 - 2.0 * h1) <= 1e-3 * (1.0 + np.linalg.norm(h2))
 
 
+class TestFullSetInPlace:
+    """The full set 0..N-1 reads the dataset in place; other sets gather rows.
+
+    A problem whose dataset has one extra trailing row sees 0..N-1 as a
+    partial set, so comparing against it compares the two paths.
+    """
+
+    N = 40
+
+    def pair(self, hidden, order="C"):
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((self.N + 1, 20))
+        labels = (rng.random(self.N + 1) > 0.5).astype(float)
+        spec = NetworkSpec(20, hidden)
+        head = np.asarray(features[: self.N], order=order)
+        full = SquaredLossProblem(Dataset(head, labels[: self.N]), spec)
+        padded = SquaredLossProblem(Dataset(features, labels), spec)
+        x = initial_point(spec, rng) if hidden else 0.1 * rng.standard_normal(spec.parameter_count)
+        x = x + 0.05 * rng.standard_normal(spec.parameter_count)
+        v = rng.standard_normal(spec.parameter_count)
+        return full, padded, x, v
+
+    @pytest.mark.parametrize("hidden", [(), (6,)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_matches_gathered_rows(self, hidden, order):
+        # Column-major features are stored row-major, as gathered rows are.
+        full, padded, x, v = self.pair(hidden, order)
+        idx = np.arange(self.N)
+        assert full.value_mean(idx, x) == padded.value_mean(idx, x)
+        np.testing.assert_array_equal(full.gradient_mean(idx, x), padded.gradient_mean(idx, x))
+        np.testing.assert_array_equal(
+            full.hessian_action(idx, x)(v), padded.hessian_action(idx, x)(v)
+        )
+
+    @pytest.mark.parametrize("hidden", [(), (6,)])
+    def test_shuffled_full_set_is_bit_identical(self, hidden):
+        full, _, x, v = self.pair(hidden)
+        idx = np.arange(self.N)
+        shuffled = np.random.default_rng(3).permutation(self.N)
+        assert full.value_mean(shuffled, x) == full.value_mean(idx, x)
+        np.testing.assert_array_equal(full.gradient_mean(shuffled, x), full.gradient_mean(idx, x))
+        np.testing.assert_array_equal(
+            full.hessian_action(shuffled, x)(v), full.hessian_action(idx, x)(v)
+        )
+
+    @pytest.mark.parametrize("hidden", [(), (6,)])
+    def test_size_n_set_with_duplicates_is_not_full(self, hidden):
+        rng = np.random.default_rng(12)
+        spec = NetworkSpec(20, hidden)
+        prob = SquaredLossProblem(
+            Dataset(rng.standard_normal((3, 20)), np.array([1.0, 0.0, 1.0])), spec
+        )
+        x = initial_point(spec, rng) if hidden else 0.1 * rng.standard_normal(prob.n)
+        f = [prob.component_value(i, x) for i in range(3)]
+        g = [prob.component_gradient(i, x) for i in range(3)]
+        assert prob.value_mean([0, 0, 2], x) == pytest.approx((2 * f[0] + f[2]) / 3, rel=1e-14)
+        assert prob.value_mean([0, 0, 2], x) != pytest.approx(sum(f) / 3, rel=1e-6)
+        np.testing.assert_allclose(
+            prob.gradient_mean([0, 0, 2], x), (2 * g[0] + g[2]) / 3, rtol=1e-12, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("hidden", [(), (6,)])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_action_does_not_alias_caller_indices(self, hidden, partial):
+        full, _, x, v = self.pair(hidden)
+        idx = np.arange(0, self.N, 2 if partial else 1)
+        action = full.hessian_action(idx, x)
+        before = action(v)
+        idx[:] = 0
+        np.testing.assert_array_equal(action(v), before)
+
+
 class TestMetrics:
     def test_testing_loss_at_zero(self):
         rng = np.random.default_rng(0)

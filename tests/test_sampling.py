@@ -109,6 +109,27 @@ class TestDrawSubsample:
         grown, _ = extend_subsample(rng, 12, idx, 12)
         np.testing.assert_array_equal(grown, np.arange(12))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extension_matches_setdiff_reference(self, seed):
+        def reference(rng, N, indices, m):
+            complement = np.setdiff1d(np.arange(N, dtype=np.intp), indices, assume_unique=True)
+            need = m - indices.size
+            if need == complement.size:
+                extra = complement
+            else:
+                extra = complement[np.sort(rng.choice(complement.size, size=need, replace=False))]
+            return np.sort(np.concatenate([indices, extra])), np.sort(extra)
+
+        for N, start, m in [(1000, 10, 50), (1000, 300, 999), (1000, 400, 1000), (7, 1, 6)]:
+            idx = draw_subsample(np.random.default_rng(seed), N, start)
+            rng, ref_rng = np.random.default_rng([seed, N]), np.random.default_rng([seed, N])
+            grown, ext = extend_subsample(rng, N, idx, m)
+            ref_grown, ref_ext = reference(ref_rng, N, idx, m)
+            np.testing.assert_array_equal(grown, ref_grown)
+            np.testing.assert_array_equal(ext, ref_ext)
+            assert grown.dtype == ref_grown.dtype and ext.dtype == ref_ext.dtype
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_extension_cannot_shrink(self):
         rng = np.random.default_rng(5)
         idx = draw_subsample(rng, 12, 6)
