@@ -21,11 +21,12 @@ from .harness import (
     ExperimentConfig,
     convert_labels,
     load_dataset,
+    minmax_scale,
     run_experiment,
     save_dataset_csv,
     synthesize_dataset,
 )
-from .problems import NetworkSpec, SquaredLossProblem
+from .problems import Dataset, NetworkSpec, SquaredLossProblem
 from .sampling import audit_accuracy, bernstein_size, gradient_log_argument, value_log_argument
 from .solver import SolverConfig
 
@@ -173,12 +174,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.dataset is None:
         print("train: --dataset is required (directly or via --config)", file=sys.stderr)
         return 2
-    train_set = load_dataset(args.dataset, args.format, args.label_col, args.dim, args.scale)
+    train_set = load_dataset(args.dataset, args.format, args.label_col, args.dim)
     test_set = None
     if args.test_dataset is not None:
         test_set = load_dataset(
-            args.test_dataset, args.format, args.label_col, args.dim or train_set.d, args.scale
+            args.test_dataset, args.format, args.label_col, args.dim or train_set.d
         )
+    if args.scale == "minmax":
+        # The test set is scaled by the training set's column ranges.
+        if test_set is not None:
+            test_set = Dataset(minmax_scale(test_set.features, train_set.features), test_set.labels)
+        train_set = Dataset(minmax_scale(train_set.features), train_set.labels)
     hidden = tuple(int(tok) for tok in args.net.split(",") if tok.strip())
     spec = NetworkSpec(input_dim=train_set.d, hidden_sizes=hidden)
     config = ExperimentConfig(

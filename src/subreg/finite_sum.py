@@ -28,6 +28,33 @@ def as_vector(x, n: int, name: str = "x") -> np.ndarray:
     return arr
 
 
+def as_operand(v, n: int) -> np.ndarray:
+    """Coerce a Hessian-action operand: a vector ``(n,)`` or a block ``(n, k)``."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[0] != n:
+        raise ValueError(f"v has shape {arr.shape}, expected ({n},) or ({n}, k)")
+    return arr
+
+
+def by_columns(n: int, apply: Callable[[np.ndarray], np.ndarray]):
+    """Extend a vector action to ``(n, k)`` blocks, one column at a time.
+
+    Each column is passed as its own contiguous vector, so a block result
+    equals the stacked vector results bit for bit.
+    """
+
+    def action(v: np.ndarray) -> np.ndarray:
+        v = as_operand(v, n)
+        if v.ndim == 1:
+            return apply(v)
+        out = np.empty(v.shape)
+        for j, column in enumerate(np.array(v.T)):
+            out[:, j] = apply(column)
+        return out
+
+    return action
+
+
 def as_index_set(indices, N: int) -> np.ndarray:
     """Validate a non-empty set of component indices and return it ascending.
 
@@ -87,12 +114,13 @@ class FiniteSumProblem:
     def hessian_action(self, indices, x, base=None) -> Callable[[np.ndarray], np.ndarray]:
         """Mean Hessian action over a frozen index set, as a closure.
 
-        The action is a forward difference of batched gradient means about
-        ``base``, the gradient mean at ``x`` over the same indices; callers
-        that already hold it pass it in, otherwise it is computed here once.
-        Each call then costs one batched gradient evaluation at a shifted
-        point.  Problems with analytic Hessians override this one method and
-        may ignore ``base``.
+        The closure takes a vector ``(n,)`` or a block ``(n, k)`` and returns
+        the action with the same shape.  Here it is a forward difference of
+        batched gradient means about ``base``, the gradient mean at ``x``
+        over the same indices; callers that already hold it pass it in,
+        otherwise it is computed here once.  Each column then costs one
+        batched gradient evaluation at a shifted point.  Problems with
+        analytic Hessians override this one method and may ignore ``base``.
         """
         idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
@@ -102,14 +130,13 @@ class FiniteSumProblem:
         scale = float(np.sqrt(u)) * (1.0 + float(np.linalg.norm(x)))
 
         def action(v: np.ndarray) -> np.ndarray:
-            v = as_vector(v, self.n, "v")
             if not v.any():
                 return np.zeros(self.n)
             # Step balancing truncation against round-off.
             h = scale / max(float(np.linalg.norm(v)), u)
             return (self.gradient_mean(idx, x + h * v) - base) / h
 
-        return action
+        return by_columns(self.n, action)
 
 
 class CustomProblem(FiniteSumProblem):
@@ -142,13 +169,12 @@ class CustomProblem(FiniteSumProblem):
         x = as_vector(x, self.n).copy()
 
         def action(v: np.ndarray) -> np.ndarray:
-            v = as_vector(v, self.n, "v")
             total = np.zeros(self.n)
             for i in idx:
                 total += as_vector(self._hvp(int(i), x, v), self.n, "hvp")
             return total / idx.size
 
-        return action
+        return by_columns(self.n, action)
 
 
 def full_value(problem: FiniteSumProblem, x) -> float:

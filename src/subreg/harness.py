@@ -21,6 +21,7 @@ from .solver import SolverConfig, SolverResult, SolverStallError, TraceEvent, mi
 
 __all__ = [
     "load_dataset",
+    "minmax_scale",
     "synthesize_dataset",
     "save_dataset_csv",
     "convert_labels",
@@ -135,7 +136,7 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
                 features[row, index - 1] = value
     labels = (np.asarray(raw_labels) > 0.0).astype(float)
     if scale == "minmax":
-        features = _minmax(features)
+        features = minmax_scale(features)
     return Dataset(features=features, labels=labels)
 
 
@@ -146,9 +147,16 @@ def _finite_label(label: float, path: Path, lineno: int) -> float:
     return label
 
 
-def _minmax(features: np.ndarray) -> np.ndarray:
-    lo = features.min(axis=0)
-    span = features.max(axis=0) - lo
+def minmax_scale(features: np.ndarray, reference: Optional[np.ndarray] = None) -> np.ndarray:
+    """Map each column's range in ``reference`` (default ``features``) onto
+    [0, 1] and apply that map to ``features``.
+
+    A held-out set is scaled with its training set as ``reference``, so
+    both see the same map.
+    """
+    reference = features if reference is None else reference
+    lo = reference.min(axis=0)
+    span = reference.max(axis=0) - lo
     span[span == 0.0] = 1.0  # constant columns map to 0
     return (features - lo) / span
 

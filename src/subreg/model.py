@@ -88,7 +88,11 @@ class RegularisedModel:
 
 
 def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], np.ndarray]:
-    """Action of the model Hessian at s (order-2 models only)."""
+    """Action of the model Hessian at s (order-2 models only).
+
+    Like the model's own action it takes a vector ``(n,)`` or a block
+    ``(n, k)``.
+    """
     if model.order != 2:
         raise ValueError("only order-2 models expose a Hessian")
     s = np.asarray(s, dtype=float)
@@ -101,7 +105,9 @@ def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], n
         hv = np.asarray(base(v), dtype=float)
         if norm_s == 0.0:
             return hv
-        return hv + 0.5 * sigma * (norm_s * v + (float(s @ v) / norm_s) * s)
+        if v.ndim == 1:
+            return hv + 0.5 * sigma * (norm_s * v + (float(s @ v) / norm_s) * s)
+        return hv + 0.5 * sigma * (norm_s * v + np.outer(s, (s @ v) / norm_s))
 
     return action
 
@@ -129,14 +135,16 @@ class AccuracyQuantities:
 
 
 def accuracy_quantities(
-    model: RegularisedModel, s, q: int, dense_threshold: int = 200
+    model: RegularisedModel, s, q: int, dense_threshold: int = 200,
+    phi2: Optional[float] = None,
 ) -> AccuracyQuantities:
     """Evaluate tau and the minimum decrease for the accuracy test at step s.
 
     Maximisers of the order-one measure lie on the unit sphere whenever the
     model gradient is nonzero, so their norm is one; when every measure is
     degenerate tau falls back to the step norm.  For q = 2 the order-two
-    model measure is computed by the unit-ball trust-region solve.
+    model measure is computed by the unit-ball trust-region solve, unless
+    the caller already holds its value at s and passes it as ``phi2``.
     """
     if q not in (1, 2) or q > model.order:
         raise ValueError("q must be 1 or 2 and at most the model order")
@@ -145,19 +153,20 @@ def accuracy_quantities(
     dtf = model.taylor_decrease(s)
     candidates = [dtf, grad_norm]
     degenerate = grad_norm == 0.0
-    phi2_value = None
-    if q == 2:
-        result = optimality.phi_2(
-            model.gradient(s), model_hessian_action(model, s), model.n, dense_threshold
-        )
-        phi2_value = result.value
-        candidates.append(result.value)
-        degenerate = degenerate and result.value == 0.0
+    if q == 1:
+        phi2 = None
+    else:
+        if phi2 is None:
+            phi2 = optimality.phi_2(
+                model.gradient(s), model_hessian_action(model, s), model.n, dense_threshold
+            ).value
+        candidates.append(phi2)
+        degenerate = degenerate and phi2 == 0.0
     tau = float(np.linalg.norm(s)) if degenerate else max(float(np.linalg.norm(s)), 1.0)
     return AccuracyQuantities(
         tau=tau,
         delta_t_min=float(min(candidates)),
         delta_t_f=dtf,
         model_grad_norm=grad_norm,
-        phi2_value=phi2_value,
+        phi2_value=phi2,
     )

@@ -61,26 +61,22 @@ def check_termination(phis, epsilons) -> bool:
 
 
 def materialise_operator(h_action, n: int, check_symmetry: bool = True, tol: float = 1e-3):
-    """Apply the action to the identity columns and return a dense matrix.
+    """Apply the action to the identity block and return a dense matrix.
 
+    The action receives all n identity columns in one ``(n, n)`` call.
     Raises if the materialised matrix is asymmetric beyond ``tol`` relative
     to its scale, which violates the Hessian-operator contract.  The default
     tolerance accommodates actions built by differencing gradients, whose
     asymmetry is bounded by the differencing error.
     """
-    cols = [np.asarray(h_action(_basis(n, j)), dtype=float) for j in range(n)]
-    H = np.column_stack(cols)
+    H = np.asarray(h_action(np.eye(n)), dtype=float)
+    if H.shape != (n, n):
+        raise ValueError(f"Hessian action returned shape {H.shape} for an ({n}, {n}) block")
     if check_symmetry:
         scale = 1.0 + float(np.abs(H).max(initial=0.0))
         if float(np.abs(H - H.T).max(initial=0.0)) > tol * scale:
             raise ValueError("Hessian action is not symmetric")
     return 0.5 * (H + H.T)
-
-
-def _basis(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 def leftmost_eigenpair(h_action, n: int, dense_threshold: int = 200, seed: int = _EIGSH_SEED):

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, as_index_set, as_vector
+from .finite_sum import FiniteSumProblem, as_index_set, as_operand, as_vector
 
 __all__ = [
     "Dataset",
@@ -31,6 +31,9 @@ __all__ = [
 _ARG_CLAMP = 500.0
 _P_LO = 1e-300
 _P_HI = 1.0 - 1e-16
+
+# Partial index sets are read in row blocks of about this many bytes.
+_BLOCK_BYTES = 2**20
 
 
 def sigmoid(z):
@@ -191,6 +194,11 @@ class SquaredLossProblem(FiniteSumProblem):
         self.spec = spec
         self.n = spec.parameter_count
         self.N = dataset.N
+        # A multiple of 64 rows, so that block edges fall on whole groups of
+        # the rows that BLAS kernels compute together: with one BLAS thread a
+        # product over row blocks then rounds each row as one product over
+        # all the rows does.
+        self._block = max(64, _BLOCK_BYTES // (8 * dataset.d) // 64 * 64)
 
     def component_value(self, i: int, x) -> float:
         return self.value_mean(np.array([i]), x)
@@ -198,24 +206,57 @@ class SquaredLossProblem(FiniteSumProblem):
     def component_gradient(self, i: int, x) -> np.ndarray:
         return self.gradient_mean(np.array([i]), x)
 
-    def _rows(self, idx: np.ndarray):
-        """Features and labels of an index set validated by ``as_index_set``.
+    def _is_full(self, idx: np.ndarray) -> bool:
+        """Whether an index set validated by ``as_index_set`` is 0..N-1.
 
-        The full set 0..N-1 reads the dataset arrays in place; any other set
-        gathers a copy of its rows.  A validated set is ascending and inside
-        [0, N) but may repeat indices, so a size-N set is the full set
-        exactly when it has no repeats.
+        A validated set is ascending and inside [0, N) but may repeat
+        indices, so a size-N set is the full set exactly when it has no
+        repeats.
         """
-        if idx.size == self.N and (idx[1:] != idx[:-1]).all():
+        return idx.size == self.N and bool((idx[1:] != idx[:-1]).all())
+
+    def _rows(self, idx: np.ndarray):
+        """Features and labels of a validated index set.
+
+        The full set reads the dataset arrays in place; any other set
+        gathers a copy of its rows.
+        """
+        if self._is_full(idx):
             return self.dataset.features, self.dataset.labels
         return self.dataset.features[idx], self.dataset.labels[idx]
+
+    def _row_blocks(self, idx: np.ndarray):
+        """Yield ``(rows, take)`` per row block of a validated index set.
+
+        ``rows`` slices ``idx``; ``take`` indexes the dataset arrays: the
+        same slice for the full set, which reads them in place, and the
+        block's indices otherwise, which gather a copy.  Gathering inside
+        the expression that uses the block frees it before the next one is
+        read.  A lone trailing row joins the block before it, because numpy
+        computes a one-row matrix product as a vector product, which rounds
+        differently.
+        """
+        full = self._is_full(idx)
+        starts = list(range(0, idx.size, self._block))
+        if len(starts) > 1 and idx.size - starts[-1] == 1:
+            starts.pop()
+        for lo, hi in zip(starts, starts[1:] + [idx.size]):
+            rows = slice(lo, hi)
+            yield rows, rows if full else idx[rows]
 
     def value_mean(self, indices, x) -> float:
         idx = as_index_set(indices, self.N)
         x = as_vector(x, self.n)
-        a, y = self._rows(idx)
-        p, _ = _forward(self.spec, x, a)
-        r = y - p
+        a, y = self.dataset.features, self.dataset.labels
+        if self._is_full(idx):
+            r = y - _forward(self.spec, x, a)[0]
+        else:
+            # A partial set is read in row blocks, so no copy of all its
+            # rows is made; the residuals are summed in one reduction, as a
+            # one-shot gather sums them.
+            r = np.empty(idx.size)
+            for rows, take in self._row_blocks(idx):
+                r[rows] = y[take] - _forward(self.spec, x, a[take])[0]
         return float(np.sum(r * r) / idx.size)
 
     def gradient_mean(self, indices, x) -> np.ndarray:
@@ -239,6 +280,44 @@ class SquaredLossProblem(FiniteSumProblem):
                 delta = (delta @ w) * (1.0 - acts[ell] ** 2)
         flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         return flat / idx.size
+
+    def hessian_action(self, indices, x, base=None):
+        """Mean Hessian action over a frozen index set, as a closure.
+
+        For the bias-free sigmoid the action is exact: with p = sigmoid(A x)
+        over the set's rows A, component i has Hessian c_i a_i a_i^T with
+        c_i = 2 p_i' (p_i' - (y_i - p_i)(1 - 2 p_i)) and p_i' = p_i (1 - p_i),
+        so the mean action is A^T (c * A v) / m.  The curvatures are
+        computed once here; each call reads the rows in blocks and never
+        copies the whole set.  ``base`` is not needed and is ignored.
+        Networks keep the differenced default.
+        """
+        if self.spec.hidden_sizes:
+            return super().hessian_action(indices, x, base)
+        idx = as_index_set(indices, self.N).copy()
+        x = as_vector(x, self.n)
+        a, y = self.dataset.features, self.dataset.labels
+        c = np.empty(idx.size)
+        for rows, take in self._row_blocks(idx):
+            p = sigmoid(a[take] @ x)
+            dp = p * (1.0 - p)
+            c[rows] = 2.0 * dp * (dp - (y[take] - p) * (1.0 - 2.0 * p))
+        c /= idx.size
+
+        def action(v: np.ndarray) -> np.ndarray:
+            v = as_operand(v, self.n)
+            cols = v.reshape(self.n, -1)
+            out = np.zeros(cols.shape)
+            for rows, take in self._row_blocks(idx):
+                out += _weighted_gram(a[take], c[rows], cols)
+            return out.reshape(v.shape)
+
+        return action
+
+
+def _weighted_gram(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a.T @ diag(w) @ a @ v`` without forming the diagonal matrix."""
+    return a.T @ (w[:, None] * (a @ v))
 
 
 def testing_loss(spec: NetworkSpec, x, dataset: Dataset) -> float:

@@ -17,12 +17,18 @@ one-time |H \\ (H & G)| / N for base gradients not shared with G.
 Measurement-only quantities (exact losses recorded in traces, the
 order-two termination measure) are never charged.
 
-Known gap: for q = 2 the accuracy test of each growth pass evaluates the
-order-two model measure at the trial step, which applies the Hessian
-estimate about n + 3 times on the dense path, and none of these actions is
-charged.  On the q = 2 sigmoid benchmark problem (N = 20000, n = 50, seed
-1000, 1200 CM budget) that was 3180 uncharged actions (624 full-sample
-equivalents) against 3539 charged ones (654 full-sample equivalents).
+Each column of a block passed to a Hessian action counts as one action,
+however the action is computed.
+
+Known gap: for q = 2 the accuracy test of each growth pass needs the
+order-two model measure at the trial step, and the Hessian actions it
+takes are not charged.  When the subproblem solver's own second-order test
+passed at that step, its value is reused and the test applies the Hessian
+twice (model gradient and Taylor decrease); otherwise it also materialises
+the model Hessian, about n + 3 actions on the dense path.  On the q = 2
+sigmoid benchmark problem (N = 20000, n = 50, seed 1000, 1200 CM budget)
+that was 120 uncharged actions (24 full-sample equivalents) against 3539
+charged ones (654 full-sample equivalents).
 """
 
 from __future__ import annotations
@@ -286,7 +292,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
         dtf = sigma * norm_s**3 / 6.0 - diag["model_value"]
         grad_norm = diag["grad_norm"]
         if cfg.q == 2:
-            quantities = accuracy_quantities(model, s, 2, cfg.dense_threshold)
+            # cubic_step has phi_2 at s when its second-order test passed.
+            quantities = accuracy_quantities(model, s, 2, cfg.dense_threshold, diag["phi2"])
         else:
             degenerate = grad_norm == 0.0
             quantities = AccuracyQuantities(

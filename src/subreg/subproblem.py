@@ -89,8 +89,11 @@ def cubic_step(
     Returns a step with m(s) <= 0 and, when the iteration budget allows,
     model gradient norm at most theta * eps1.  With ``eps2`` given the
     order-two model measure at the step is also pushed below theta * eps2
-    by restarting along directions of negative curvature.  On budget
-    exhaustion the best iterate found is returned with a diagnostic.
+    by restarting along directions of negative curvature; when that test
+    passes, the diagnostics carry its value at the returned step as
+    ``phi2`` (otherwise None).  ``hvp_evals`` counts Hessian-action
+    columns.  On budget exhaustion the best iterate found is returned with
+    a diagnostic.
     """
     if model.order != 2:
         raise ValueError("cubic_step needs an order-2 model")
@@ -101,7 +104,9 @@ def cubic_step(
     base_action = model.hessian_action
 
     def counted_action(v):
-        counter["hvp"] += 1
+        # One action per column: a block (n, k) counts k.
+        v = np.asarray(v, dtype=float)
+        counter["hvp"] += 1 if v.ndim == 1 else v.shape[1]
         return np.asarray(base_action(v), dtype=float)
 
     m = dataclasses.replace(model, hessian_action=counted_action)
@@ -116,6 +121,7 @@ def cubic_step(
     iterations = 0
     escapes = 0
     converged = False
+    phi2_value = None
 
     def diagnostics():
         return {
@@ -125,6 +131,7 @@ def cubic_step(
             "grad_norm": float(np.linalg.norm(grad)),
             "model_value": value,
             "escapes": escapes,
+            "phi2": phi2_value if converged else None,
         }
 
     def try_escape():
@@ -153,10 +160,11 @@ def cubic_step(
         return False
 
     def second_order_ok():
+        nonlocal phi2_value
         if eps2 is None:
             return True
-        result = phi_2(m.gradient(s), model_hessian_action(m, s), n, dense_threshold)
-        return result.value <= theta * eps2
+        phi2_value = phi_2(m.gradient(s), model_hessian_action(m, s), n, dense_threshold).value
+        return phi2_value <= theta * eps2
 
     while iterations < config.max_inner_iterations:
         gnorm = float(np.linalg.norm(grad))

@@ -204,6 +204,28 @@ class TestHessianAction:
         with pytest.raises(ValueError, match="hvp"):
             action(np.ones(3))
 
+    @pytest.mark.parametrize("kind", ["differenced", "custom-hvp", "net"])
+    def test_block_equals_stacked_vectors(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "differenced":
+            prob = random_smooth_problem(seed=3)
+        elif kind == "custom-hvp":
+            mats = [rng.standard_normal((4, 4)) for _ in range(5)]
+            prob = CustomProblem(
+                4, 5,
+                value=lambda i, x: 0.5 * float(x @ mats[i] @ x),
+                gradient=lambda i, x: 0.5 * (mats[i] + mats[i].T) @ x,
+                hvp=lambda i, x, v: 0.5 * (mats[i] + mats[i].T) @ v + float(x @ v) * x,
+            )
+        else:
+            ds = Dataset(rng.standard_normal((30, 3)), (rng.random(30) > 0.5).astype(float))
+            prob = SquaredLossProblem(ds, NetworkSpec(3, (2,)))
+        x = rng.standard_normal(prob.n)
+        action = prob.hessian_action([4, 0, 2], x)
+        for V in (np.eye(prob.n), rng.standard_normal((prob.n, 3))):
+            stacked = np.column_stack([action(column) for column in V.T])
+            np.testing.assert_array_equal(action(V), stacked)
+
     def test_invalid_sample_rejected(self):
         prob = random_smooth_problem()
         with pytest.raises(ValueError):
@@ -212,3 +234,5 @@ class TestHessianAction:
             prob.hessian_action([prob.N], np.zeros(prob.n))
         with pytest.raises(ValueError):
             prob.hessian_action([0], np.zeros(prob.n))(np.zeros(prob.n + 1))
+        with pytest.raises(ValueError):
+            prob.hessian_action([0], np.zeros(prob.n))(np.zeros((prob.n + 1, 2)))

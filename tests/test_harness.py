@@ -257,6 +257,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert "mean classification rate" in captured.out
 
+    def test_minmax_scales_test_set_by_training_ranges(self, tmp_path, monkeypatch):
+        train = tmp_path / "train.csv"
+        train.write_text("1,0\n0,10\n1,5\n")
+        test = tmp_path / "test.csv"
+        test.write_text("1,1.0\n0,5\n")
+        seen = {}
+        monkeypatch.setattr("subreg.cli.run_experiment", lambda config: seen.update(c=config))
+        assert main([
+            "train", "--dataset", str(train), "--test-dataset", str(test), "--scale", "minmax",
+        ]) == 0
+        config = seen["c"]
+        np.testing.assert_array_equal(config.train.features[:, 0], [0.0, 1.0, 0.5])
+        # Training range [0, 10]: 1.0 maps to 0.1, not to the test set's own 0.
+        np.testing.assert_array_equal(config.test.features[:, 0], [0.1, 0.5])
+
     def test_train_requires_dataset(self, capsys):
         assert main(["train"]) == 2
 

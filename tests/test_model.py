@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subreg.finite_sum import CustomProblem
 from subreg.model import (
     AccuracyQuantities,
     RegularisedModel,
@@ -169,6 +170,16 @@ class TestAccuracyQuantities:
         assert q.phi2_value == pytest.approx(1.0, abs=1e-8)
         assert q.delta_t_min == 0.0
 
+    def test_supplied_phi2_skips_the_solve(self):
+        H = np.diag([-2.0, 1.0])
+        m = cubic_model([0.3, -0.1], H, 3.0)
+        s = np.array([0.2, 0.1])
+        computed = accuracy_quantities(m, s, 2)
+        supplied = accuracy_quantities(m, s, 2, phi2=computed.phi2_value)
+        assert supplied == computed
+        # The passed value is used as is.
+        assert accuracy_quantities(m, s, 2, phi2=0.0).phi2_value == 0.0
+
     def test_order_mismatch_rejected(self):
         m = RegularisedModel(1, np.ones(2), 1.0)
         with pytest.raises(ValueError):
@@ -187,6 +198,24 @@ class TestModelHessian:
             v = rng.standard_normal(3)
             fd = (m.gradient(s + h * v) - m.gradient(s - h * v)) / (2.0 * h)
             np.testing.assert_allclose(action(v), fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("zero_step", [False, True])
+    def test_identity_block_equals_stacked_vectors(self, zero_step):
+        rng = np.random.default_rng(9)
+        n = 4
+        mats = [rng.standard_normal((n, n)) for _ in range(3)]
+        # A differenced Hessian action, as the solver builds for networks.
+        prob = CustomProblem(
+            n, 3,
+            value=lambda i, x: float(x @ mats[i] @ x + 0.1 * (x @ x) ** 2),
+            gradient=lambda i, x: (mats[i] + mats[i].T) @ x + 0.4 * (x @ x) * x,
+        )
+        x = rng.standard_normal(n)
+        m = RegularisedModel(2, rng.standard_normal(n), 0.7, prob.hessian_action([0, 1, 2], x))
+        s = np.zeros(n) if zero_step else rng.standard_normal(n)
+        action = model_hessian_action(m, s)
+        block = action(np.eye(n))
+        np.testing.assert_array_equal(block, np.column_stack([action(e) for e in np.eye(n)]))
 
     def test_order_one_rejected(self):
         m = RegularisedModel(1, np.ones(2), 1.0)

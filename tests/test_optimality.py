@@ -152,6 +152,22 @@ class TestMaterialise:
         with pytest.raises(ValueError):
             materialise_operator(action_of(H), 2)
 
+    def test_one_call_with_the_identity_block(self):
+        H = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
+        calls = []
+
+        def action(v):
+            calls.append(np.array(v))
+            return H @ v
+
+        np.testing.assert_array_equal(materialise_operator(action, 3), H)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.eye(3))
+
+    def test_vector_only_action_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            materialise_operator(lambda v: np.ones(2), 2)
+
 
 class TestTermination:
     def test_first_order(self):

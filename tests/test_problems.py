@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from subreg.finite_sum import full_value
+import subreg
+from subreg.finite_sum import FiniteSumProblem, full_value
 from subreg.problems import (
     Dataset,
     NetworkSpec,
     SquaredLossProblem,
+    _forward,
     classification_rate,
     initial_point,
     predict,
@@ -233,6 +241,152 @@ class TestFullSetInPlace:
         before = action(v)
         idx[:] = 0
         np.testing.assert_array_equal(action(v), before)
+
+
+class TestExactSigmoidAction:
+    """The sigmoid's closed-form action over full, partial and repeated sets.
+
+    At d = 2000 a row block holds 64 rows, so the 150-row problem spans
+    three blocks.
+    """
+
+    @pytest.fixture(params=[(12, 4), (150, 2000)], ids=["one-block", "three-blocks"])
+    def case(self, request):
+        N, d = request.param
+        rng = np.random.default_rng(N + d)
+        features = rng.standard_normal((N, d)) / np.sqrt(d)
+        prob = SquaredLossProblem(
+            Dataset(features, (rng.random(N) > 0.5).astype(float)), NetworkSpec(d)
+        )
+        sets = {
+            "full": np.arange(N),
+            "partial": rng.choice(N, 2 * N // 3, replace=False),
+            "repeated": rng.integers(0, N, N),
+        }
+        return prob, rng.standard_normal(d), sets, rng
+
+    def unit(self, rng, n):
+        v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    def test_against_second_differences(self, case):
+        prob, x, sets, rng = case
+        for idx in sets.values():
+            action = prob.hessian_action(idx, x)
+            for _ in range(2):
+                u, v = self.unit(rng, prob.n), self.unit(rng, prob.n)
+                ref = second_diff_quadform(lambda z: prob.value_mean(idx, z), x, u, v)
+                assert abs(u @ action(v) - ref) <= 1e-6 * (1.0 + abs(ref))
+
+    def test_matches_differenced_default(self, case):
+        prob, x, sets, rng = case
+        for idx in sets.values():
+            exact = prob.hessian_action(idx, x)
+            differenced = FiniteSumProblem.hessian_action(prob, idx, x)
+            for _ in range(2):
+                v = rng.standard_normal(prob.n)
+                np.testing.assert_allclose(exact(v), differenced(v), rtol=1e-6, atol=1e-9)
+
+    def test_block_equals_stacked_vectors(self, case):
+        prob, x, sets, rng = case
+        for idx in sets.values():
+            action = prob.hessian_action(idx, x)
+            for V in (np.eye(prob.n), rng.standard_normal((prob.n, 3))):
+                stacked = np.column_stack([action(column) for column in V.T])
+                np.testing.assert_allclose(action(V), stacked, rtol=1e-12, atol=1e-15)
+
+    def test_base_is_ignored(self, case):
+        prob, x, sets, rng = case
+        v = rng.standard_normal(prob.n)
+        idx = sets["partial"]
+        np.testing.assert_array_equal(
+            prob.hessian_action(idx, x, base=np.zeros(prob.n))(v), prob.hessian_action(idx, x)(v)
+        )
+
+    def test_operand_shape_checked(self, case):
+        prob, x, sets, _ = case
+        action = prob.hessian_action(sets["full"], x)
+        for bad in (np.zeros(prob.n + 1), np.zeros((prob.n + 1, 2)), np.zeros((prob.n, 2, 2))):
+            with pytest.raises(ValueError):
+                action(bad)
+
+
+def one_shot_mismatches():
+    """Cases where a partial-set ``value_mean`` differs from the parent's
+    formula, one forward pass over all gathered rows.
+
+    Sizes sit around the row-block boundaries; each set is drawn with
+    repeats, so even a size-N set is partial.
+    """
+    cases = [
+        (20, (), 14000), (50, (), 8000), (5000, (), 600), (20, (6,), 14000), (20, (15,), 14000),
+    ]
+    mismatches = []
+    for d, hidden, N in cases:
+        rng = np.random.default_rng(d + len(hidden))
+        features = rng.standard_normal((N, d))
+        labels = (rng.random(N) > 0.5).astype(float)
+        spec = NetworkSpec(d, hidden)
+        prob = SquaredLossProblem(Dataset(features, labels), spec)
+        x = initial_point(spec, rng) if hidden else rng.standard_normal(d) / np.sqrt(d)
+        B = prob._block
+        sizes = {1, 2, 63, 64, 65, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1, 3 * B - 1, N}
+        for m in sorted(size for size in sizes if size <= N):
+            idx = np.sort(rng.integers(0, N, m))
+            p, _ = _forward(spec, x, features[idx])
+            r = labels[idx] - p
+            if prob.value_mean(idx, x) != float(np.sum(r * r) / m):
+                mismatches.append((d, hidden, m))
+    return mismatches
+
+
+class TestPartialValueMean:
+    def test_bit_identical_to_one_shot_gather(self):
+        # Bit for bit only with one BLAS thread: a threaded product splits
+        # its rows among the threads by the product's own row count.  The
+        # child process fixes the thread count before numpy loads.
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(subreg.__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_problems as t; print(t.one_shot_mismatches())"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_row_blocks(self):
+        # d = 2000 gives 64-row blocks.  A lone trailing row would be
+        # evaluated as a vector product, so it joins the block before it.
+        rng = np.random.default_rng(22)
+        prob = SquaredLossProblem(
+            Dataset(rng.standard_normal((200, 2000)), np.zeros(200)), NetworkSpec(2000)
+        )
+        for m, sizes in [(1, [1]), (64, [64]), (65, [65]), (66, [64, 2]), (129, [64, 65]),
+                         (130, [64, 64, 2])]:
+            idx = np.arange(m)
+            blocks = list(prob._row_blocks(idx))
+            assert [rows.stop - rows.start for rows, _ in blocks] == sizes
+            for rows, take in blocks:
+                np.testing.assert_array_equal(idx[rows], np.arange(200)[take])
+
+    def test_peak_memory_stays_below_a_gather(self):
+        # Gathering 18000 of 20000 rows at d = 50 would take about 7 MB.
+        rng = np.random.default_rng(21)
+        prob = SquaredLossProblem(
+            Dataset(rng.standard_normal((20000, 50)), (rng.random(20000) > 0.5).astype(float)),
+            NetworkSpec(50),
+        )
+        idx = np.sort(rng.choice(20000, 18000, replace=False))
+        x = rng.standard_normal(50) / np.sqrt(50)
+        tracemalloc.start()
+        try:
+            prob.value_mean(idx, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestMetrics:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from subreg.model import RegularisedModel
+from subreg.model import RegularisedModel, model_hessian_action
+from subreg.optimality import phi_2
 from subreg.subproblem import BBConfig, bb_step_length, cubic_step, quadratic_step
 
 from oracles import cubic_model_oracle
@@ -119,6 +120,25 @@ class TestCubicStep:
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
         _, diag = cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5)
         assert diag["hvp_evals"] >= diag["iterations"] > 0
+
+    def test_materialisation_counts_one_action_per_column(self):
+        # A stationary start probes curvature once through the dense
+        # leftmost eigenpair: one (n, n) block, counted as n actions.
+        n = 4
+        m = cubic_model(np.zeros(n), np.eye(n), 1.0)
+        _, diag = cubic_step(m, BBConfig(), eps1=1e-3, theta=0.5)
+        assert diag["hvp_evals"] == n
+        # The second-order test materialises the model Hessian once more.
+        _, diag = cubic_step(m, BBConfig(), eps1=1e-3, theta=0.5, eps2=1e-3)
+        assert diag["hvp_evals"] == 2 * n
+
+    def test_reports_phi2_at_the_returned_step(self):
+        m = cubic_model([0.0, 0.5], np.diag([-1.0, 2.0]), 1.0)
+        s, diag = cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert diag["converged"]
+        assert diag["phi2"] == phi_2(m.gradient(s), model_hessian_action(m, s), 2).value
+        _, diag = cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5)
+        assert diag["phi2"] is None
 
     def test_order_validated(self):
         with pytest.raises(ValueError):
