@@ -357,8 +357,13 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> List[RunSu
                 RunSummary(seed, f"error: {exc}", 0, 0, math.nan, math.nan, None, None)
             )
             continue
-        final_train = full_value(problem, result.x)
-        final_test = test_loss_fn(result.x) if test_loss_fn is not None else None
+        last = result.trace[-1]
+        if last.train_loss is not None:
+            # The last event measured both losses at the returned iterate.
+            final_train, final_test = last.train_loss, last.test_loss
+        else:
+            final_train = full_value(problem, result.x)
+            final_test = test_loss_fn(result.x) if test_loss_fn is not None else None
         rate = (
             classification_rate(spec, result.x, config.test)
             if config.test is not None

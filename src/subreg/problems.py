@@ -39,12 +39,11 @@ _BLOCK_BYTES = 2**20
 def sigmoid(z):
     """Numerically stable logistic function, strictly inside (0, 1)."""
     z = np.clip(np.asarray(z, dtype=float), -_ARG_CLAMP, _ARG_CLAMP)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _P_LO, _P_HI)
+    # exp(-|z|) is exp(-z) for z >= 0 and exp(z) otherwise, so each entry
+    # is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)), the same operations
+    # as two masked branches, without boolean gathers and scatters.
+    e = np.exp(-np.abs(z))
+    return np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), _P_LO, _P_HI)
 
 
 @dataclass
@@ -223,7 +222,7 @@ class SquaredLossProblem(FiniteSumProblem):
         """
         if self._is_full(idx):
             return self.dataset.features, self.dataset.labels
-        return self.dataset.features[idx], self.dataset.labels[idx]
+        return _take(self.dataset.features, idx), _take(self.dataset.labels, idx)
 
     def _row_blocks(self, idx: np.ndarray):
         """Yield ``(rows, take)`` per row block of a validated index set.
@@ -256,7 +255,7 @@ class SquaredLossProblem(FiniteSumProblem):
             # one-shot gather sums them.
             r = np.empty(idx.size)
             for rows, take in self._row_blocks(idx):
-                r[rows] = y[take] - _forward(self.spec, x, a[take])[0]
+                r[rows] = _take(y, take) - _forward(self.spec, x, _take(a, take))[0]
         return float(np.sum(r * r) / idx.size)
 
     def gradient_mean(self, indices, x) -> np.ndarray:
@@ -299,9 +298,9 @@ class SquaredLossProblem(FiniteSumProblem):
         a, y = self.dataset.features, self.dataset.labels
         c = np.empty(idx.size)
         for rows, take in self._row_blocks(idx):
-            p = sigmoid(a[take] @ x)
+            p = sigmoid(_take(a, take) @ x)
             dp = p * (1.0 - p)
-            c[rows] = 2.0 * dp * (dp - (y[take] - p) * (1.0 - 2.0 * p))
+            c[rows] = 2.0 * dp * (dp - (_take(y, take) - p) * (1.0 - 2.0 * p))
         c /= idx.size
 
         def action(v: np.ndarray) -> np.ndarray:
@@ -309,10 +308,17 @@ class SquaredLossProblem(FiniteSumProblem):
             cols = v.reshape(self.n, -1)
             out = np.zeros(cols.shape)
             for rows, take in self._row_blocks(idx):
-                out += _weighted_gram(a[take], c[rows], cols)
+                out += _weighted_gram(_take(a, take), c[rows], cols)
             return out.reshape(v.shape)
 
         return action
+
+
+def _take(arr: np.ndarray, take) -> np.ndarray:
+    """Rows ``take`` of ``arr``: a view for a slice, a gathered copy for an
+    index array.  ``ndarray.take`` copies the same rows as fancy indexing
+    with less overhead per row."""
+    return arr[take] if isinstance(take, slice) else arr.take(take, axis=0)
 
 
 def _weighted_gram(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -274,7 +274,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
     g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N))
     g = problem.gradient_mean(g_idx, x)
     h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N))
-    h_base = problem.gradient_mean(h_idx, x)
+    # Two full draws are the same set at the same x: one evaluation serves both.
+    h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
 
     hvp_props = 0
     passes = 0
@@ -322,9 +323,18 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> int:
-    if a.size == 0 or b.size == 0:
+    """Number of indices two ascending sets without repeats share.
+
+    Each entry of the smaller set is looked up in the larger one, which
+    neither concatenates nor sorts the two.
+    """
+    if a.size > b.size:
+        a, b = b, a
+    if a.size == 0:
         return 0
-    return int(np.intersect1d(a, b, assume_unique=True).size)
+    pos = np.searchsorted(b, a)
+    np.minimum(pos, b.size - 1, out=pos)
+    return int(np.count_nonzero(b[pos] == a))
 
 
 def minimize(
@@ -340,7 +350,10 @@ def minimize(
     (``converged``), when the cost meter reaches the budget (``budget``, the
     running iteration is completed first) or at the iteration cap.  Exact
     losses are recorded in the trace for desk-scale problems and are never
-    charged to the meter.
+    charged to the meter.  They are computed once per distinct iterate, and
+    a full-sample function estimate doubles as the exact training loss, so
+    ``test_loss`` must be a pure function of ``x`` (as must the problem's
+    ``value_mean``): a rejected step records the values already measured.
     """
     config.validate()
     N, n = problem.N, problem.n
@@ -363,12 +376,21 @@ def minimize(
     stop_reason = "iteration_cap"
     empty = np.empty(0, dtype=np.intp)
 
+    # Full-sample objective ("train") and test loss at state.x, each
+    # computed at most once per iterate; emptied whenever x moves.  A
+    # full-sample estimate is exact, so it doubles as the measurement and
+    # vice versa: every full-set value is value_mean over 0..N-1 at the
+    # same x, bit for bit.  The meter still charges every estimate.
+    known = {}
+
     def exact_losses():
         if N > config.exact_loss_threshold:
             return None, None
-        train = full_value(problem, state.x)
-        test = float(test_loss(state.x)) if test_loss is not None else None
-        return train, test
+        if "train" not in known:
+            known["train"] = full_value(problem, state.x)
+        if test_loss is not None and "test" not in known:
+            known["test"] = float(test_loss(state.x))
+        return known["train"], known.get("test")
 
     def emit(event: TraceEvent):
         trace.append(event)
@@ -396,9 +418,10 @@ def minimize(
             action = problem.hessian_action(h_idx, state.x)
             phi2_val = phi_2(g, action, n, config.dense_threshold).value
             converged = check_termination([grad_norm, phi2_val], [config.eps1, config.eps2])
+        h_g_overlap = _overlap(h_idx, g_idx)
         if converged:
             charge = iteration_charge(
-                N, 0, 0, g_idx.size, 0, h_idx.size, _overlap(h_idx, g_idx), hvp_props
+                N, 0, 0, g_idx.size, 0, h_idx.size, h_g_overlap, hvp_props
             )
             meter.charge(charge)
             train, test = exact_losses()
@@ -406,7 +429,7 @@ def minimize(
                 TraceEvent(
                     k, meter.total, state.sigma, state.omega, grad_norm, math.nan, 0,
                     0, 0, int(g_idx.size), int(h_idx.size), 0,
-                    _overlap(h_idx, g_idx), hvp_props, None, train, test,
+                    h_g_overlap, hvp_props, None, train, test,
                 )
             )
             stop_reason = "converged"
@@ -428,8 +451,15 @@ def minimize(
                 size = bernstein_size(config.kappa, nu0, config.t, value_log_argument(config.t), N)
             d1_idx = draw_subsample(state.rng, N, size)
             d2_idx = draw_subsample(state.rng, N, size)
-            f_x = problem.value_mean(d1_idx, state.x)
-            f_xs = problem.value_mean(d2_idx, state.x + s)
+            x_trial = state.x + s
+            # A size-N draw is the full set, whose value may be known at x.
+            if size == N and "train" in known:
+                f_x = known["train"]
+            else:
+                f_x = problem.value_mean(d1_idx, state.x)
+                if size == N:
+                    known["train"] = f_x
+            f_xs = problem.value_mean(d2_idx, x_trial)
             _require_finite("function", f_x)
             _require_finite("function", f_xs)
             rho_k = rho(f_x, f_xs, delta_t)
@@ -440,7 +470,10 @@ def minimize(
 
         success = rho_k >= config.eta
         if success:
-            state.x = state.x + s
+            state.x = x_trial
+            known.clear()
+            if d2_idx.size == N:
+                known["train"] = f_xs
             successes += 1
 
         # Stall safeguard: a full-sample model that predicts no decrease is
@@ -455,14 +488,15 @@ def minimize(
                 f"no predicted decrease in {stall} consecutive full-sample iterations"
             )
 
+        g_d1_overlap = _overlap(g_idx, d1_idx)
         charge = iteration_charge(
             N,
             int(d1_idx.size),
             int(d2_idx.size),
             int(g_idx.size),
-            _overlap(g_idx, d1_idx),
+            g_d1_overlap,
             int(h_idx.size),
-            _overlap(h_idx, g_idx),
+            h_g_overlap,
             hvp_props,
         )
         meter.charge(charge)
@@ -471,7 +505,7 @@ def minimize(
             TraceEvent(
                 k, meter.total, state.sigma, state.omega, grad_norm, rho_k, int(success),
                 int(d1_idx.size), int(d2_idx.size), int(g_idx.size), int(h_idx.size),
-                _overlap(g_idx, d1_idx), _overlap(h_idx, g_idx), hvp_props,
+                g_d1_overlap, h_g_overlap, hvp_props,
                 f_x, train, test,
             )
         )

@@ -108,3 +108,16 @@ def sphere_scan_max(fun, n, samples=10_000, seed=0):
     D = rng.standard_normal((samples, n))
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     return max(fun(d) for d in D)
+
+
+def masked_sigmoid(z, clamp=500.0, lo=1e-300, hi=1.0 - 1e-16):
+    """Logistic function by two masked branches: 1 / (1 + exp(-z)) where
+    z >= 0 and exp(z) / (1 + exp(z)) elsewhere, clamped like the
+    implementation."""
+    z = np.clip(np.asarray(z, dtype=float), -clamp, clamp)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, lo, hi)

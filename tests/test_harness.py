@@ -229,6 +229,54 @@ class TestExperiment:
         write_trace(tmp_path / "again.csv", events)
         assert path.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
+    @pytest.mark.parametrize("threshold", [100_000, 100])
+    def test_final_losses_come_from_the_last_event(self, tmp_path, monkeypatch, threshold):
+        # Below the exact-loss threshold the last event measured both losses
+        # at the returned iterate, so no full pass follows minimize; above
+        # it the summary computes them.  Either way they equal fresh ones.
+        import subreg.harness as harness
+        from subreg.finite_sum import full_value
+        from subreg.problems import SquaredLossProblem, testing_loss
+
+        calls, results = [], []
+        value_mean = SquaredLossProblem.value_mean
+
+        def counted_value_mean(self, indices, x):
+            if np.asarray(indices).size == self.N:
+                calls.append("value")
+            return value_mean(self, indices, x)
+
+        def counted_testing_loss(*args):
+            calls.append("test")
+            return testing_loss(*args)
+
+        minimize = harness.minimize
+
+        def recorded_minimize(*args, **kwargs):
+            calls.append("minimize")
+            results.append(minimize(*args, **kwargs))
+            calls.append("returned")
+            return results[-1]
+
+        monkeypatch.setattr(SquaredLossProblem, "value_mean", counted_value_mean)
+        monkeypatch.setattr(harness, "testing_loss", counted_testing_loss)
+        monkeypatch.setattr(harness, "minimize", recorded_minimize)
+        config = small_experiment(tmp_path, runs=2)
+        config.solver.exact_loss_threshold = threshold
+        summaries = run_experiment(config, verbose=False)
+        monkeypatch.undo()
+
+        # The calls made between one run's return and the next run's start.
+        after = [tail.split("minimize")[0] for tail in " ".join(calls).split("returned")[1:]]
+        assert len(after) == 2
+        for tail in after:
+            measured = "value" in tail or "test" in tail
+            assert measured == (threshold < config.train.N)
+        problem = SquaredLossProblem(config.train, config.network)
+        for summary, result in zip(summaries, results):
+            assert summary.final_train_loss == full_value(problem, result.x)
+            assert summary.final_test_loss == testing_loss(config.network, result.x, config.test)
+
     def test_trace_thinning_keeps_final_row(self, tmp_path):
         config = small_experiment(tmp_path, runs=1)
         config.trace_every = 4

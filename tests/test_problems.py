@@ -21,7 +21,7 @@ from subreg.problems import (
     testing_loss,
 )
 
-from oracles import central_diff_gradient, second_diff_quadform
+from oracles import central_diff_gradient, masked_sigmoid, second_diff_quadform
 
 
 def make_problem(seed=0, N=12, d=4, hidden=()):
@@ -59,6 +59,25 @@ class TestPredict:
     def test_sigmoid_symmetry(self):
         z = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-12)
+
+    def test_sigmoid_equals_masked_branches_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, 500.0, -500.0, 500.5, -500.5, 37.0, -37.0, 745.2, -745.2,
+                   np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-17, -1e-17]
+        z = np.concatenate([
+            special,
+            np.linspace(-40.0, 40.0, 8001),
+            rng.standard_normal(20000) * 10.0,
+            rng.standard_normal(2000) * 400.0,
+        ])
+        got = sigmoid(z)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, masked_sigmoid(z))
+        block = z[:700].reshape(100, 7)
+        np.testing.assert_array_equal(sigmoid(block), masked_sigmoid(block))
+        for value in special:
+            np.testing.assert_array_equal(sigmoid(np.float64(value)), masked_sigmoid(np.array(value)))
+            assert np.ndim(sigmoid(value)) == 0
 
 
 class TestNetworkSpec:

@@ -10,6 +10,8 @@ from subreg.solver import (
     SolverConfig,
     SolverStallError,
     _grow_gradient,
+    _grow_model_and_step,
+    _overlap,
     iteration_charge,
     minimize,
     rho,
@@ -332,8 +334,6 @@ class TestGradientGrowthLoop:
     def test_degenerate_model_loop_runs_to_full_sample(self):
         # zero decrease forces the targets to zero, so the order-2 growth
         # loop must exhaust both samples before accepting
-        from subreg.solver import _grow_model_and_step
-
         prob = CustomProblem(
             2, 30,
             value=lambda i, x: 1.0,
@@ -347,3 +347,125 @@ class TestGradientGrowthLoop:
         assert g_idx.size == 30 and h_idx.size == 30
         assert quantities.delta_t_min == 0.0
         np.testing.assert_array_equal(s, np.zeros(2))
+
+
+class TestOverlap:
+    def test_matches_intersect1d(self):
+        rng = np.random.default_rng(5)
+        N = 200
+        full = np.arange(N)
+        some = np.sort(rng.choice(N, 37, replace=False))
+        cases = [
+            (np.empty(0, dtype=np.intp), some),
+            (some, np.empty(0, dtype=np.intp)),
+            (np.arange(0, 50), np.arange(50, 90)),  # disjoint
+            (some, some),
+            (full, some),
+            (some, full),
+            (full, full),
+            (np.array([N - 1]), some),  # beyond every entry of the larger set
+            (np.array([0]), np.array([1, 2, 3])),
+        ]
+        for _ in range(200):
+            a = np.sort(rng.choice(N, rng.integers(0, N + 1), replace=False))
+            b = np.sort(rng.choice(N, rng.integers(0, N + 1), replace=False))
+            cases.append((a, b))
+        for a, b in cases:
+            a, b = a.astype(np.intp), b.astype(np.intp)
+            assert _overlap(a, b) == np.intersect1d(a, b).size
+
+
+class CountingProblem(SquaredLossProblem):
+    """Records the full-set value and gradient calls and the x they read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.full_values = []
+        self.full_gradients = 0
+
+    def _full_set(self, indices):
+        idx = np.asarray(indices)
+        return idx.size == self.N and np.unique(idx).size == self.N
+
+    def value_mean(self, indices, x):
+        if self._full_set(indices):
+            self.full_values.append(np.asarray(x, dtype=float).tobytes())
+        return super().value_mean(indices, x)
+
+    def gradient_mean(self, indices, x):
+        if self._full_set(indices):
+            self.full_gradients += 1
+        return super().gradient_mean(indices, x)
+
+
+def counting_problem(seed, N, d):
+    from subreg.harness import synthesize_dataset
+
+    ds = synthesize_dataset(seed, N, d, 3.0)
+    return CountingProblem(ds, NetworkSpec(d))
+
+
+class TestOneValuePerIterate:
+    """Full-sample values and test losses are computed once per iterate."""
+
+    # A start at 2 makes the first cubic steps fail; the q = 1 run then
+    # converges, so its final event follows a rejected step.
+    CASES = [
+        dict(p=1, budget_cm=40.0, seed=1, **EXACT),
+        dict(p=1, budget_cm=8.0, seed=2),
+        dict(p=2, q=1, eps1=1e-4, budget_cm=400.0, seed=3, **EXACT),
+        dict(p=2, q=2, eps1=1e-4, eps2=1e-3, budget_cm=200.0, seed=3, **EXACT),
+    ]
+
+    def run(self, case):
+        prob = counting_problem(51, 160, 5)
+        test = counting_problem(52, 60, 5)
+        tested = []
+
+        def test_loss(x):
+            tested.append(np.asarray(x).tobytes())
+            return full_value(test, x)
+
+        cfg = SolverConfig(record_iterates=True, **case)
+        x0 = np.full(5, 2.0) if cfg.p == 2 else None
+        res = minimize(prob, cfg, x0=x0, test_loss=test_loss)
+        assert any(e.success == 0 for e in res.trace)  # some iterate is measured twice
+        # The event of iteration k is recorded at iterates[k + 1]; a converged
+        # final event appends no iterate.
+        at = [res.iterates[min(k + 1, len(res.iterates) - 1)] for k in range(len(res.trace))]
+        return prob, test, res, tested, at
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_full_value_twice_at_one_x(self, case):
+        prob, _, _, _, _ = self.run(case)
+        assert len(prob.full_values) == len(set(prob.full_values))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_test_loss_once_per_distinct_iterate(self, case):
+        _, _, _, tested, at = self.run(case)
+        assert len(tested) == len({x.tobytes() for x in at})
+        assert len(tested) == len(set(tested))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_recorded_losses_equal_fresh_ones(self, case):
+        prob, test, res, _, at = self.run(case)
+        for event, x in zip(res.trace, at):
+            assert event.train_loss == full_value(prob, x)
+            assert event.test_loss == full_value(test, x)
+
+    def test_full_function_estimates_are_the_measured_values(self):
+        # with every sample full, f_x is the loss recorded at the previous
+        # event, and after an accepted step the new loss is f(x + s)
+        prob, _, res, _, _ = self.run(self.CASES[0])
+        for before, event in zip(res.trace, res.trace[1:]):
+            assert event.loss_estimate == before.train_loss
+
+    def test_full_gradient_and_hessian_samples_share_one_gradient(self):
+        prob = counting_problem(53, 120, 4)
+        cfg = SolverConfig(p=2, **EXACT)
+        g, g_idx, h_idx, *_ = _grow_model_and_step(
+            prob, np.full(4, 0.1), 0.2, 0.1, cfg, np.random.default_rng(0)
+        )
+        assert g_idx.size == h_idx.size == prob.N
+        assert prob.full_gradients == 1
+        np.testing.assert_array_equal(g, full_gradient(prob, np.full(4, 0.1)))
