@@ -5,6 +5,7 @@ Bernstein bounds."""
 from .finite_sum import (
     CustomProblem,
     FiniteSumProblem,
+    SampleHessian,
     full_gradient,
     full_hvp,
     full_value,

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "FiniteSumProblem",
     "CustomProblem",
+    "SampleHessian",
     "full_value",
     "full_gradient",
     "full_hvp",
@@ -36,7 +37,7 @@ def as_operand(v, n: int) -> np.ndarray:
     return arr
 
 
-def by_columns(n: int, apply: Callable[[np.ndarray], np.ndarray]):
+def by_columns(apply: Callable[[np.ndarray], np.ndarray]):
     """Extend a vector action to ``(n, k)`` blocks, one column at a time.
 
     Each column is passed as its own contiguous vector, so a block result
@@ -44,7 +45,6 @@ def by_columns(n: int, apply: Callable[[np.ndarray], np.ndarray]):
     """
 
     def action(v: np.ndarray) -> np.ndarray:
-        v = as_operand(v, n)
         if v.ndim == 1:
             return apply(v)
         out = np.empty(v.shape)
@@ -53,6 +53,60 @@ def by_columns(n: int, apply: Callable[[np.ndarray], np.ndarray]):
         return out
 
     return action
+
+
+def symmetric_part(H, n: int, check_symmetry: bool = True, tol: float = 1e-3) -> np.ndarray:
+    """Validate an ``(n, n)`` Hessian matrix and return its symmetric part.
+
+    Raises if the matrix is asymmetric beyond ``tol`` relative to its
+    scale, which violates the Hessian-operator contract.  The default
+    tolerance accommodates actions built by differencing gradients, whose
+    asymmetry is bounded by the differencing error.
+    """
+    H = np.asarray(H, dtype=float)
+    if H.shape != (n, n):
+        raise ValueError(f"Hessian action returned shape {H.shape} for an ({n}, {n}) block")
+    if check_symmetry:
+        scale = 1.0 + float(np.abs(H).max(initial=0.0))
+        if float(np.abs(H - H.T).max(initial=0.0)) > tol * scale:
+            raise ValueError("Hessian action is not symmetric")
+    return 0.5 * (H + H.T)
+
+
+class SampleHessian:
+    """Mean Hessian over a frozen index sample, answered as actions.
+
+    Called with a vector ``(n,)`` or a block ``(n, k)`` it returns the
+    action with the same shape, and ``columns`` counts every column asked
+    for, however it is answered.  ``dense()`` builds the symmetrised
+    n x n matrix once, with ``build`` when given and otherwise with one
+    call of the action on the identity block, checks its symmetry like
+    ``optimality.materialise_operator`` and keeps it; from then on every
+    call is a product with that matrix and reads no data.  The build is
+    not counted.  The counter and the cache make an instance stateful, so
+    it belongs to one solve at a time.
+    """
+
+    def __init__(self, n: int, apply: Callable[[np.ndarray], np.ndarray], build=None):
+        self.n = int(n)
+        self.columns = 0
+        self._apply = apply
+        self._build = build
+        self._dense = None
+
+    def __call__(self, v) -> np.ndarray:
+        v = as_operand(v, self.n)
+        self.columns += 1 if v.ndim == 1 else v.shape[1]
+        if self._dense is not None:
+            return self._dense @ v
+        return np.asarray(self._apply(v), dtype=float)
+
+    def dense(self) -> np.ndarray:
+        """The symmetrised matrix, built on the first call."""
+        if self._dense is None:
+            H = self._build() if self._build is not None else self._apply(np.eye(self.n))
+            self._dense = symmetric_part(H, self.n)
+        return self._dense
 
 
 def as_index_set(indices, N: int) -> np.ndarray:
@@ -111,16 +165,17 @@ class FiniteSumProblem:
             total += self.component_gradient(int(i), x)
         return total / idx.size
 
-    def hessian_action(self, indices, x, base=None) -> Callable[[np.ndarray], np.ndarray]:
-        """Mean Hessian action over a frozen index set, as a closure.
+    def hessian_action(self, indices, x, base=None) -> SampleHessian:
+        """Mean Hessian over a frozen index set, as a :class:`SampleHessian`.
 
-        The closure takes a vector ``(n,)`` or a block ``(n, k)`` and returns
-        the action with the same shape.  Here it is a forward difference of
+        It takes a vector ``(n,)`` or a block ``(n, k)`` and returns the
+        action with the same shape.  Here it is a forward difference of
         batched gradient means about ``base``, the gradient mean at ``x``
         over the same indices; callers that already hold it pass it in,
         otherwise it is computed here once.  Each column then costs one
-        batched gradient evaluation at a shifted point.  Problems with
-        analytic Hessians override this one method and may ignore ``base``.
+        batched gradient evaluation at a shifted point, and ``dense()``
+        costs n of them.  Problems with analytic Hessians override this one
+        method and may ignore ``base``.
         """
         idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
@@ -136,7 +191,7 @@ class FiniteSumProblem:
             h = scale / max(float(np.linalg.norm(v)), u)
             return (self.gradient_mean(idx, x + h * v) - base) / h
 
-        return by_columns(self.n, action)
+        return SampleHessian(self.n, by_columns(action))
 
 
 class CustomProblem(FiniteSumProblem):
@@ -174,7 +229,7 @@ class CustomProblem(FiniteSumProblem):
                 total += as_vector(self._hvp(int(i), x, v), self.n, "hvp")
             return total / idx.size
 
-        return by_columns(self.n, action)
+        return SampleHessian(self.n, by_columns(action))
 
 
 def full_value(problem: FiniteSumProblem, x) -> float:

@@ -17,13 +17,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import optimality
+from .finite_sum import SampleHessian
 
 __all__ = ["RegularisedModel", "AccuracyQuantities", "accuracy_quantities", "model_hessian_action"]
 
 
 @dataclass(frozen=True)
 class RegularisedModel:
-    """Immutable order-p model; safe to share across threads."""
+    """Order-p model with fixed fields.
+
+    An order-2 model's Hessian is a :class:`SampleHessian`; a plain
+    callable is wrapped in one.  Its column counter and dense cache are
+    state, so a model serves one solve at a time.
+    """
 
     order: int
     grad: np.ndarray
@@ -38,6 +44,8 @@ class RegularisedModel:
             raise ValueError("sigma must be positive")
         if self.order == 2 and self.hessian_action is None:
             raise ValueError("order-2 models need a Hessian action")
+        if self.hessian_action is not None and not isinstance(self.hessian_action, SampleHessian):
+            object.__setattr__(self, "hessian_action", SampleHessian(self.n, self.hessian_action))
 
     @property
     def n(self) -> int:
@@ -48,7 +56,7 @@ class RegularisedModel:
             return None
         if not s.any():
             return np.zeros(self.n)
-        return np.asarray(self.hessian_action(s), dtype=float)
+        return self.hessian_action(s)
 
     def value(self, s) -> float:
         s = np.asarray(s, dtype=float)
@@ -102,7 +110,7 @@ def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], n
 
     def action(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        hv = np.asarray(base(v), dtype=float)
+        hv = base(v)
         if norm_s == 0.0:
             return hv
         if v.ndim == 1:

@@ -20,11 +20,14 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, cg, eigsh
 
+from .finite_sum import symmetric_part
+
 __all__ = [
     "phi_1",
     "phi_2",
     "TrustRegionResult",
     "check_termination",
+    "dense_path",
     "leftmost_eigenpair",
     "materialise_operator",
 ]
@@ -60,28 +63,25 @@ def check_termination(phis, epsilons) -> bool:
     return all(phi <= eps / (j + 1) for j, (phi, eps) in enumerate(zip(phis, epsilons)))
 
 
+def dense_path(n: int, dense_threshold: int) -> bool:
+    """Whether the eigensolvers materialise an order-n Hessian."""
+    return n <= dense_threshold or n < 3
+
+
 def materialise_operator(h_action, n: int, check_symmetry: bool = True, tol: float = 1e-3):
     """Apply the action to the identity block and return a dense matrix.
 
-    The action receives all n identity columns in one ``(n, n)`` call.
-    Raises if the materialised matrix is asymmetric beyond ``tol`` relative
-    to its scale, which violates the Hessian-operator contract.  The default
-    tolerance accommodates actions built by differencing gradients, whose
-    asymmetry is bounded by the differencing error.
+    The action receives all n identity columns in one ``(n, n)`` call; a
+    ``SampleHessian`` whose dense matrix is built answers it from that
+    matrix.  Raises if the result is asymmetric beyond ``tol`` relative to
+    its scale (see ``finite_sum.symmetric_part``).
     """
-    H = np.asarray(h_action(np.eye(n)), dtype=float)
-    if H.shape != (n, n):
-        raise ValueError(f"Hessian action returned shape {H.shape} for an ({n}, {n}) block")
-    if check_symmetry:
-        scale = 1.0 + float(np.abs(H).max(initial=0.0))
-        if float(np.abs(H - H.T).max(initial=0.0)) > tol * scale:
-            raise ValueError("Hessian action is not symmetric")
-    return 0.5 * (H + H.T)
+    return symmetric_part(h_action(np.eye(n)), n, check_symmetry, tol)
 
 
 def leftmost_eigenpair(h_action, n: int, dense_threshold: int = 200, seed: int = _EIGSH_SEED):
     """Smallest eigenvalue and a unit eigenvector of a symmetric action."""
-    if n <= dense_threshold or n < 3:
+    if dense_path(n, dense_threshold):
         H = materialise_operator(h_action, n, check_symmetry=False)
         lam, q = eigh(H)
         return float(lam[0]), q[:, 0]
@@ -111,7 +111,7 @@ def phi_2(
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
-    if n <= dense_threshold or n < 3:
+    if dense_path(n, dense_threshold):
         H = materialise_operator(h_action, n, check_symmetry=check_symmetry)
         return _phi2_dense(g, H)
     if check_symmetry:

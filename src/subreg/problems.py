@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, as_index_set, as_operand, as_vector
+from .finite_sum import FiniteSumProblem, SampleHessian, as_index_set, as_vector
 
 __all__ = [
     "Dataset",
@@ -280,15 +280,17 @@ class SquaredLossProblem(FiniteSumProblem):
         flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         return flat / idx.size
 
-    def hessian_action(self, indices, x, base=None):
-        """Mean Hessian action over a frozen index set, as a closure.
+    def hessian_action(self, indices, x, base=None) -> SampleHessian:
+        """Mean Hessian over a frozen index set, as a ``SampleHessian``.
 
-        For the bias-free sigmoid the action is exact: with p = sigmoid(A x)
-        over the set's rows A, component i has Hessian c_i a_i a_i^T with
+        For the bias-free sigmoid it is exact: with p = sigmoid(A x) over
+        the set's rows A, component i has Hessian c_i a_i a_i^T with
         c_i = 2 p_i' (p_i' - (y_i - p_i)(1 - 2 p_i)) and p_i' = p_i (1 - p_i),
         so the mean action is A^T (c * A v) / m.  The curvatures are
-        computed once here; each call reads the rows in blocks and never
-        copies the whole set.  ``base`` is not needed and is ignored.
+        computed once here; each action reads the rows in blocks and never
+        copies the whole set, and ``dense()`` is one Gram product
+        A_b^T (c_b * A_b) per row block, which equals the action on the
+        identity block bit for bit.  ``base`` is not needed and is ignored.
         Networks keep the differenced default.
         """
         if self.spec.hidden_sizes:
@@ -304,14 +306,19 @@ class SquaredLossProblem(FiniteSumProblem):
         c /= idx.size
 
         def action(v: np.ndarray) -> np.ndarray:
-            v = as_operand(v, self.n)
             cols = v.reshape(self.n, -1)
             out = np.zeros(cols.shape)
             for rows, take in self._row_blocks(idx):
                 out += _weighted_gram(_take(a, take), c[rows], cols)
             return out.reshape(v.shape)
 
-        return action
+        def gram() -> np.ndarray:
+            out = np.zeros((self.n, self.n))
+            for rows, take in self._row_blocks(idx):
+                out += _weighted_gram(_take(a, take), c[rows])
+            return out
+
+        return SampleHessian(self.n, action, gram)
 
 
 def _take(arr: np.ndarray, take) -> np.ndarray:
@@ -321,8 +328,11 @@ def _take(arr: np.ndarray, take) -> np.ndarray:
     return arr[take] if isinstance(take, slice) else arr.take(take, axis=0)
 
 
-def _weighted_gram(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a.T @ diag(w) @ a @ v`` without forming the diagonal matrix."""
+def _weighted_gram(a: np.ndarray, w: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a.T @ diag(w) @ a @ v`` without forming the diagonal matrix; with
+    ``v`` None, the Gram matrix ``a.T @ diag(w) @ a`` itself."""
+    if v is None:
+        return a.T @ (w[:, None] * a)
     return a.T @ (w[:, None] * (a @ v))
 
 

@@ -17,8 +17,11 @@ one-time |H \\ (H & G)| / N for base gradients not shared with G.
 Measurement-only quantities (exact losses recorded in traces, the
 order-two termination measure) are never charged.
 
-Each column of a block passed to a Hessian action counts as one action,
-however the action is computed.
+Each column the subproblem solver asks of a Hessian action counts as one
+action, however it is answered: computed from the sample's rows, or read
+from the sample's cached dense matrix (``SampleHessian.dense``).  Building
+that matrix is not a request and is not charged, so CM stays the cost of
+the method.
 
 Known gap: for q = 2 the accuracy test of each growth pass needs the
 order-two model measure at the trial step, and the Hessian actions it
@@ -27,8 +30,9 @@ passed at that step, its value is reused and the test applies the Hessian
 twice (model gradient and Taylor decrease); otherwise it also materialises
 the model Hessian, about n + 3 actions on the dense path.  On the q = 2
 sigmoid benchmark problem (N = 20000, n = 50, seed 1000, 1200 CM budget)
-that was 120 uncharged actions (24 full-sample equivalents) against 3539
-charged ones (654 full-sample equivalents).
+that is 120 uncharged actions (24 full-sample equivalents) against 3539
+charged ones (654 full-sample equivalents); all of them are answered from
+the dense matrix the subproblem solver built for their sample.
 """
 
 from __future__ import annotations
@@ -232,7 +236,21 @@ def _require_finite(what: str, value: float) -> None:
         raise FloatingPointError(f"non-finite {what} estimate")
 
 
-def _grow_gradient(problem, x, omega, cfg, rng):
+def _first_gradient(problem, idx, x, known):
+    """Gradient mean over an iteration's first draw.
+
+    A full draw is 0..N-1, whose gradient at ``x`` is kept in ``known``
+    (when given) and read back while ``x`` does not move: the same
+    ``gradient_mean`` call at the same ``x`` bytes, bit for bit.
+    """
+    if known is None or idx.size != problem.N:
+        return problem.gradient_mean(idx, x)
+    if "grad" not in known:
+        known["grad"] = problem.gradient_mean(idx, x)
+    return known["grad"]
+
+
+def _grow_gradient(problem, x, omega, cfg, rng, known=None):
     """Sample-growth loop for the order-one model (p = 1).
 
     Shrinks the accuracy target geometrically until it is at most
@@ -245,7 +263,7 @@ def _grow_gradient(problem, x, omega, cfg, rng):
     eps = cfg.kappa_eps
     size = bernstein_size(cfg.kappa, eps, cfg.t, log_arg, N)
     idx = draw_subsample(rng, N, size)
-    g = problem.gradient_mean(idx, x)
+    g = _first_gradient(problem, idx, x, known)
     passes = 1
     while idx.size < N and eps > omega * float(np.linalg.norm(g)) and eps > 1e-300:
         eps *= cfg.gamma_eps
@@ -258,13 +276,15 @@ def _grow_gradient(problem, x, omega, cfg, rng):
     return g, idx, passes
 
 
-def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
+def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known=None):
     """Sample-growth loop for the order-two model (p = 2).
 
     Each pass solves the cubic subproblem with the current Hessian sample,
     derives the adaptive accuracy targets from the step, and accepts once
     the requested accuracies meet them.  Full samples are exact, so they
-    terminate the loop unconditionally.
+    terminate the loop unconditionally.  Returns the estimates, the step
+    and its accuracy quantities, the Hessian work, the pass count and the
+    last pass's ``SampleHessian``.
     """
     N, n = problem.N, problem.n
     glog = gradient_log_argument(n, cfg.t)
@@ -272,7 +292,7 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
     eps_g = eps_h = cfg.kappa_eps
 
     g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N))
-    g = problem.gradient_mean(g_idx, x)
+    g = _first_gradient(problem, g_idx, x, known)
     h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N))
     # Two full draws are the same set at the same x: one evaluation serves both.
     h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
@@ -283,7 +303,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
         passes += 1
         # Caught here, NaNs would otherwise surface inside the eigensolvers.
         _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
-        model = RegularisedModel(2, g, sigma, problem.hessian_action(h_idx, x, base=h_base))
+        hessian = problem.hessian_action(h_idx, x, base=h_base)
+        model = RegularisedModel(2, g, sigma, hessian)
         eps2 = cfg.eps2 if cfg.q == 2 else None
         s, diag = cubic_step(model, cfg.bb, cfg.eps1, cfg.theta, eps2, cfg.dense_threshold)
         hvp_props += diag["hvp_evals"] * h_idx.size
@@ -306,7 +327,7 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng):
         full = g_idx.size == N and h_idx.size == N
         targets = quantities.targets(omega, 2)
         if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-            return g, g_idx, h_idx, s, quantities, hvp_props, passes, diag
+            return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
 
         eps_g *= cfg.gamma_eps
         eps_h *= cfg.gamma_eps
@@ -353,7 +374,9 @@ def minimize(
     charged to the meter.  They are computed once per distinct iterate, and
     a full-sample function estimate doubles as the exact training loss, so
     ``test_loss`` must be a pure function of ``x`` (as must the problem's
-    ``value_mean``): a rejected step records the values already measured.
+    ``value_mean`` and ``gradient_mean``): a rejected step records the
+    values already measured, and a full first gradient draw at the
+    unchanged ``x`` reads the gradient already computed there.
     """
     config.validate()
     N, n = problem.N, problem.n
@@ -376,11 +399,13 @@ def minimize(
     stop_reason = "iteration_cap"
     empty = np.empty(0, dtype=np.intp)
 
-    # Full-sample objective ("train") and test loss at state.x, each
-    # computed at most once per iterate; emptied whenever x moves.  A
-    # full-sample estimate is exact, so it doubles as the measurement and
-    # vice versa: every full-set value is value_mean over 0..N-1 at the
-    # same x, bit for bit.  The meter still charges every estimate.
+    # Full-sample objective ("train"), test loss and full-sample gradient
+    # ("grad") at state.x, each computed at most once per iterate; emptied
+    # whenever x moves.  A full-sample estimate is exact, so it doubles as
+    # the measurement and vice versa: every full-set value is value_mean
+    # over 0..N-1 at the same x, bit for bit, and a full first gradient
+    # draw after a rejected step is the gradient already computed.  The
+    # meter still charges every estimate.
     known = {}
 
     def exact_losses():
@@ -401,13 +426,13 @@ def minimize(
         state.k = k
         # Step 1 (and step computation for the cubic model).
         if config.p == 1:
-            g, g_idx, _ = _grow_gradient(problem, state.x, state.omega, config, state.rng)
+            g, g_idx, _ = _grow_gradient(problem, state.x, state.omega, config, state.rng, known)
             h_idx, hvp_props = empty, 0
             s = None
             quantities = None
         else:
-            g, g_idx, h_idx, s, quantities, hvp_props, _, _ = _grow_model_and_step(
-                problem, state.x, state.omega, state.sigma, config, state.rng
+            g, g_idx, h_idx, s, quantities, hvp_props, _, hessian = _grow_model_and_step(
+                problem, state.x, state.omega, state.sigma, config, state.rng, known
             )
         grad_norm = float(np.linalg.norm(g))
         _require_finite("gradient", grad_norm)
@@ -415,8 +440,9 @@ def minimize(
         # Termination on the estimated measures.
         converged = config.eps1 > 0.0 and check_termination([grad_norm], [config.eps1])
         if converged and config.q == 2:
-            action = problem.hessian_action(h_idx, state.x)
-            phi2_val = phi_2(g, action, n, config.dense_threshold).value
+            # The last growth pass's Hessian: the same sample at the same x,
+            # with its dense matrix when cubic_step built one.
+            phi2_val = phi_2(g, hessian, n, config.dense_threshold).value
             converged = check_termination([grad_norm, phi2_val], [config.eps1, config.eps2])
         h_g_overlap = _overlap(h_idx, g_idx)
         if converged:

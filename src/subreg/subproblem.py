@@ -8,14 +8,13 @@ solver returns satisfies m(s) <= m(0) = 0.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import RegularisedModel, model_hessian_action
-from .optimality import leftmost_eigenpair, phi_2
+from .optimality import dense_path, leftmost_eigenpair, phi_2
 
 __all__ = ["BBConfig", "quadratic_step", "bb_step_length", "cubic_step"]
 
@@ -91,33 +90,33 @@ def cubic_step(
     order-two model measure at the step is also pushed below theta * eps2
     by restarting along directions of negative curvature; when that test
     passes, the diagnostics carry its value at the returned step as
-    ``phi2`` (otherwise None).  ``hvp_evals`` counts Hessian-action
-    columns.  On budget exhaustion the best iterate found is returned with
-    a diagnostic.
+    ``phi2`` (otherwise None).  ``hvp_evals`` counts the Hessian-action
+    columns this solve asks the model's ``SampleHessian`` for, however
+    they are answered.  Where the eigensolvers take the dense path and the
+    second-order test (or a curvature escape) needs H, the dense matrix is
+    built first, uncounted, and every later action is a product with it.
+    On budget exhaustion the best iterate found is returned with a
+    diagnostic.
     """
     if model.order != 2:
         raise ValueError("cubic_step needs an order-2 model")
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
 
-    counter = {"hvp": 0}
-    base_action = model.hessian_action
-
-    def counted_action(v):
-        # One action per column: a block (n, k) counts k.
-        v = np.asarray(v, dtype=float)
-        counter["hvp"] += 1 if v.ndim == 1 else v.shape[1]
-        return np.asarray(base_action(v), dtype=float)
-
-    m = dataclasses.replace(model, hessian_action=counted_action)
-    n = m.n
+    H = model.hessian_action
+    start = H.columns
+    n = model.n
+    dense = dense_path(n, dense_threshold)
+    if dense and eps2 is not None:
+        # The second-order test materialises H on every converged solve.
+        H.dense()
     tol = theta * eps1
 
     s = np.zeros(n)
-    value, grad = 0.0, m.grad.copy()
+    value, grad = 0.0, model.grad.copy()
     history = deque([0.0], maxlen=config.memory)
     best_s, best_value = s, 0.0
-    lam = 1.0 / m.sigma
+    lam = 1.0 / model.sigma
     iterations = 0
     escapes = 0
     converged = False
@@ -126,7 +125,7 @@ def cubic_step(
     def diagnostics():
         return {
             "iterations": iterations,
-            "hvp_evals": counter["hvp"],
+            "hvp_evals": H.columns - start,
             "converged": converged,
             "grad_norm": float(np.linalg.norm(grad)),
             "model_value": value,
@@ -139,22 +138,24 @@ def cubic_step(
         nonlocal s, value, grad, lam, escapes
         if escapes >= 20:
             return False
+        if dense:
+            H.dense()
         if not s.any():
-            lam1, d1 = leftmost_eigenpair(counted_action, n, dense_threshold)
+            lam1, d1 = leftmost_eigenpair(H, n, dense_threshold)
         else:
             lam1, d1 = leftmost_eigenpair(
-                model_hessian_action(m, s), n, dense_threshold
+                model_hessian_action(model, s), n, dense_threshold
             )
         if lam1 >= -1e-12:
             return False
         # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.
-        t = 2.0 * abs(lam1) / m.sigma
+        t = 2.0 * abs(lam1) / model.sigma
         for cand in (s + t * d1, s - t * d1):
-            cand_value, cand_grad = m.value_and_gradient(cand)
+            cand_value, cand_grad = model.value_and_gradient(cand)
             if cand_value < value:
                 s, value, grad = cand, cand_value, cand_grad
                 history.append(value)
-                lam = 1.0 / m.sigma
+                lam = 1.0 / model.sigma
                 escapes += 1
                 return True
         return False
@@ -163,7 +164,8 @@ def cubic_step(
         nonlocal phi2_value
         if eps2 is None:
             return True
-        phi2_value = phi_2(m.gradient(s), model_hessian_action(m, s), n, dense_threshold).value
+        action = model_hessian_action(model, s)
+        phi2_value = phi_2(model.gradient(s), action, n, dense_threshold).value
         return phi2_value <= theta * eps2
 
     while iterations < config.max_inner_iterations:
@@ -187,7 +189,7 @@ def cubic_step(
         accepted = False
         for _ in range(config.max_backtracks):
             trial = s + alpha * direction
-            trial_value, trial_grad = m.value_and_gradient(trial)
+            trial_value, trial_grad = model.value_and_gradient(trial)
             if np.isfinite(trial_value) and (
                 trial_value <= reference + config.sufficient_decrease * alpha * slope
             ):
@@ -210,7 +212,7 @@ def cubic_step(
 
     if not converged and best_value < value:
         s, value = best_s, best_value
-        grad = m.gradient(s)
+        grad = model.gradient(s)
     if value > 0.0:
         raise RuntimeError(f"cubic subproblem returned a non-descent step: {diagnostics()}")
     return s, diagnostics()

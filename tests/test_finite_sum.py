@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subreg.finite_sum import CustomProblem, full_gradient, full_hvp, full_value
+from subreg.finite_sum import CustomProblem, SampleHessian, full_gradient, full_hvp, full_value
 from subreg.problems import Dataset, NetworkSpec, SquaredLossProblem
 
 from oracles import central_diff_gradient
@@ -236,3 +236,39 @@ class TestHessianAction:
             prob.hessian_action([0], np.zeros(prob.n))(np.zeros(prob.n + 1))
         with pytest.raises(ValueError):
             prob.hessian_action([0], np.zeros(prob.n))(np.zeros((prob.n + 1, 2)))
+
+
+class TestSampleHessian:
+    def test_counts_columns_and_caches_the_dense_matrix(self):
+        H = np.array([[2.0, 1.0], [1.0, 3.0]])
+        shapes = []
+
+        def apply(v):
+            shapes.append(v.shape)
+            return H @ v
+
+        hessian = SampleHessian(2, apply)
+        hessian(np.ones(2))
+        hessian(np.ones((2, 3)))
+        assert hessian.columns == 4
+        dense = hessian.dense()
+        assert hessian.dense() is dense
+        np.testing.assert_array_equal(dense, H)
+        assert shapes == [(2,), (2, 3), (2, 2)]  # the build is one identity block
+        np.testing.assert_array_equal(hessian(np.eye(2)), H)
+        assert hessian.columns == 6  # requests count, the build does not
+        assert len(shapes) == 3  # and the data is not read again
+
+    def test_differenced_dense_is_the_symmetrised_identity_block(self):
+        prob = random_smooth_problem()
+        x = np.full(prob.n, 0.3)
+        raw = prob.hessian_action([0, 2, 5], x)(np.eye(prob.n))
+        np.testing.assert_array_equal(
+            prob.hessian_action([0, 2, 5], x).dense(), 0.5 * (raw + raw.T)
+        )
+
+    def test_asymmetric_or_misshapen_build_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            SampleHessian(2, lambda v: np.array([[0.0, 1.0], [0.0, 0.0]]) @ v).dense()
+        with pytest.raises(ValueError):
+            SampleHessian(2, lambda v: np.eye(2) @ v, lambda: np.eye(3)).dense()

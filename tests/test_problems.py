@@ -9,6 +9,7 @@ import pytest
 
 import subreg
 from subreg.finite_sum import FiniteSumProblem, full_value
+from subreg.optimality import materialise_operator
 from subreg.problems import (
     Dataset,
     NetworkSpec,
@@ -321,6 +322,24 @@ class TestExactSigmoidAction:
         np.testing.assert_array_equal(
             prob.hessian_action(idx, x, base=np.zeros(prob.n))(v), prob.hessian_action(idx, x)(v)
         )
+
+    def test_dense_is_the_identity_block_action_bit_for_bit(self, case):
+        # The Gram build equals today's materialisation through the row
+        # passes, symmetrised, bit for bit.
+        prob, x, sets, _ = case
+        for idx in sets.values():
+            row_passes = materialise_operator(prob.hessian_action(idx, x), prob.n)
+            np.testing.assert_array_equal(prob.hessian_action(idx, x).dense(), row_passes)
+
+    def test_actions_after_dense_are_products_with_it(self, case):
+        prob, x, sets, rng = case
+        for idx in sets.values():
+            action = prob.hessian_action(idx, x)
+            H = action.dense()
+            assert action.dense() is H  # built once
+            for V in (rng.standard_normal(prob.n), rng.standard_normal((prob.n, 3))):
+                np.testing.assert_array_equal(action(V), H @ V)
+            assert action.columns == 4
 
     def test_operand_shape_checked(self, case):
         prob, x, sets, _ = case

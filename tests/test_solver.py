@@ -382,6 +382,7 @@ class CountingProblem(SquaredLossProblem):
         super().__init__(*args)
         self.full_values = []
         self.full_gradients = 0
+        self.full_gradient_points = []
 
     def _full_set(self, indices):
         idx = np.asarray(indices)
@@ -395,6 +396,7 @@ class CountingProblem(SquaredLossProblem):
     def gradient_mean(self, indices, x):
         if self._full_set(indices):
             self.full_gradients += 1
+            self.full_gradient_points.append(np.asarray(x, dtype=float).tobytes())
         return super().gradient_mean(indices, x)
 
 
@@ -469,3 +471,49 @@ class TestOneValuePerIterate:
         assert g_idx.size == h_idx.size == prob.N
         assert prob.full_gradients == 1
         np.testing.assert_array_equal(g, full_gradient(prob, np.full(4, 0.1)))
+
+
+class DoubleWellProblem(CustomProblem):
+    """40 double-well components with a differenced Hessian (no ``hvp``);
+    records the x of every full-set gradient call."""
+
+    def __init__(self):
+        C = np.random.default_rng(0).standard_normal((40, 3))
+        super().__init__(
+            3, 40,
+            value=lambda i, x: float(0.25 * np.sum((x * x - 1.0) ** 2) + 0.1 * C[i] @ x),
+            gradient=lambda i, x: (x * x - 1.0) * x + 0.1 * C[i],
+        )
+        self.full_gradient_points = []
+
+    def gradient_mean(self, indices, x):
+        if np.unique(np.asarray(indices)).size == self.N:
+            self.full_gradient_points.append(np.asarray(x, dtype=float).tobytes())
+        return super().gradient_mean(indices, x)
+
+
+class TestOneGradientPerIterate:
+    """A full-sample gradient is computed once per iterate."""
+
+    @pytest.mark.parametrize("x0", [0.1, 1.0])
+    def test_termination_check_reuses_the_last_hessian(self, x0):
+        # The q = 2 check takes the growth loop's Hessian of the same sample
+        # at the same x, so no base gradient is recomputed for it.
+        prob = DoubleWellProblem()
+        cfg = SolverConfig(p=2, q=2, eps1=1e-4, eps2=1e-3, budget_cm=1e4, **EXACT)
+        res = minimize(prob, cfg, x0=np.full(3, x0))
+        assert res.stop_reason == "converged"
+        assert prob.full_gradient_points.count(res.x.tobytes()) == 1
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rejected_step_reuses_the_full_gradient(self, q):
+        prob = counting_problem(51, 160, 5)
+        cfg = SolverConfig(
+            p=2, q=q, eps1=1e-4, eps2=1e-3, budget_cm=400.0, record_iterates=True, **EXACT
+        )
+        res = minimize(prob, cfg, x0=np.full(5, 2.0))
+        assert any(e.success == 0 for e in res.trace)
+        # Iteration k starts at iterates[k].
+        started = {res.iterates[e.k].tobytes() for e in res.trace}
+        points = prob.full_gradient_points
+        assert len(points) == len(set(points)) and set(points) == started

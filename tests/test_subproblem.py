@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subreg.finite_sum import SampleHessian
 from subreg.model import RegularisedModel, model_hessian_action
 from subreg.optimality import phi_2
 from subreg.subproblem import BBConfig, bb_step_length, cubic_step, quadratic_step
@@ -131,6 +132,60 @@ class TestCubicStep:
         # The second-order test materialises the model Hessian once more.
         _, diag = cubic_step(m, BBConfig(), eps1=1e-3, theta=0.5, eps2=1e-3)
         assert diag["hvp_evals"] == 2 * n
+
+    def saddle_instance(self, build=None, kind=SampleHessian):
+        """The gradient misses the negative-curvature axis, so the first
+        solve stops at a saddle of the model: the second-order test fails,
+        the solver escapes and tests again, materialising H each time.
+        Returns the model and the columns its callable was asked for."""
+        n = 6
+        H = np.diag(np.linspace(-2.0, 5.0, n))
+        columns = []
+
+        def apply(v):
+            columns.append(1 if v.ndim == 1 else v.shape[1])
+            return H @ v
+
+        hessian = kind(n, apply, None if build is None else lambda: build(H))
+        return RegularisedModel(2, np.r_[0.0, np.ones(n - 1)], 0.4, hessian), columns
+
+    def test_dense_matrix_built_once_per_model(self):
+        builds = []
+
+        def build(H):
+            builds.append(H.shape)
+            return H.copy()
+
+        m, columns = self.saddle_instance(build)
+        _, diag = cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert diag["converged"] and diag["escapes"] == 1
+        assert builds == [(6, 6)]
+        assert columns == []  # every action was answered from the matrix
+        cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert builds == [(6, 6)]
+
+    def test_default_build_is_one_identity_block_call(self):
+        m, columns = self.saddle_instance()
+        cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert columns == [6]
+
+    def test_hvp_evals_counts_requested_columns_however_answered(self):
+        # Without the dense matrix every requested column reaches the
+        # callable.  H is diagonal, so products with the cached matrix equal
+        # the callable's bit for bit and both solves take the same path.
+        class Uncached(SampleHessian):
+            def dense(self):
+                return None
+
+        cached, _ = self.saddle_instance()
+        uncached, columns = self.saddle_instance(kind=Uncached)
+        s1, diag1 = cubic_step(cached, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
+        s2, diag2 = cubic_step(uncached, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
+        np.testing.assert_array_equal(s1, s2)
+        assert diag1["hvp_evals"] == diag2["hvp_evals"] == sum(columns)
+        # BB actions plus n per materialisation: three materialisations
+        # (two second-order tests and the escape's eigenpair).
+        assert diag1["hvp_evals"] == 87
 
     def test_reports_phi2_at_the_returned_step(self):
         m = cubic_model([0.0, 0.5], np.diag([-1.0, 2.0]), 1.0)
