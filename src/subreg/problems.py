@@ -315,7 +315,8 @@ class SquaredLossProblem(FiniteSumProblem):
         def gram() -> np.ndarray:
             out = np.zeros((self.n, self.n))
             for rows, take in self._row_blocks(idx):
-                out += _weighted_gram(_take(a, take), c[rows])
+                a_b = _take(a, take)
+                out += a_b.T @ (c[rows][:, None] * a_b)
             return out
 
         return SampleHessian(self.n, action, gram)
@@ -328,11 +329,8 @@ def _take(arr: np.ndarray, take) -> np.ndarray:
     return arr[take] if isinstance(take, slice) else arr.take(take, axis=0)
 
 
-def _weighted_gram(a: np.ndarray, w: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
-    """``a.T @ diag(w) @ a @ v`` without forming the diagonal matrix; with
-    ``v`` None, the Gram matrix ``a.T @ diag(w) @ a`` itself."""
-    if v is None:
-        return a.T @ (w[:, None] * a)
+def _weighted_gram(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a.T @ diag(w) @ a @ v`` without forming the diagonal matrix."""
     return a.T @ (w[:, None] * (a @ v))
 
 

@@ -240,17 +240,17 @@ def _first_gradient(problem, idx, x, known):
     """Gradient mean over an iteration's first draw.
 
     A full draw is 0..N-1, whose gradient at ``x`` is kept in ``known``
-    (when given) and read back while ``x`` does not move: the same
-    ``gradient_mean`` call at the same ``x`` bytes, bit for bit.
+    and read back while ``x`` does not move: the same ``gradient_mean``
+    call at the same ``x`` bytes, bit for bit.
     """
-    if known is None or idx.size != problem.N:
+    if idx.size != problem.N:
         return problem.gradient_mean(idx, x)
     if "grad" not in known:
         known["grad"] = problem.gradient_mean(idx, x)
     return known["grad"]
 
 
-def _grow_gradient(problem, x, omega, cfg, rng, known=None):
+def _grow_gradient(problem, x, omega, cfg, rng, known):
     """Sample-growth loop for the order-one model (p = 1).
 
     Shrinks the accuracy target geometrically until it is at most
@@ -276,7 +276,7 @@ def _grow_gradient(problem, x, omega, cfg, rng, known=None):
     return g, idx, passes
 
 
-def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known=None):
+def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     """Sample-growth loop for the order-two model (p = 2).
 
     Each pass solves the cubic subproblem with the current Hessian sample,

@@ -93,8 +93,8 @@ def cubic_step(
     ``phi2`` (otherwise None).  ``hvp_evals`` counts the Hessian-action
     columns this solve asks the model's ``SampleHessian`` for, however
     they are answered.  Where the eigensolvers take the dense path and the
-    second-order test (or a curvature escape) needs H, the dense matrix is
-    built first, uncounted, and every later action is a product with it.
+    second-order test needs H, the dense matrix is built first, uncounted,
+    and every later action is a product with it.
     On budget exhaustion the best iterate found is returned with a
     diagnostic.
     """
@@ -106,8 +106,7 @@ def cubic_step(
     H = model.hessian_action
     start = H.columns
     n = model.n
-    dense = dense_path(n, dense_threshold)
-    if dense and eps2 is not None:
+    if eps2 is not None and dense_path(n, dense_threshold):
         # The second-order test materialises H on every converged solve.
         H.dense()
     tol = theta * eps1
@@ -138,8 +137,6 @@ def cubic_step(
         nonlocal s, value, grad, lam, escapes
         if escapes >= 20:
             return False
-        if dense:
-            H.dense()
         if not s.any():
             lam1, d1 = leftmost_eigenpair(H, n, dense_threshold)
         else:

@@ -312,7 +312,7 @@ class TestGradientGrowthLoop:
         prob = CustomProblem(2, 1000, value=lambda i, x: float(g0 @ x),
                              gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        g, idx, passes = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0))
+        g, idx, passes = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0), {})
         np.testing.assert_allclose(g, g0)
         assert passes == 6
 
@@ -321,14 +321,14 @@ class TestGradientGrowthLoop:
         prob = CustomProblem(2, 1000, value=lambda i, x: float(g0 @ x),
                              gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        _, _, passes = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0))
+        _, _, passes = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0), {})
         assert passes == 1
 
     def test_full_sample_bypasses_test(self):
         g0 = np.zeros(2)  # zero gradient: only the full-sample exit applies
         prob = CustomProblem(2, 50, value=lambda i, x: 0.0, gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        g, idx, _ = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0))
+        g, idx, _ = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0), {})
         assert idx.size == 50
 
     def test_degenerate_model_loop_runs_to_full_sample(self):
@@ -342,7 +342,7 @@ class TestGradientGrowthLoop:
         )
         cfg = SolverConfig(p=2, kappa=1e-2)
         g, g_idx, h_idx, s, quantities, _, passes, _ = _grow_model_and_step(
-            prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0)
+            prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {}
         )
         assert g_idx.size == 30 and h_idx.size == 30
         assert quantities.delta_t_min == 0.0
@@ -466,7 +466,7 @@ class TestOneValuePerIterate:
         prob = counting_problem(53, 120, 4)
         cfg = SolverConfig(p=2, **EXACT)
         g, g_idx, h_idx, *_ = _grow_model_and_step(
-            prob, np.full(4, 0.1), 0.2, 0.1, cfg, np.random.default_rng(0)
+            prob, np.full(4, 0.1), 0.2, 0.1, cfg, np.random.default_rng(0), {}
         )
         assert g_idx.size == h_idx.size == prob.N
         assert prob.full_gradients == 1

@@ -187,6 +187,17 @@ class TestCubicStep:
         # (two second-order tests and the escape's eigenpair).
         assert diag1["hvp_evals"] == 87
 
+    def test_first_order_escape_symmetrises_without_a_check(self):
+        # Without eps2 nothing builds the dense matrix: the escape's
+        # eigenpair symmetrises the identity-block action unchecked, so an
+        # action asymmetric beyond the dense build's tolerance still escapes.
+        m = cubic_model([0.0, 0.0], [[-2.0, 0.5], [-0.5, 1.0]], 3.0)
+        with pytest.raises(ValueError):
+            SampleHessian(2, m.hessian_action).dense()
+        s, diag = cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5)
+        assert diag["escapes"] >= 1
+        assert m.value(s) < 0.0
+
     def test_reports_phi2_at_the_returned_step(self):
         m = cubic_model([0.0, 0.5], np.diag([-1.0, 2.0]), 1.0)
         s, diag = cubic_step(m, BBConfig(), eps1=1e-8, theta=0.5, eps2=1e-6)
