@@ -105,11 +105,13 @@ def extend_subsample(rng: np.random.Generator, N: int, indices: np.ndarray, m: i
     outside[indices] = False
     complement = np.flatnonzero(outside)
     need = m - indices.size
+    # The complement is ascending, so picking it at sorted positions keeps
+    # the extension block ascending.
     if need == complement.size:
         extra = complement
     else:
         extra = complement[np.sort(rng.choice(complement.size, size=need, replace=False))]
-    return np.sort(np.concatenate([indices, extra])), np.sort(extra)
+    return np.sort(np.concatenate([indices, extra])), extra
 
 
 def audit_accuracy(

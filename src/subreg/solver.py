@@ -23,14 +23,21 @@ from the sample's cached dense matrix (``SampleHessian.dense``).  Building
 that matrix is not a request and is not charged, so CM stays the cost of
 the method.
 
-Known gap: for q = 2 the accuracy test of each growth pass needs the
-order-two model measure at the trial step, and the Hessian actions it
-takes are not charged.  When the subproblem solver's own second-order test
-passed at that step, its value is reused and the test applies the Hessian
-twice (model gradient and Taylor decrease); otherwise it also materialises
-the model Hessian, about n + 3 actions on the dense path.  On the q = 2
+A growth pass redoes only what grew.  While the Hessian sample is not
+extended, the next pass keeps its ``SampleHessian`` and dense matrix; a
+pass that extends neither sample reuses the previous pass's whole solve
+(step, diagnostics and accuracy quantities).  Every pass is still charged
+the Hessian columns of the solve it uses, so CM and traces are those of a
+loop that rebuilds and re-solves on every pass.
+
+Known gap: for q = 2 the accuracy test of each solve needs the order-two
+model measure at the trial step, and the Hessian actions it takes are not
+charged.  When the subproblem solver's own second-order test passed at
+that step, its value is reused and the test applies the Hessian twice
+(model gradient and Taylor decrease); otherwise it also materialises the
+model Hessian, about n + 3 actions on the dense path.  On the q = 2
 sigmoid benchmark problem (N = 20000, n = 50, seed 1000, 1200 CM budget)
-that is 120 uncharged actions (24 full-sample equivalents) against 3539
+that is 100 uncharged actions (20 full-sample equivalents) against 3539
 charged ones (654 full-sample equivalents); all of them are answered from
 the dense matrix the subproblem solver built for their sample.
 """
@@ -285,11 +292,21 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     terminate the loop unconditionally.  Returns the estimates, the step
     and its accuracy quantities, the Hessian work, the pass count and the
     last pass's ``SampleHessian``.
+
+    Within one loop x and sigma are fixed and samples only grow by
+    extension, so a pass redoes only what grew.  The Hessian sample's
+    ``SampleHessian`` (and the dense matrix it caches) is built when H is
+    drawn or extended and kept otherwise.  A pass that extends neither
+    sample would repeat the previous solve exactly, so it reuses that
+    step, its diagnostics and its accuracy quantities; it only shrinks the
+    accuracy targets and is charged the same Hessian columns as the solve
+    it reuses.
     """
     N, n = problem.N, problem.n
     glog = gradient_log_argument(n, cfg.t)
     hlog = hessian_log_argument(n, cfg.t)
     eps_g = eps_h = cfg.kappa_eps
+    eps2 = cfg.eps2 if cfg.q == 2 else None
 
     g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N))
     g = _first_gradient(problem, g_idx, x, known)
@@ -297,17 +314,17 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     # Two full draws are the same set at the same x: one evaluation serves both.
     h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
 
+    hessian = None
     hvp_props = 0
     passes = 0
     while True:
-        passes += 1
+        # A new solve: the first pass, or G or H was extended.
         # Caught here, NaNs would otherwise surface inside the eigensolvers.
         _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
-        hessian = problem.hessian_action(h_idx, x, base=h_base)
+        if hessian is None:
+            hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(2, g, sigma, hessian)
-        eps2 = cfg.eps2 if cfg.q == 2 else None
         s, diag = cubic_step(model, cfg.bb, cfg.eps1, cfg.theta, eps2, cfg.dense_threshold)
-        hvp_props += diag["hvp_evals"] * h_idx.size
 
         norm_s = float(np.linalg.norm(s))
         # Taylor decrease via the model identity, avoiding extra actions.
@@ -324,23 +341,32 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
                 delta_t_f=dtf,
                 model_grad_norm=grad_norm,
             )
-        full = g_idx.size == N and h_idx.size == N
         targets = quantities.targets(omega, 2)
-        if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-            return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
 
-        eps_g *= cfg.gamma_eps
-        eps_h *= cfg.gamma_eps
-        new_g = bernstein_size(cfg.kappa, max(eps_g, 1e-300), cfg.t, glog, N)
-        if new_g > g_idx.size:
-            old = g_idx.size
-            g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
-            g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
-        new_h = bernstein_size(cfg.kappa, max(eps_h, 1e-300), cfg.t, hlog, N)
-        if new_h > h_idx.size:
-            old = h_idx.size
-            h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
-            h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)
+        # One pass per shrink of the targets, on this solve until a sample grows.
+        grown = False
+        while not grown:
+            passes += 1
+            hvp_props += diag["hvp_evals"] * h_idx.size
+            full = g_idx.size == N and h_idx.size == N
+            if full or (eps_g <= targets[0] and eps_h <= targets[1]):
+                return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
+
+            eps_g *= cfg.gamma_eps
+            eps_h *= cfg.gamma_eps
+            new_g = bernstein_size(cfg.kappa, max(eps_g, 1e-300), cfg.t, glog, N)
+            if new_g > g_idx.size:
+                old = g_idx.size
+                g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
+                g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
+                grown = True
+            new_h = bernstein_size(cfg.kappa, max(eps_h, 1e-300), cfg.t, hlog, N)
+            if new_h > h_idx.size:
+                old = h_idx.size
+                h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
+                h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)
+                hessian = None
+                grown = True
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> int:

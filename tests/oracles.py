@@ -2,11 +2,25 @@
 
 Everything here is deliberately naive (finite differences, grid scans,
 derivative-free polish) and shares no code with the implementation paths
-it checks.
+it checks.  The exception is ``grow_model_and_step_rebuild``, a reference
+for the order-two growth loop's bookkeeping: it calls the same building
+blocks but redoes every one of them on every pass.
 """
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+
+from subreg.model import AccuracyQuantities, RegularisedModel, accuracy_quantities
+from subreg.sampling import (
+    bernstein_size,
+    draw_subsample,
+    extend_subsample,
+    gradient_log_argument,
+    hessian_log_argument,
+    merged_mean,
+)
+from subreg.solver import _first_gradient, _require_finite
+from subreg.subproblem import cubic_step
 
 
 def central_diff_gradient(f, x, h=None):
@@ -121,3 +135,63 @@ def masked_sigmoid(z, clamp=500.0, lo=1e-300, hi=1.0 - 1e-16):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return np.clip(out, lo, hi)
+
+
+def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
+    """The order-two growth loop that rebuilds everything on every pass.
+
+    Same contract and return value as ``solver._grow_model_and_step``, but
+    each pass builds a new ``SampleHessian`` and solves the cubic model
+    again, whether or not a sample grew.
+    """
+    N, n = problem.N, problem.n
+    glog = gradient_log_argument(n, cfg.t)
+    hlog = hessian_log_argument(n, cfg.t)
+    eps_g = eps_h = cfg.kappa_eps
+
+    g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N))
+    g = _first_gradient(problem, g_idx, x, known)
+    h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N))
+    h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
+
+    hvp_props = 0
+    passes = 0
+    while True:
+        passes += 1
+        _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
+        hessian = problem.hessian_action(h_idx, x, base=h_base)
+        model = RegularisedModel(2, g, sigma, hessian)
+        eps2 = cfg.eps2 if cfg.q == 2 else None
+        s, diag = cubic_step(model, cfg.bb, cfg.eps1, cfg.theta, eps2, cfg.dense_threshold)
+        hvp_props += diag["hvp_evals"] * h_idx.size
+
+        norm_s = float(np.linalg.norm(s))
+        dtf = sigma * norm_s**3 / 6.0 - diag["model_value"]
+        grad_norm = diag["grad_norm"]
+        if cfg.q == 2:
+            quantities = accuracy_quantities(model, s, 2, cfg.dense_threshold, diag["phi2"])
+        else:
+            degenerate = grad_norm == 0.0
+            quantities = AccuracyQuantities(
+                tau=norm_s if degenerate else max(norm_s, 1.0),
+                delta_t_min=min(dtf, grad_norm),
+                delta_t_f=dtf,
+                model_grad_norm=grad_norm,
+            )
+        full = g_idx.size == N and h_idx.size == N
+        targets = quantities.targets(omega, 2)
+        if full or (eps_g <= targets[0] and eps_h <= targets[1]):
+            return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
+
+        eps_g *= cfg.gamma_eps
+        eps_h *= cfg.gamma_eps
+        new_g = bernstein_size(cfg.kappa, max(eps_g, 1e-300), cfg.t, glog, N)
+        if new_g > g_idx.size:
+            old = g_idx.size
+            g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
+            g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
+        new_h = bernstein_size(cfg.kappa, max(eps_h, 1e-300), cfg.t, hlog, N)
+        if new_h > h_idx.size:
+            old = h_idx.size
+            h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
+            h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from oracles import grow_model_and_step_rebuild
 
+import subreg.solver as solver_module
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
-from subreg.problems import NetworkSpec, SquaredLossProblem
+from subreg.harness import synthesize_dataset, write_trace
+from subreg.problems import NetworkSpec, SquaredLossProblem, initial_point
 from subreg.solver import (
     CostMeter,
     SolverConfig,
@@ -517,3 +521,124 @@ class TestOneGradientPerIterate:
         started = {res.iterates[e.k].tobytes() for e in res.trace}
         points = prob.full_gradient_points
         assert len(points) == len(set(points)) and set(points) == started
+
+
+def weighted_double_well(with_hvp):
+    """20 double wells of random weight and tilt in 3 dimensions."""
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.5, 2.0, 20)
+    C = rng.standard_normal((20, 3))
+    hvp = (lambda i, x, v: w[i] * (3.0 * x * x - 1.0) * v) if with_hvp else None
+    return CustomProblem(
+        3, 20,
+        value=lambda i, x: float(0.25 * w[i] * np.sum((x * x - 1.0) ** 2) + 0.1 * C[i] @ x),
+        gradient=lambda i, x: w[i] * (x * x - 1.0) * x + 0.1 * C[i],
+        hvp=hvp,
+    )
+
+
+def growth_case(kind):
+    """A problem and its points for the growth-loop grid."""
+    if kind in ("custom", "custom_hvp"):
+        return weighted_double_well(kind == "custom_hvp"), [np.zeros(3), np.full(3, 0.3)]
+    if kind == "sigmoid":
+        return sigmoid_problem(seed=7, N=300, d=6), [np.zeros(6), np.full(6, 0.2)]
+    spec = NetworkSpec(20, (6,))
+    prob = SquaredLossProblem(synthesize_dataset(8, 40, 20, 3.0), spec)
+    return prob, [initial_point(spec, np.random.default_rng(0))]
+
+
+GROWTH_GRID = [
+    (kind, q) for kind in ("sigmoid", "net", "custom", "custom_hvp") for q in (1, 2)
+]
+
+
+def growth_configs(q):
+    """(omega, sigma, config) triples for the growth-loop grid.
+
+    With kappa = 3e-3 every case grows both samples to N, and H reaches N
+    one pass before G, so a solve keeps the previous Hessian.  With the
+    loose inner tolerance eps1 = 1 the loop accepts partial samples.
+    """
+    eps2 = 1e-2 if q == 2 else None
+    return [
+        (0.4, 0.1, SolverConfig(p=2, q=q, eps2=eps2, kappa=3e-3)),
+        (0.4, 1.0, SolverConfig(p=2, q=q, eps2=eps2, kappa=1e-3, eps1=1.0)),
+    ]
+
+
+class TestGrowthLoopReuse:
+    """The order-two loop reuses unchanged work and matches the loop that
+    rebuilds every pass bit for bit."""
+
+    @pytest.mark.parametrize("kind,q", GROWTH_GRID)
+    def test_matches_the_rebuilding_loop(self, kind, q):
+        prob, points = growth_case(kind)
+        for x in points:
+            for omega, sigma, cfg in growth_configs(q):
+                rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+                got = _grow_model_and_step(prob, x, omega, sigma, cfg, rng, {})
+                ref = grow_model_and_step_rebuild(prob, x, omega, sigma, cfg, ref_rng, {})
+                g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian = got
+                assert g.tobytes() == ref[0].tobytes()
+                np.testing.assert_array_equal(g_idx, ref[1])
+                np.testing.assert_array_equal(h_idx, ref[2])
+                assert s.tobytes() == ref[3].tobytes()
+                assert repr(dataclasses.astuple(quantities)) == repr(dataclasses.astuple(ref[4]))
+                assert (hvp_props, passes) == (ref[5], ref[6])
+                assert hessian.dense().tobytes() == ref[7].dense().tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind,q", GROWTH_GRID)
+    def test_one_build_per_sample_and_one_solve_per_pair(self, kind, q, monkeypatch):
+        prob, points = growth_case(kind)
+        builds, solves = [], []  # (sample size, SampleHessian); (g bytes, H sample size)
+        build = prob.hessian_action
+
+        def counted_build(indices, x, base=None):
+            builds.append((len(indices), build(indices, x, base)))
+            return builds[-1][1]
+
+        def counted_solve(model, *args):
+            size = next(m for m, h in builds if h is model.hessian_action)
+            solves.append((model.grad.tobytes(), size))
+            return cubic_step(model, *args)
+
+        cubic_step = solver_module.cubic_step
+        monkeypatch.setattr(prob, "hessian_action", counted_build)
+        monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
+        repeated = kept = False
+        for x in points:
+            for omega, sigma, cfg in growth_configs(q):
+                builds.clear()
+                solves.clear()
+                passes = _grow_model_and_step(
+                    prob, x, omega, sigma, cfg, np.random.default_rng(3), {}
+                )[6]
+                # Samples grow only by extension: a new size is a new sample.
+                sizes = [size for size, _ in builds]
+                assert len(sizes) == len(set(sizes))
+                assert len(solves) == len(set(solves))
+                repeated = repeated or passes > len(solves)
+                kept = kept or len(solves) > len(builds)
+        assert repeated  # some pass grew neither sample
+        assert kept  # some solve kept the previous pass's Hessian
+
+    @pytest.mark.parametrize(
+        "case,stop",
+        [
+            (dict(p=2, q=2, eps1=1e-3, eps2=1e-2, budget_cm=3000.0, seed=1), "converged"),
+            (dict(p=2, q=1, eps1=1e-3, budget_cm=300.0, seed=2), "converged"),
+            (dict(p=2, q=2, eps1=1e-3, eps2=1e-2, budget_cm=100.0, seed=3), "budget"),
+        ],
+    )
+    def test_traces_match_the_rebuilding_loop(self, case, stop, tmp_path, monkeypatch):
+        prob = sigmoid_problem(seed=7, N=300, d=6)
+        res = minimize(prob, SolverConfig(**case))
+        monkeypatch.setattr(solver_module, "_grow_model_and_step", grow_model_and_step_rebuild)
+        ref = minimize(prob, SolverConfig(**case))
+        assert res.stop_reason == ref.stop_reason == stop
+        assert res.x.tobytes() == ref.x.tobytes()
+        write_trace(tmp_path / "got.csv", res.trace)
+        write_trace(tmp_path / "ref.csv", ref.trace)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
