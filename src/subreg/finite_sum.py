@@ -109,20 +109,37 @@ class SampleHessian:
         return self._dense
 
 
-def as_index_set(indices, N: int) -> np.ndarray:
-    """Validate a non-empty set of component indices and return it ascending.
+def index_array(indices, N: int) -> np.ndarray:
+    """Validate component indices, possibly none, and return them ascending.
 
-    A set that is already ascending is not sorted again and may share
-    memory with ``indices``; callers that keep the set beyond the call copy
-    it.
+    Indices must have an integer dtype (a float would be truncated and a
+    boolean mask read as the indices 0 and 1) and lie in [0, N); repeats
+    are kept.  An empty input may have any dtype, since ``np.asarray([])``
+    is float.  An array that is already ascending is not sorted again and
+    may share memory with ``indices``; callers that keep it beyond the
+    call copy it.
     """
-    idx = np.asarray(indices, dtype=np.intp).ravel()
-    if idx.size == 0:
-        raise ValueError("index set must be non-empty")
+    arr = np.asarray(indices)
+    if arr.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"component indices must have an integer dtype, not {arr.dtype}")
+    idx = arr.astype(np.intp, copy=False).ravel()
     if not (idx[1:] >= idx[:-1]).all():
         idx = np.sort(idx)
     if idx[0] < 0 or idx[-1] >= N:
         raise ValueError(f"component index out of range [0, {N})")
+    return idx
+
+
+def as_index_set(indices, N: int) -> np.ndarray:
+    """Validate a non-empty set of component indices and return it ascending.
+
+    See ``index_array``; an empty set is refused whatever its dtype.
+    """
+    idx = index_array(indices, N)
+    if idx.size == 0:
+        raise ValueError("index set must be non-empty")
     return idx
 
 

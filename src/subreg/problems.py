@@ -38,12 +38,17 @@ _BLOCK_BYTES = 2**20
 
 def sigmoid(z):
     """Numerically stable logistic function, strictly inside (0, 1)."""
-    z = np.clip(np.asarray(z, dtype=float), -_ARG_CLAMP, _ARG_CLAMP)
+    # np.maximum/np.minimum clamp as np.clip does, without its Python
+    # wrapper; a NaN stays NaN.
+    z = np.minimum(np.maximum(np.asarray(z, dtype=float), -_ARG_CLAMP), _ARG_CLAMP)
     # exp(-|z|) is exp(-z) for z >= 0 and exp(z) otherwise, so each entry
     # is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)), the same operations
-    # as two masked branches, without boolean gathers and scatters.
+    # as two masked branches.  The numerator needs no select: for z < 0,
+    # min(z, 0) is z, which is -|z| exactly, so its exp has the bits of e;
+    # for z >= 0 it is exp(0) = 1.
     e = np.exp(-np.abs(z))
-    return np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), _P_LO, _P_HI)
+    p = np.exp(np.minimum(z, 0.0)) / (1.0 + e)
+    return np.minimum(np.maximum(p, _P_LO), _P_HI)
 
 
 @dataclass

@@ -14,6 +14,16 @@ setting the bound is stated for.
 Reproducibility: all draws use a caller-supplied ``numpy.random.Generator``
 (PCG64 when built via ``numpy.random.default_rng(seed)``), so a seed pins
 every index set.
+
+Cost: a draw of m from N indices is one ``rng.choice`` and then put in
+order.  A draw of more than about a fifth of N (5 m > N + 5000) is marked
+in an N-long mask and read back, one pass over N; a smaller one is sorted,
+about m.  An extension of k indices by ``need`` new ones orders its
+complement positions the same way and maps them to indices.  When
+``need * k.bit_length() < N`` it searches the k members once per new
+index and builds nothing N-long; otherwise it reads the complement from
+an N-long mask.  The paths are chosen from the sizes alone and make the same generator calls,
+so every index set and generator state is the same on either path.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import math
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, full_gradient, full_value
+from .finite_sum import FiniteSumProblem, full_gradient, full_value, index_array
 
 __all__ = [
     "bernstein_size",
@@ -70,6 +80,20 @@ def bernstein_size(kappa: float, nu: float, t: float, log_argument: float, N: in
     return int(min(N, max(1, math.ceil(raw))))
 
 
+def _in_order(draw: np.ndarray, N: int) -> np.ndarray:
+    """Distinct indices drawn from {0, ..., N-1}, ascending.
+
+    A draw of more than about a fifth of N is put in order by marking it in
+    an N-long mask, which costs a pass over N; a smaller one is sorted,
+    which costs about its own size.
+    """
+    if 5 * draw.size > N + 5000:
+        mask = np.zeros(N, dtype=bool)
+        mask[draw] = True
+        return np.flatnonzero(mask)
+    return np.sort(draw.astype(np.intp, copy=False))
+
+
 def draw_subsample(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
     """Draw m distinct indices uniformly from {0, ..., N-1}, ascending.
 
@@ -82,36 +106,45 @@ def draw_subsample(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
         raise ValueError(f"subsample size {m} outside [1, {N}]")
     if m == N:
         return np.arange(N, dtype=np.intp)
-    idx = rng.choice(N, size=m, replace=False)
-    return np.sort(idx.astype(np.intp))
+    return _in_order(rng.choice(N, size=m, replace=False), N)
 
 
-def extend_subsample(rng: np.random.Generator, N: int, indices: np.ndarray, m: int):
+def extend_subsample(rng: np.random.Generator, N: int, indices, m: int):
     """Grow an existing draw to m indices by sampling from its complement.
 
     Extending a uniform without-replacement draw uniformly yields a uniform
     draw of the larger size, so grown sets keep the distribution of a fresh
-    draw while each component is touched only once.  Returns the grown set
-    and the extension block separately.
+    draw while each component is touched only once.  ``indices`` must be
+    distinct integers in [0, N), in any order, and may be empty.  Returns
+    the grown set and the extension block separately, both ascending.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    if m < indices.size:
+    indices = index_array(indices, N)
+    if (indices[1:] == indices[:-1]).any():
+        raise ValueError("subsample repeats an index")
+    k = indices.size
+    if m < k:
         raise ValueError("cannot shrink a subsample")
     if m > N:
         raise ValueError(f"subsample size {m} exceeds N = {N}")
-    if m == indices.size:
+    need = m - k
+    if need == 0:
         return indices, np.empty(0, dtype=np.intp)
-    outside = np.ones(N, dtype=bool)
-    outside[indices] = False
-    complement = np.flatnonzero(outside)
-    need = m - indices.size
-    # The complement is ascending, so picking it at sorted positions keeps
-    # the extension block ascending.
-    if need == complement.size:
-        extra = complement
+    # Positions in the ascending complement, itself never built when small.
+    full = need == N - k
+    pos = np.arange(need) if full else _in_order(rng.choice(N - k, size=need, replace=False), N - k)
+    if need * k.bit_length() < N:
+        # The complement entry at position p is p plus the number of set
+        # members that precede it, and indices[j] - j counts the complement
+        # entries below indices[j]: a search per new index, no pass over N.
+        extra = pos + np.searchsorted(indices - np.arange(k), pos, side="right")
     else:
-        extra = complement[np.sort(rng.choice(complement.size, size=need, replace=False))]
-    return np.sort(np.concatenate([indices, extra])), extra
+        outside = np.ones(N, dtype=bool)
+        outside[indices] = False
+        extra = np.flatnonzero(outside)
+        if not full:
+            extra = extra[pos]
+    grown = np.arange(N, dtype=np.intp) if full else np.sort(np.concatenate([indices, extra]))
+    return grown, extra
 
 
 def audit_accuracy(

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from subreg.finite_sum import CustomProblem, SampleHessian, full_gradient, full_hvp, full_value
+from subreg.finite_sum import (
+    CustomProblem,
+    SampleHessian,
+    as_index_set,
+    full_gradient,
+    full_hvp,
+    full_value,
+)
 from subreg.problems import Dataset, NetworkSpec, SquaredLossProblem
 
 from oracles import central_diff_gradient
@@ -72,6 +79,52 @@ class TestFullReductions:
         assert prob.value_mean(idx, x) == full_value(prob, x)
         np.testing.assert_array_equal(prob.gradient_mean(idx, x), full_gradient(prob, x))
         np.testing.assert_allclose(prob.hessian_action(idx, x)(np.array([1.0, 0.0])), [2.0, 0.0])
+
+
+class TestIndexSets:
+    def sigmoid_problem(self):
+        rng = np.random.default_rng(21)
+        ds = Dataset(rng.standard_normal((6, 3)), (rng.random(6) > 0.5).astype(float))
+        return SquaredLossProblem(ds, NetworkSpec(3)), rng.standard_normal(3)
+
+    def test_float_indices_rejected(self):
+        # Truncated to an integer, [1.9] would read component 1.
+        prob, x = self.sigmoid_problem()
+        with pytest.raises(TypeError, match="float64"):
+            prob.value_mean([1.9], x)
+        with pytest.raises(TypeError, match="float64"):
+            prob.gradient_mean(np.array([0.0, 2.0]), x)
+        with pytest.raises(TypeError, match="float32"):
+            as_index_set(np.array([1, 2], dtype=np.float32), 6)
+
+    def test_boolean_mask_rejected(self):
+        # Read as indices, the mask would select components 0 and 1 with repeats.
+        prob, x = self.sigmoid_problem()
+        mask = np.array([True, False, True, False, False, False])
+        with pytest.raises(TypeError, match="bool"):
+            prob.value_mean(mask, x)
+        with pytest.raises(TypeError, match="bool"):
+            as_index_set(mask, 6)
+        with pytest.raises(TypeError, match="bool"):
+            quadratic_problem().gradient_mean([True, False], np.zeros(2))
+
+    def test_empty_set_refused_before_dtype(self):
+        for empty in ([], np.array([], dtype=bool), np.empty(0, dtype=np.intp)):
+            with pytest.raises(ValueError, match="non-empty"):
+                as_index_set(empty, 5)
+
+    def test_integer_dtypes_accepted(self):
+        want = np.array([0, 2, 2, 4], dtype=np.intp)
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+            got = as_index_set(np.array([4, 2, 0, 2], dtype=dtype), 5)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.intp
+        np.testing.assert_array_equal(as_index_set([4, 2, 0, 2], 5), want)
+
+    def test_range_checked(self):
+        for bad in ([5], [-1, 0], np.array([2**63], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="out of range"):
+                as_index_set(bad, 5)
 
 
 class TestContractInvariants:

@@ -76,6 +76,12 @@ class TestPredict:
         np.testing.assert_array_equal(got, masked_sigmoid(z))
         block = z[:700].reshape(100, 7)
         np.testing.assert_array_equal(sigmoid(block), masked_sigmoid(block))
+        strided = z[::3]
+        np.testing.assert_array_equal(sigmoid(strided), masked_sigmoid(strided))
+        np.testing.assert_array_equal(sigmoid(block[:, 1::2]), masked_sigmoid(block[:, 1::2]))
+        # As many mixed-sign entries as a tall problem's full set.
+        tall = rng.standard_normal(200_000) * rng.choice([0.5, 5.0, 50.0], 200_000)
+        np.testing.assert_array_equal(sigmoid(tall), masked_sigmoid(tall))
         for value in special:
             np.testing.assert_array_equal(sigmoid(np.float64(value)), masked_sigmoid(np.array(value)))
             assert np.ndim(sigmoid(value)) == 0

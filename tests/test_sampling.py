@@ -111,30 +111,132 @@ class TestDrawSubsample:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_extension_matches_setdiff_reference(self, seed):
-        def reference(rng, N, indices, m):
-            complement = np.setdiff1d(np.arange(N, dtype=np.intp), indices, assume_unique=True)
-            need = m - indices.size
-            if need == complement.size:
-                extra = complement
-            else:
-                extra = complement[np.sort(rng.choice(complement.size, size=need, replace=False))]
-            return np.sort(np.concatenate([indices, extra])), np.sort(extra)
-
-        for N, start, m in [(1000, 10, 50), (1000, 300, 999), (1000, 400, 1000), (7, 1, 6)]:
+        # Complement positions are mapped to indices by a search (s) or through
+        # an N-long mask (m), whichever the sizes favour; w: the whole complement.
+        for N, start, m in [
+            (1000, 10, 50),  # s
+            (1000, 300, 999),  # m
+            (1000, 400, 1000),  # m, w
+            (7, 1, 6),  # s
+            (200_000, 69, 260),  # s: a gradient sample of p1_tall
+            (20_000, 1_346, 5_299),  # m: a Hessian sample of q2_sigmoid
+            (20_000, 1, 20_000),  # s, w
+        ]:
             idx = draw_subsample(np.random.default_rng(seed), N, start)
-            rng, ref_rng = np.random.default_rng([seed, N]), np.random.default_rng([seed, N])
-            grown, ext = extend_subsample(rng, N, idx, m)
-            ref_grown, ref_ext = reference(ref_rng, N, idx, m)
-            np.testing.assert_array_equal(grown, ref_grown)
-            np.testing.assert_array_equal(ext, ref_ext)
-            assert grown.dtype == ref_grown.dtype and ext.dtype == ref_ext.dtype
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert_extension_matches_reference(np.random.default_rng([seed, N]), N, idx, m)
 
     def test_extension_cannot_shrink(self):
         rng = np.random.default_rng(5)
         idx = draw_subsample(rng, 12, 6)
         with pytest.raises(ValueError):
             extend_subsample(rng, 12, idx, 3)
+
+
+def reference_draw(rng, N, m):
+    """``draw_subsample`` with every partial draw put in order by a sort."""
+    if m == N:
+        return np.arange(N, dtype=np.intp)
+    return np.sort(rng.choice(N, size=m, replace=False).astype(np.intp))
+
+
+def reference_extension(rng, N, indices, m):
+    """``extend_subsample`` by ``np.setdiff1d`` over all N indices."""
+    complement = np.setdiff1d(np.arange(N, dtype=np.intp), indices, assume_unique=True)
+    need = m - indices.size
+    if need == complement.size:
+        extra = complement
+    else:
+        extra = complement[np.sort(rng.choice(complement.size, size=need, replace=False))]
+    return np.sort(np.concatenate([indices, extra])), np.sort(extra)
+
+
+def assert_same_arrays(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype == np.intp
+
+
+def assert_extension_matches_reference(rng, N, indices, m):
+    """Same grown set, extension, dtypes and generator state as the reference."""
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    grown, ext = extend_subsample(rng, N, indices, m)
+    ref_grown, ref_ext = reference_extension(ref_rng, N, np.asarray(indices, dtype=np.intp), m)
+    assert_same_arrays(grown, ref_grown)
+    assert_same_arrays(ext, ref_ext)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestOrderingPaths:
+    """A draw is put in order by a sort or by an N-long mask, and an extension
+    maps complement positions to indices by a search or by that mask; the
+    sizes decide which.  Every path must give the reference's arrays and
+    leave the generator where the reference leaves it."""
+
+    @pytest.mark.parametrize(
+        "N, m",
+        [
+            (200_000, 69),  # sorted
+            (200_000, 5_000),  # sorted
+            (200_000, 130_000),  # masked
+            (200_000, 199_999),  # masked
+            (20_000, 19_000),  # masked
+            (1_000, 999),  # sorted: the mask does not pay below a few thousand
+            (5, 1),
+        ],
+    )
+    def test_draw_matches_sorted_reference(self, N, m):
+        rng, ref_rng = np.random.default_rng([N, m]), np.random.default_rng([N, m])
+        for _ in range(3):
+            assert_same_arrays(draw_subsample(rng, N, m), reference_draw(ref_rng, N, m))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("N, m", [(1, 1), (10, 3), (10, 10), (20_000, 30), (20_000, 19_000)])
+    def test_extension_of_empty_set(self, N, m):
+        empty = np.empty(0, dtype=np.intp)
+        assert_extension_matches_reference(np.random.default_rng(N + m), N, empty, m)
+
+    @pytest.mark.parametrize("m", [9, 60, 2_000, 9_990, 9_996, 9_999, 10_000])
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [0, 9_999],  # both ends
+            [0, 1, 2, 3],  # a run at the start
+            [9_996, 9_997, 9_998, 9_999],  # a run at the end
+            [0, 500, 501, 502, 503, 504, 505, 9_998, 9_999],  # runs and both ends
+        ],
+    )
+    def test_extension_edges_match_reference(self, members, m):
+        N = 10_000
+        members = np.array(members, dtype=np.intp)
+        assert_extension_matches_reference(np.random.default_rng([m, members.size]), N, members, m)
+
+    def test_extension_of_long_runs(self):
+        N = 50_000
+        members = np.concatenate([np.arange(0, 3_000), np.arange(20_000, 20_500), [N - 1]])
+        for m in (members.size + 5, members.size + 700, 30_000, N - 1, N):
+            assert_extension_matches_reference(np.random.default_rng(m), N, members, m)
+
+    def test_unordered_members_are_sorted(self):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        grown, ext = extend_subsample(rng, 10, np.array([7, 2, 5]), 6)
+        ref_grown, ref_ext = extend_subsample(ref_rng, 10, np.array([2, 5, 7]), 6)
+        assert_same_arrays(grown, ref_grown)
+        assert_same_arrays(ext, ref_ext)
+        unchanged, none = extend_subsample(rng, 10, [7, 2, 5], 3)
+        assert_same_arrays(unchanged, np.array([2, 5, 7], dtype=np.intp))
+        assert none.size == 0
+
+    @pytest.mark.parametrize("members", [[-1], [10], [3, 12], [0, 0], [4, 2, 4]])
+    def test_extension_rejects_invalid_members(self, members):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            extend_subsample(rng, 10, np.array(members), 6)
+        assert rng.bit_generator.state == state
+
+    def test_extension_rejects_float_members(self):
+        with pytest.raises(TypeError, match="float64"):
+            extend_subsample(np.random.default_rng(0), 10, np.array([1.0, 2.0]), 4)
 
 
 def identical_problem(n=3, N=9):
