@@ -84,7 +84,9 @@ class SampleHessian:
     ``optimality.materialise_operator`` and keeps it; from then on every
     call is a product with that matrix and reads no data.  The build is
     not counted.  The counter and the cache make an instance stateful, so
-    it belongs to one solve at a time.
+    it belongs to one solve at a time.  A non-finite estimate raises
+    ``FloatingPointError``: the matrix is checked once when it is built,
+    and every action computed without it is checked.
     """
 
     def __init__(self, n: int, apply: Callable[[np.ndarray], np.ndarray], build=None):
@@ -99,14 +101,21 @@ class SampleHessian:
         self.columns += 1 if v.ndim == 1 else v.shape[1]
         if self._dense is not None:
             return self._dense @ v
-        return np.asarray(self._apply(v), dtype=float)
+        return _finite(np.asarray(self._apply(v), dtype=float))
 
     def dense(self) -> np.ndarray:
         """The symmetrised matrix, built on the first call."""
         if self._dense is None:
             H = self._build() if self._build is not None else self._apply(np.eye(self.n))
-            self._dense = symmetric_part(H, self.n)
+            self._dense = symmetric_part(_finite(np.asarray(H, dtype=float)), self.n)
         return self._dense
+
+
+def _finite(H: np.ndarray) -> np.ndarray:
+    """``H``, unless it holds a NaN or an infinity."""
+    if not np.isfinite(H).all():
+        raise FloatingPointError("non-finite Hessian estimate")
+    return H
 
 
 def index_array(indices, N: int) -> np.ndarray:
@@ -188,16 +197,20 @@ class FiniteSumProblem:
         It takes a vector ``(n,)`` or a block ``(n, k)`` and returns the
         action with the same shape.  Here it is a forward difference of
         batched gradient means about ``base``, the gradient mean at ``x``
-        over the same indices; callers that already hold it pass it in,
-        otherwise it is computed here once.  Each column then costs one
+        over the same indices.  A caller that holds it passes it in, and one
+        that can produce it passes a function of no arguments that returns
+        it; otherwise it is computed here once.  Each column then costs one
         batched gradient evaluation at a shifted point, and ``dense()``
         costs n of them.  Problems with analytic Hessians override this one
-        method and may ignore ``base``.
+        method and may ignore ``base``, so a function passed as ``base`` is
+        then never called.
         """
         idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
         if base is None:
             base = self.gradient_mean(idx, x)
+        elif callable(base):
+            base = base()
         u = float(np.finfo(float).eps)
         scale = float(np.sqrt(u)) * (1.0 + float(np.linalg.norm(x)))
 

@@ -13,7 +13,9 @@ Work is metered in cost units where one full-sample objective evaluation
 a gradient over G costs an extra (2 |G \\ D1| + |G & D1|) / N because
 forward passes shared with the first function estimate are not recounted;
 each Hessian-action of the cubic subproblem costs 2 |H| / N plus a
-one-time |H \\ (H & G)| / N for base gradients not shared with G.
+one-time |H \\ (H & G)| / N for base gradients not shared with G.  That
+term is charged for every problem, although the base gradient is computed
+only when a differenced action asks for it.
 Measurement-only quantities (exact losses recorded in traces, the
 order-two termination measure) are never charged.
 
@@ -283,6 +285,33 @@ def _grow_gradient(problem, x, omega, cfg, rng, known):
     return g, idx, passes
 
 
+class _SampleGradient:
+    """Gradient mean at ``x`` over a growing Hessian sample, as a ``base``.
+
+    A differenced Hessian action needs it; an exact one never asks.  Each
+    piece of the sample (the draw, then every extension) is evaluated at
+    the first call after it was added and merged in order, so the mean has
+    the bits of evaluating each piece as it is drawn.
+    """
+
+    def __init__(self, problem, x, idx, mean=None):
+        self._problem, self._x = problem, x
+        self._mean, self._count = mean, 0 if mean is None else idx.size
+        self._pending = [idx] if mean is None else []
+
+    def extend(self, ext: np.ndarray) -> None:
+        self._pending.append(ext)
+
+    def __call__(self) -> np.ndarray:
+        for part in self._pending:
+            mean = self._problem.gradient_mean(part, self._x)
+            if self._count:
+                mean = merged_mean(self._mean, self._count, mean, part.size)
+            self._mean, self._count = mean, self._count + part.size
+        self._pending = []
+        return self._mean
+
+
 def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     """Sample-growth loop for the order-two model (p = 2).
 
@@ -312,15 +341,16 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     g = _first_gradient(problem, g_idx, x, known)
     h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N))
     # Two full draws are the same set at the same x: one evaluation serves both.
-    h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
+    h_base = _SampleGradient(problem, x, h_idx, g if g_idx.size == h_idx.size == N else None)
 
     hessian = None
     hvp_props = 0
     passes = 0
     while True:
         # A new solve: the first pass, or G or H was extended.
-        # Caught here, NaNs would otherwise surface inside the eigensolvers.
-        _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
+        # Caught here, NaNs would otherwise surface inside the eigensolvers;
+        # the Hessian estimate checks its own.
+        _require_finite("gradient", float(np.linalg.norm(g)))
         if hessian is None:
             hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(2, g, sigma, hessian)
@@ -362,9 +392,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
                 grown = True
             new_h = bernstein_size(cfg.kappa, max(eps_h, 1e-300), cfg.t, hlog, N)
             if new_h > h_idx.size:
-                old = h_idx.size
                 h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
-                h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)
+                h_base.extend(ext)
                 hessian = None
                 grown = True
 

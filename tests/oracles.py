@@ -195,3 +195,38 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
             old = h_idx.size
             h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
             h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)
+
+
+def gathered_sigmoid(problem, indices, x):
+    """The bias-free sigmoid's mean value, Hessian action and dense Hessian
+    over a sample, every row product taken on rows gathered block by block
+    in ``problem._row_blocks``, as ``(value, action, dense)``.
+
+    ``action`` takes an ``(n, k)`` block; ``dense`` builds the symmetrised
+    matrix when called.
+    """
+    idx = np.sort(np.asarray(indices))
+    a, y = problem.dataset.features, problem.dataset.labels
+    blocks = [(rows, a[take], y[take]) for rows, take in problem._row_blocks(idx)]
+    r = np.empty(idx.size)
+    c = np.empty(idx.size)
+    for rows, a_b, y_b in blocks:
+        p = masked_sigmoid(a_b @ x)
+        r[rows] = y_b - p
+        dp = p * (1.0 - p)
+        c[rows] = 2.0 * dp * (dp - (y_b - p) * (1.0 - 2.0 * p))
+    c /= idx.size
+
+    def action(V):
+        out = np.zeros(V.shape)
+        for rows, a_b, _ in blocks:
+            out += a_b.T @ (c[rows][:, None] * (a_b @ V))
+        return out
+
+    def dense():
+        H = np.zeros((x.size, x.size))
+        for rows, a_b, _ in blocks:
+            H += a_b.T @ (c[rows][:, None] * a_b)
+        return 0.5 * (H + H.T)
+
+    return float(np.sum(r * r) / idx.size), action, dense

@@ -205,6 +205,30 @@ class TestContractInvariants:
 
 
 class TestHessianAction:
+    def test_base_function_is_called_only_by_a_differenced_action(self):
+        ds = Dataset(np.random.default_rng(4).standard_normal((15, 3)),
+                     (np.random.default_rng(5).random(15) > 0.5).astype(float))
+        rng = np.random.default_rng(7)
+        idx = np.array([9, 1, 4, 12])
+        for hidden, calls in [((2,), 1), ((), 0)]:
+            prob = SquaredLossProblem(ds, NetworkSpec(3, hidden))
+            x = rng.standard_normal(prob.n)
+            asked = []
+
+            def base():
+                asked.append(1)
+                return prob.gradient_mean(idx, x)
+
+            lazy = prob.hessian_action(idx, x, base=base)
+            v = rng.standard_normal(prob.n)
+            np.testing.assert_array_equal(lazy(v), prob.hessian_action(idx, x)(v))
+            lazy.dense()
+            assert len(asked) == calls
+        custom = CustomProblem(2, 4, value=lambda i, x: float(x @ x),
+                               gradient=lambda i, x: 2.0 * x, hvp=lambda i, x, v: 2.0 * v)
+        action = custom.hessian_action([0, 3], np.ones(2), base=lambda: pytest.fail("called"))
+        np.testing.assert_array_equal(action(np.ones(2)), np.full(2, 2.0))
+
     def test_supplied_base_is_bit_identical(self):
         ds = Dataset(np.random.default_rng(4).standard_normal((15, 3)),
                      (np.random.default_rng(5).random(15) > 0.5).astype(float))
@@ -319,6 +343,24 @@ class TestSampleHessian:
         np.testing.assert_array_equal(
             prob.hessian_action([0, 2, 5], x).dense(), 0.5 * (raw + raw.T)
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_raises(self, bad):
+        def apply(v):
+            out = np.array(v, dtype=float)
+            out[-1] = bad
+            return out
+
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            SampleHessian(2, apply)(np.ones(2))
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            SampleHessian(2, apply)(np.ones((2, 3)))
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            SampleHessian(2, apply).dense()
+        H = np.eye(2)
+        H[1, 1] = bad
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            SampleHessian(2, lambda v: v, lambda: H).dense()
 
     def test_asymmetric_or_misshapen_build_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):

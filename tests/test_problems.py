@@ -22,7 +22,7 @@ from subreg.problems import (
     testing_loss,
 )
 
-from oracles import central_diff_gradient, masked_sigmoid, second_diff_quadform
+from oracles import central_diff_gradient, gathered_sigmoid, masked_sigmoid, second_diff_quadform
 
 
 def make_problem(seed=0, N=12, d=4, hidden=()):
@@ -85,6 +85,27 @@ class TestPredict:
         for value in special:
             np.testing.assert_array_equal(sigmoid(np.float64(value)), masked_sigmoid(np.array(value)))
             assert np.ndim(sigmoid(value)) == 0
+            frozen = np.array(value)  # 0-d and read-only
+            frozen.flags.writeable = False
+            np.testing.assert_array_equal(sigmoid(frozen), masked_sigmoid(np.array(value)))
+            assert np.ndim(sigmoid(frozen)) == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda z: z,
+        lambda z: z[::3],
+        lambda z: z[:700].reshape(100, 7)[:, 1::2],
+        lambda z: z.reshape(-1, 1)[:, 0],
+    ], ids=["array", "strided", "2-d strided", "column"])
+    def test_sigmoid_leaves_its_argument_unchanged(self, make):
+        z = np.random.default_rng(8).standard_normal(3000) * 30.0
+        view = make(z)
+        before = view.copy()
+        p = sigmoid(view)
+        np.testing.assert_array_equal(view, before)
+        assert not np.shares_memory(p, z)
+        np.testing.assert_array_equal(p, masked_sigmoid(before))
+        view.flags.writeable = False
+        np.testing.assert_array_equal(sigmoid(view), p)
 
 
 class TestNetworkSpec:
@@ -384,21 +405,115 @@ def one_shot_mismatches():
     return mismatches
 
 
+def product_sets(prob, rng):
+    """Partial sets around the in-place product's size threshold, sets that
+    hold the dataset's last rows, and sets with repeats."""
+    N, B = prob.N, prob._block
+    t = next(m for m in range(1, N + 1) if prob._streams(m))
+    sets = [np.sort(rng.choice(N, m, replace=False)) for m in (t - 1, t, t + 1)]
+    # Sets ending in the dataset's last j rows; j = 63 is every row past
+    # N - N % 64 when N % 64 = 63.  At m = kB + 2 the last block holds two
+    # rows and the block before it the other 38 of the last 40.
+    edge = -(-(t - 2) // B) * B + 2
+    for j, m in [(1, t + 5), (3, t + 5), (63, t + 5), (64, t + 5), (40, edge)]:
+        head = rng.choice(N - j, m - j, replace=False)
+        sets.append(np.sort(np.concatenate([head, np.arange(N - j, N)])))
+    sets.append(np.sort(rng.integers(0, N, t + 2)))
+    sets.append(np.sort(rng.integers(0, N, N)))
+    return t, sets
+
+
+def product_mismatches():
+    """Cases where the sigmoid's value, Hessian action or dense Hessian
+    over a partial set differs from the products of gathered row blocks,
+    or a network's value from one forward pass over gathered rows.
+
+    N mod 64 takes 0, 1, 3 and 63; d = 20 and 50 give blocks of 6528 and
+    2560 rows, d = 2000 blocks of 64.  Each returned entry names the case.
+    """
+    mismatches = []
+    for d, N0 in [(20, 14080), (50, 5120), (2000, 640)]:
+        for extra in (0, 1, 3, 63):
+            N = N0 + extra
+            rng = np.random.default_rng(d * 100 + extra)
+            features = rng.standard_normal((N, d))
+            labels = (rng.random(N) > 0.5).astype(float)
+            prob = SquaredLossProblem(Dataset(features, labels), NetworkSpec(d))
+            x = rng.standard_normal(d) / np.sqrt(d)
+            V = rng.standard_normal((d, 3))
+            t, sets = product_sets(prob, rng)
+            for k, idx in enumerate(sets):
+                value, action, dense = gathered_sigmoid(prob, idx, x)
+                H = prob.hessian_action(idx, x)
+                case = (d, N, idx.size, k)
+                if prob.value_mean(idx, x) != value:
+                    mismatches.append(("value",) + case)
+                if not np.array_equal(H(V), action(V)):
+                    mismatches.append(("action",) + case)
+                # A dense build at d = 2000 costs m d^2: two sets suffice.
+                if (d < 2000 or k in (2, 7)) and not np.array_equal(H.dense(), dense()):
+                    mismatches.append(("dense",) + case)
+            if d == 20:
+                spec = NetworkSpec(d, (6,))
+                net = SquaredLossProblem(Dataset(features, labels), spec)
+                w = initial_point(spec, rng)
+                for k, idx in enumerate(sets):
+                    r = labels[idx] - _forward(spec, w, features[idx])[0]
+                    if net.value_mean(idx, w) != float(np.sum(r * r) / idx.size):
+                        mismatches.append(("net", d, N, idx.size, k))
+    return mismatches
+
+
+def in_child(call):
+    """Run ``call`` (an expression over this module as ``t``) in a child
+    process with one BLAS thread and return what it prints.
+
+    Products are bit for bit only with one BLAS thread: a threaded product
+    splits its rows among the threads by the product's own row count.  The
+    child fixes the thread count before numpy loads.
+    """
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(subreg.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import test_problems as t; print({call})"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestPartialValueMean:
     def test_bit_identical_to_one_shot_gather(self):
-        # Bit for bit only with one BLAS thread: a threaded product splits
-        # its rows among the threads by the product's own row count.  The
-        # child process fixes the thread count before numpy loads.
-        tests_dir = Path(__file__).resolve().parent
-        src_dir = Path(subreg.__file__).resolve().parent.parent
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import test_problems as t; print(t.one_shot_mismatches())"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert in_child("t.one_shot_mismatches()") == "[]"
+
+    def test_in_place_products_bit_identical_to_gathered_blocks(self):
+        assert in_child("t.product_mismatches()") == "[]"
+
+    def test_product_sets_cover_both_paths(self):
+        # The sets straddle the threshold and end in the dataset's last rows.
+        for d, N in [(20, 14080 + 63), (2000, 640 + 3)]:
+            rng = np.random.default_rng(d)
+            prob = SquaredLossProblem(
+                Dataset(rng.standard_normal((N, d)), np.zeros(N)), NetworkSpec(d)
+            )
+            t, sets = product_sets(prob, rng)
+            assert not prob._streams(t - 1) and prob._streams(t)
+            assert [idx.size >= t for idx in sets[:3]] == [False, True, True]
+            assert all(idx[-1] == N - 1 for idx in sets[3:8])
+            assert sets[7][-40 - 1] < N - 40 <= sets[7][-40]
+            assert all((np.diff(idx) == 0).any() for idx in sets[8:])
+
+    def test_size_rule(self):
+        # Rows of at most 1 KB read the dataset in place from m = N / 2 on,
+        # longer ones from m = 0.75 N.
+        rng = np.random.default_rng(4)
+        for d, first in [(20, 500), (128, 500), (129, 750), (5000, 750)]:
+            prob = SquaredLossProblem(
+                Dataset(rng.standard_normal((1000, d)), np.zeros(1000)), NetworkSpec(d)
+            )
+            assert not prob._streams(first - 1) and prob._streams(first)
 
     def test_row_blocks(self):
         # d = 2000 gives 64-row blocks.  A lone trailing row would be
@@ -415,14 +530,15 @@ class TestPartialValueMean:
             for rows, take in blocks:
                 np.testing.assert_array_equal(idx[rows], np.arange(200)[take])
 
-    def test_peak_memory_stays_below_a_gather(self):
-        # Gathering 18000 of 20000 rows at d = 50 would take about 7 MB.
+    def peak_bytes(self, m):
+        """Peak traced allocation of a value over m of 20000 rows at d = 50,
+        and whether the set reads the dataset in place."""
         rng = np.random.default_rng(21)
         prob = SquaredLossProblem(
             Dataset(rng.standard_normal((20000, 50)), (rng.random(20000) > 0.5).astype(float)),
             NetworkSpec(50),
         )
-        idx = np.sort(rng.choice(20000, 18000, replace=False))
+        idx = np.sort(rng.choice(20000, m, replace=False))
         x = rng.standard_normal(50) / np.sqrt(50)
         tracemalloc.start()
         try:
@@ -430,7 +546,49 @@ class TestPartialValueMean:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, prob._streams(m)
+
+    def test_peak_memory_stays_below_a_gather(self):
+        # Gathering 18000 of 20000 rows at d = 50 would take about 7 MB; the
+        # set reads the dataset in place.
+        peak, streams = self.peak_bytes(18000)
+        assert streams
         assert peak < 2 * 2**20
+
+    def test_peak_memory_of_gathered_blocks(self):
+        # 6000 rows would gather 2.4 MB at once; they are gathered by block.
+        peak, streams = self.peak_bytes(6000)
+        assert not streams
+        assert peak < 2 * 2**20
+
+
+class TestReadOnlyDataset:
+    """Evaluations never write to the dataset's arrays."""
+
+    @pytest.mark.parametrize("hidden", [(), (6,)])
+    def test_evaluations_on_read_only_arrays(self, hidden):
+        rng = np.random.default_rng(13)
+        N, d = 300, 20
+        ds = Dataset(rng.standard_normal((N, d)), (rng.random(N) > 0.5).astype(float))
+        features, labels = ds.features.copy(), ds.labels.copy()
+        ds.features.flags.writeable = False
+        ds.labels.flags.writeable = False
+        spec = NetworkSpec(d, hidden)
+        prob = SquaredLossProblem(ds, spec)
+        x = initial_point(spec, rng) if hidden else rng.standard_normal(d) / np.sqrt(d)
+        sets = [np.arange(N), np.sort(rng.choice(N, 250, replace=False)),
+                np.sort(rng.choice(N, 40, replace=False))]
+        assert [prob._streams(idx.size) for idx in sets[1:]] == [True, False]
+        for idx in sets:
+            prob.value_mean(idx, x)
+            prob.gradient_mean(idx, x)
+            H = prob.hessian_action(idx, x)
+            H(rng.standard_normal(prob.n))
+            if not hidden:
+                H.dense()
+        testing_loss(spec, x, ds)
+        np.testing.assert_array_equal(ds.features, features)
+        np.testing.assert_array_equal(ds.labels, labels)
 
 
 class TestMetrics:

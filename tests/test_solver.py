@@ -308,6 +308,33 @@ class TestNonFinite:
             minimize(poisoned_problem(what), cfg)
 
 
+def poisoned_hvp_problem():
+    """``poisoned_problem`` with an exact Hessian whose index-3 action is NaN."""
+    prob = poisoned_problem("none")
+    prob._hvp = lambda i, x, v: np.full(3, math.nan) if i == 3 else 2.0 * v
+    return prob
+
+
+class TestNonFiniteHessian:
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_non_finite_hessian_estimate_raises(self, q):
+        # The q = 1 run used to finish on budget at x = 0, and the q = 2 run
+        # to die inside scipy's eigensolver.
+        cfg = SolverConfig(p=2, q=q, eps1=0.0, eps2=0.0, budget_cm=50.0, **EXACT)
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            minimize(poisoned_hvp_problem(), cfg)
+
+    def test_non_finite_differenced_hessian_raises(self):
+        # A differenced action about a finite base, stepping into NaN.
+        prob = CustomProblem(
+            2, 4, value=lambda i, x: float(x @ x),
+            gradient=lambda i, x: 2.0 * x if x[0] <= 1.0 else np.full(2, math.nan),
+        )
+        H = prob.hessian_action([0, 1], np.array([1.0, 0.0]))
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            H(np.array([1.0, 0.0]))
+
+
 class TestGradientGrowthLoop:
     def test_halving_count_frozen(self):
         # constant gradient of norm 0.1 with omega = 0.2: the target halves
@@ -642,3 +669,38 @@ class TestGrowthLoopReuse:
         write_trace(tmp_path / "got.csv", res.trace)
         write_trace(tmp_path / "ref.csv", ref.trace)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestBaseGradient:
+    """The Hessian sample's gradient is computed only for a differenced action."""
+
+    @pytest.mark.parametrize("kind,q", GROWTH_GRID)
+    def test_gradient_rows(self, kind, q, monkeypatch):
+        prob, points = growth_case(kind)
+        seen = []
+        gradient_mean = prob.gradient_mean
+
+        def counted(indices, x):
+            # Differenced actions also read gradients at shifted points.
+            if np.asarray(x).tobytes() == point.tobytes():
+                seen.append(np.asarray(indices).copy())
+            return gradient_mean(indices, x)
+
+        monkeypatch.setattr(prob, "gradient_mean", counted)
+        for point in points:
+            for omega, sigma, cfg in growth_configs(q):
+                seen.clear()
+                got = _grow_model_and_step(
+                    prob, point, omega, sigma, cfg, np.random.default_rng(3), {}
+                )
+                g_idx, h_idx = got[1], got[2]
+                rows = np.sort(np.concatenate(seen))
+                if kind in ("sigmoid", "custom_hvp"):
+                    # Exact actions: the G sample's pieces, each once.
+                    np.testing.assert_array_equal(rows, g_idx)
+                elif rows.size == g_idx.size:
+                    # Differenced, two full draws sharing one evaluation.
+                    assert g_idx.size == h_idx.size == prob.N
+                else:
+                    # Differenced: G's pieces and H's.
+                    np.testing.assert_array_equal(rows, np.sort(np.concatenate([g_idx, h_idx])))
