@@ -8,6 +8,12 @@ Component i of the objective is the squared residual on training sample i.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +45,16 @@ _BLOCK_BYTES = 2**20
 # product covers whole groups of it (see ``SquaredLossProblem._margins``).
 _GROUP = 64
 
+# A row product is split across cores only from this many bytes of rows on.
+# Below it waking a worker costs more than the split saves: on the 2-vCPU
+# box a 20000 x 50 product took 481 us whole and 531 us split, an 80000 x 20
+# one 747 and 786 us, and a 4800 x 5000 one 17.5 and 9.6 ms.
+_SPLIT_BYTES = 16 * 2**20
+
+# A value's sigmoid and residual run over chunks of this many entries, so
+# their temporaries stay in cache and are not fresh N-long buffers.
+_CHUNK = 2**15
+
 
 def sigmoid(z):
     """Numerically stable logistic function, strictly inside (0, 1).
@@ -49,16 +65,22 @@ def sigmoid(z):
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         return sigmoid(z.reshape(1))[0]
+    return _sigmoid_into(z, np.empty(z.shape), np.empty(z.shape))
+
+
+def _sigmoid_into(z, t, e):
+    """Write ``sigmoid(z)`` into ``t`` (which may be ``z``), using ``e`` as
+    scratch; all three have one shape.  Returns ``t``."""
     # np.maximum/np.minimum clamp as np.clip does, without its Python
     # wrapper; a NaN stays NaN.
-    t = np.maximum(z, -_ARG_CLAMP)
+    np.maximum(z, -_ARG_CLAMP, out=t)
     np.minimum(t, _ARG_CLAMP, out=t)
     # exp(-|z|) is exp(-z) for z >= 0 and exp(z) otherwise, so each entry
     # is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)), the same operations
     # as two masked branches.  The numerator needs no select: for z < 0,
     # min(z, 0) is z, which is -|z| exactly, so its exp has the bits of e;
     # for z >= 0 it is exp(0) = 1.
-    e = np.abs(t)
+    np.abs(t, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
@@ -68,6 +90,143 @@ def sigmoid(z):
     np.maximum(t, _P_LO, out=t)
     np.minimum(t, _P_HI, out=t)
     return t
+
+
+@functools.cache
+def _blas_thread_query():
+    """numpy's OpenBLAS thread-count query, or None where numpy exposes none."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    # dlsym on the extension's handle also searches the libraries it links.
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        query = getattr(lib, name, None)
+        if query is not None:
+            query.argtypes, query.restype = [], ctypes.c_int
+            return query
+    return None
+
+
+def _blas_threads() -> Optional[int]:
+    """Threads numpy's BLAS runs one product on, or None when unknown."""
+    query = _blas_thread_query()
+    return None if query is None else int(query())
+
+
+# Every this many large products one runs the way last measured slower, so
+# that a change in how the machine shares its cores shows.
+_PROBE = 16
+
+
+class _SlabPool:
+    """One process's row-slab workers, one per core but the caller's, and
+    the measured cost of large products split among them and run whole.
+
+    Splitting pays only while the cores really run in parallel.  On a
+    2-vCPU virtual machine whose host at times gave both vCPUs about one
+    core's time (the guest saw 30-37% of each vCPU's time stolen while
+    splitting, under 6% while not), a split product cost 0.095-0.12 ns per
+    byte against 0.085-0.089 run whole, and 0.057 when the host gave two
+    cores.  So each large product runs the way whose moving average of
+    seconds per byte is lower, except that the first two products try one
+    way each and every ``_PROBE``-th product takes the other way.  Either
+    way gives the same bits.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.executor = ThreadPoolExecutor(workers, "subreg-rows") if workers else None
+        self._lock = threading.Lock()
+        self._cost = {False: None, True: None}  # seconds per byte, by split
+        self._products = 0
+
+    def split_pays(self) -> bool:
+        """Whether to split the next large product."""
+        with self._lock:
+            self._products += 1
+            whole, split = self._cost[False], self._cost[True]
+            if whole is None or split is None:
+                return whole is not None
+            return (split < whole) != (self._products % _PROBE == 0)
+
+    def record(self, split: bool, seconds: float, nbytes: int) -> None:
+        """Fold one product's time into the moving average of its way."""
+        with self._lock:
+            cost, old = seconds / nbytes, self._cost[split]
+            self._cost[split] = cost if old is None else old + (cost - old) / 4
+
+
+_pool_lock = threading.Lock()
+_pool = None  # the process's _SlabPool, made by the first large product
+
+
+def _forget_pool():
+    """Drop the pool: a forked child has none of its parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slab_pool() -> _SlabPool:
+    """This process's ``_SlabPool``; on one core it has no executor."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            _pool = _SlabPool(cores - 1)
+        return _pool
+
+
+def _row_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for C-contiguous rows ``a``, split across cores when large.
+
+    With one BLAS thread a product over rows that start on a 64-row boundary
+    rounds each row as one product over all of them does (see
+    ``SquaredLossProblem._margins``), so the rows are cut at multiples of 64
+    into one slab per core, each slab computed into its part of the result,
+    the first by the caller and the others by the pool's workers.  A worker
+    never submits work, so concurrent callers cannot deadlock.  A product
+    is split only when it reads at least ``_SPLIT_BYTES``, BLAS reports
+    exactly one thread (a threaded BLAS already spreads a product over the
+    cores, and splitting it again oversubscribes them) and splitting has
+    been measured to pay (``_SlabPool``).  Otherwise this is ``a @ x``.
+    """
+    if a.nbytes < _SPLIT_BYTES or not a.flags.c_contiguous or _blas_threads() != 1:
+        return a @ x
+    pool = _slab_pool()
+    rows = a.shape[0]
+    # At least 64 rows per slab, so that no slab is a lone row, which numpy
+    # computes as a vector product.
+    k = min(pool.workers + 1, rows // _GROUP)
+    if k < 2:
+        return a @ x
+    split = pool.split_pays()
+    start = time.perf_counter()
+    if not split:
+        z = a @ x
+    else:
+        cuts = [rows * i // k // _GROUP * _GROUP for i in range(k)] + [rows]
+        z = np.empty(rows)
+        futures = [
+            pool.executor.submit(np.matmul, a[lo:hi], x, out=z[lo:hi])
+            for lo, hi in zip(cuts[1:-1], cuts[2:])
+        ]
+        try:
+            np.matmul(a[: cuts[1]], x, out=z[: cuts[1]])
+        finally:
+            for future in futures:
+                future.result()
+    pool.record(split, time.perf_counter() - start, a.nbytes)
+    return z
 
 
 @dataclass
@@ -181,7 +340,7 @@ def _forward(spec: NetworkSpec, x: np.ndarray, features: np.ndarray):
     activations needed by backpropagation.
     """
     if not spec.hidden_sizes:
-        return sigmoid(features @ x), None
+        return sigmoid(_row_product(features, x)), None
     layers = _unpack(spec, x)
     acts = [features]
     h = features
@@ -210,7 +369,11 @@ class SquaredLossProblem(FiniteSumProblem):
     evaluated on them in place.  A partial set's rows are gathered, at once
     for gradients and in blocks otherwise, except that the bias-free
     sigmoid's row products over most of N are read in place
-    (``_margins``).
+    (``_margins``).  Those in-place products, and the bias-free forward
+    pass of a gradient, are split across cores when large, BLAS runs one
+    thread and splitting is measured to pay, with the bits of one product
+    (``_row_product``).  An instance holds no mutable state of its own, so
+    several threads may evaluate it at once.
     """
 
     def __init__(self, dataset: Dataset, spec: NetworkSpec):
@@ -304,10 +467,15 @@ class SquaredLossProblem(FiniteSumProblem):
           block holding a member at or past N - N % 64, past the in-place
           product, are gathered as before;
         - a sparse set gathers every block.
+
+        The two in-place products go through ``_row_product``, which may
+        split a large one into 64-row-aligned slabs across cores when BLAS
+        runs one thread; by the same rule the bits do not depend on the
+        core count or on whether it splits.
         """
         a, y = self.dataset.features, self.dataset.labels
         if self._is_full(idx):
-            return a @ x, y
+            return _row_product(a, x), y
         z = np.empty(idx.size)
         blocks = list(self._row_blocks(idx))
         if self._streams(idx.size):
@@ -319,7 +487,7 @@ class SquaredLossProblem(FiniteSumProblem):
                 hi = (int(idx[cut - 1]) // _GROUP + 1) * _GROUP
                 # The members are validated, so "clip" clips nothing; it
                 # only spares the copy that take makes of ``out`` to check.
-                np.take(a[:hi] @ x, idx[:cut], out=z[:cut], mode="clip")
+                np.take(_row_product(a[:hi], x), idx[:cut], out=z[:cut], mode="clip")
                 blocks = [block for block in blocks if block[0].start >= cut]
         for rows, take in blocks:
             z[rows] = _take(a, take) @ x
@@ -330,7 +498,7 @@ class SquaredLossProblem(FiniteSumProblem):
         x = as_vector(x, self.n)
         if not self.spec.hidden_sizes:
             z, y = self._margins(idx, x)
-            return _mean_square_residual(y, sigmoid(z))
+            return _sigmoid_mean_square_residual(y, z)
         a, y = self.dataset.features, self.dataset.labels
         if self._is_full(idx):
             return _mean_square_residual(y, _forward(self.spec, x, a)[0])
@@ -420,6 +588,18 @@ def _mean_square_residual(y: np.ndarray, p: np.ndarray) -> float:
     r = np.subtract(y, p, out=p)
     np.multiply(r, r, out=r)
     return float(np.sum(r) / r.size)
+
+
+def _sigmoid_mean_square_residual(y: np.ndarray, z: np.ndarray) -> float:
+    """``_mean_square_residual(y, sigmoid(z))``, bit for bit, computed in
+    place in ``z``, which the caller owns, one chunk at a time."""
+    e = np.empty(min(_CHUNK, z.size))
+    for lo in range(0, z.size, _CHUNK):
+        zc = z[lo : lo + _CHUNK]
+        p = _sigmoid_into(zc, zc, e[: zc.size])
+        np.subtract(y[lo : lo + _CHUNK], p, out=p)
+        np.multiply(p, p, out=p)
+    return float(np.sum(z) / z.size)
 
 
 def _weighted_gram(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:

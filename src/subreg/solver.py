@@ -92,7 +92,13 @@ class SolverConfig:
     the model, with q <= p.  ``kappa`` is the component-norm constant of
     the Bernstein sample sizes; it is configuration, chosen to control how
     fast sample sizes grow.  Setting ``eps1`` (and ``eps2``) to zero
-    disables the termination test for budget-only runs.
+    disables the termination test for budget-only runs.  With ``p = 2`` it
+    also makes the inner tolerance ``theta * eps1`` zero, so the subproblem
+    solver runs to its iteration cap on every growth pass that solves, and
+    ``budget_cm`` is checked only between outer iterations: one iteration
+    can overrun the budget by orders of magnitude (a 20 CM budget on a
+    20000 x 50 sigmoid problem charged 4862 CM at q = 1 and 5284 CM at
+    q = 2 in its first iteration).
     """
 
     q: int = 1

@@ -1,13 +1,19 @@
+import math
+import multiprocessing
 import os
+import queue
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subreg
+from subreg import problems
 from subreg.finite_sum import FiniteSumProblem, full_value
 from subreg.optimality import materialise_operator
 from subreg.problems import (
@@ -423,6 +429,20 @@ def product_sets(prob, rng):
     return t, sets
 
 
+def sigmoid_cases():
+    """``(problem, x, rng)`` for the bias-free sigmoid at d = 20, 50 and
+    2000 with N mod 64 in {0, 1, 3, 63}; ``rng`` goes on with the case's
+    stream."""
+    for d, N0 in [(20, 14080), (50, 5120), (2000, 640)]:
+        for extra in (0, 1, 3, 63):
+            N = N0 + extra
+            rng = np.random.default_rng(d * 100 + extra)
+            features = rng.standard_normal((N, d))
+            labels = (rng.random(N) > 0.5).astype(float)
+            prob = SquaredLossProblem(Dataset(features, labels), NetworkSpec(d))
+            yield prob, rng.standard_normal(d) / np.sqrt(d), rng
+
+
 def product_mismatches():
     """Cases where the sigmoid's value, Hessian action or dense Hessian
     over a partial set differs from the products of gathered row blocks,
@@ -432,35 +452,30 @@ def product_mismatches():
     2560 rows, d = 2000 blocks of 64.  Each returned entry names the case.
     """
     mismatches = []
-    for d, N0 in [(20, 14080), (50, 5120), (2000, 640)]:
-        for extra in (0, 1, 3, 63):
-            N = N0 + extra
-            rng = np.random.default_rng(d * 100 + extra)
-            features = rng.standard_normal((N, d))
-            labels = (rng.random(N) > 0.5).astype(float)
-            prob = SquaredLossProblem(Dataset(features, labels), NetworkSpec(d))
-            x = rng.standard_normal(d) / np.sqrt(d)
-            V = rng.standard_normal((d, 3))
-            t, sets = product_sets(prob, rng)
+    for prob, x, rng in sigmoid_cases():
+        ds = prob.dataset
+        N, d = ds.features.shape
+        V = rng.standard_normal((d, 3))
+        t, sets = product_sets(prob, rng)
+        for k, idx in enumerate(sets):
+            value, action, dense = gathered_sigmoid(prob, idx, x)
+            H = prob.hessian_action(idx, x)
+            case = (d, N, idx.size, k)
+            if prob.value_mean(idx, x) != value:
+                mismatches.append(("value",) + case)
+            if not np.array_equal(H(V), action(V)):
+                mismatches.append(("action",) + case)
+            # A dense build at d = 2000 costs m d^2: two sets suffice.
+            if (d < 2000 or k in (2, 7)) and not np.array_equal(H.dense(), dense()):
+                mismatches.append(("dense",) + case)
+        if d == 20:
+            spec = NetworkSpec(d, (6,))
+            net = SquaredLossProblem(ds, spec)
+            w = initial_point(spec, rng)
             for k, idx in enumerate(sets):
-                value, action, dense = gathered_sigmoid(prob, idx, x)
-                H = prob.hessian_action(idx, x)
-                case = (d, N, idx.size, k)
-                if prob.value_mean(idx, x) != value:
-                    mismatches.append(("value",) + case)
-                if not np.array_equal(H(V), action(V)):
-                    mismatches.append(("action",) + case)
-                # A dense build at d = 2000 costs m d^2: two sets suffice.
-                if (d < 2000 or k in (2, 7)) and not np.array_equal(H.dense(), dense()):
-                    mismatches.append(("dense",) + case)
-            if d == 20:
-                spec = NetworkSpec(d, (6,))
-                net = SquaredLossProblem(Dataset(features, labels), spec)
-                w = initial_point(spec, rng)
-                for k, idx in enumerate(sets):
-                    r = labels[idx] - _forward(spec, w, features[idx])[0]
-                    if net.value_mean(idx, w) != float(np.sum(r * r) / idx.size):
-                        mismatches.append(("net", d, N, idx.size, k))
+                r = ds.labels[idx] - _forward(spec, w, ds.features[idx])[0]
+                if net.value_mean(idx, w) != float(np.sum(r * r) / idx.size):
+                    mismatches.append(("net", d, N, idx.size, k))
     return mismatches
 
 
@@ -560,6 +575,222 @@ class TestPartialValueMean:
         peak, streams = self.peak_bytes(6000)
         assert not streams
         assert peak < 2 * 2**20
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A thread pool that counts the slabs submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+        self._count_lock = threading.Lock()
+
+    def submit(self, *args, **kwargs):
+        with self._count_lock:
+            self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+class SplittingPool(problems._SlabPool):
+    """A slab pool that splits every product it is asked about, over an
+    executor that counts the slabs submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.executor = CountingExecutor(workers)
+
+    def split_pays(self):
+        return True
+
+
+def use_workers(workers):
+    """Split every row product, however small, among ``workers`` threads
+    and the caller, and return the counting executor."""
+    problems._SPLIT_BYTES = 0
+    problems._pool = SplittingPool(workers)
+    return problems._pool.executor
+
+
+def split_cases():
+    """``(problem, x, sets)`` for each of ``sigmoid_cases``; ``sets`` holds
+    the full set, then ``product_sets``: sets on both sides of the in-place
+    product's size threshold and sets ending in the dataset's last rows."""
+    for prob, x, rng in sigmoid_cases():
+        yield prob, x, [np.arange(prob.N)] + product_sets(prob, rng)[1]
+
+
+def split_evaluations(prob, x, sets):
+    """Every result that reads a row product ``_row_product`` may split:
+    the product over the dataset, each set's margins and value, the full
+    gradient, and the testing loss and classification rate of the dataset
+    as a held-out set."""
+    ds = prob.dataset
+    out = [problems._row_product(ds.features, x)]
+    for idx in sets:
+        out += [prob._margins(idx, x)[0], prob.value_mean(idx, x)]
+    return out + [prob.gradient_mean(sets[0], x), testing_loss(prob.spec, x, ds),
+                  classification_rate(prob.spec, x, ds)]
+
+
+def same_bits(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def unsplit_evaluations(cases):
+    """``split_evaluations`` of each case with no product split."""
+    problems._SPLIT_BYTES = math.inf
+    return [split_evaluations(*case) for case in cases]
+
+
+def split_mismatches():
+    """Cases where results over row products split among one or three
+    workers differ from those over unsplit products, and a pool that got
+    no slab to compute."""
+    cases = list(split_cases())
+    want = unsplit_evaluations(cases)
+    mismatches = []
+    for workers in (1, 3):
+        executor = use_workers(workers)
+        for case, expected in zip(cases, want):
+            if not same_bits(split_evaluations(*case), expected):
+                mismatches.append((workers, case[0].dataset.d, case[0].N))
+        if not executor.submitted:
+            mismatches.append(("no slab", workers))
+    return mismatches
+
+
+def guard_mismatches():
+    """Departures from the guard: the probe must read this process's one
+    BLAS thread, a count of 2 or none must split nothing and change no bit,
+    and the process's own pool must have one worker per core but one."""
+    mismatches = []
+    if problems._blas_threads() != 1:
+        mismatches.append(("probe", problems._blas_threads()))
+    cases = [next(split_cases())]
+    want = unsplit_evaluations(cases)
+    executor = use_workers(1)
+    for count in (2, None):
+        problems._blas_threads = lambda count=count: count
+        if not same_bits(split_evaluations(*cases[0]), want[0]):
+            mismatches.append(("bits", count))
+    if executor.submitted:
+        mismatches.append(("submitted", executor.submitted))
+    problems._forget_pool()
+    own = problems._slab_pool()
+    if own.workers != len(os.sched_getaffinity(0)) - 1 or (own.executor is None) != (own.workers == 0):
+        mismatches.append(("pool", own.workers, own.executor))
+    return mismatches
+
+
+def concurrent_mismatches(threads=4, rounds=5):
+    """Failures of ``threads`` threads evaluating one problem at once, with
+    every product split, to get one unsplit thread's bits in every round."""
+    cases = [next(split_cases())]
+    want = unsplit_evaluations(cases)[0]
+    use_workers(1)
+    results = []
+
+    def work():
+        for _ in range(rounds):
+            results.append(same_bits(split_evaluations(*cases[0]), want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    mismatches = [("hung", t.name) for t in workers if t.is_alive()]
+    if results != [True] * (threads * rounds):
+        mismatches.append(("bits", results.count(False), len(results)))
+    return mismatches
+
+
+def forked_value(prob, x, out):
+    out.put(prob.value_mean(np.arange(prob.N), x))
+
+
+def fork_mismatches():
+    """A child forked after a split must evaluate with threads of its own,
+    not hang on the parent's pool, whose threads it does not have."""
+    prob, x, _ = next(split_cases())
+    executor = use_workers(1)
+    want = prob.value_mean(np.arange(prob.N), x)
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(target=forked_value, args=(prob, x, out))
+    child.start()
+    try:
+        got = out.get(timeout=60)
+    except queue.Empty:
+        got = None
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    if got == want and child.exitcode == 0 and executor.submitted:
+        return []
+    return [("fork", got, want, child.exitcode, executor.submitted)]
+
+
+class TestSplitRowProducts:
+    """Row products split into 64-row-aligned slabs across cores keep the
+    bits of one product.  Each check runs in a one-BLAS-thread child with
+    the split threshold lowered to 0, so that small data are split."""
+
+    def test_split_products_bit_identical_to_one_product(self):
+        assert in_child("t.split_mismatches()") == "[]"
+
+    def test_no_split_unless_blas_reports_one_thread(self):
+        assert in_child("t.guard_mismatches()") == "[]"
+
+    def test_concurrent_callers_get_one_threads_bits(self):
+        assert in_child("t.concurrent_mismatches()") == "[]"
+
+    def test_forked_child_makes_its_own_pool(self):
+        assert in_child("t.fork_mismatches()") == "[]"
+
+    def test_split_follows_the_measured_cost(self):
+        # The first large product runs whole and the second split; then the
+        # way with the lower moving average of seconds per byte, except that
+        # every _PROBE-th product (counting from the first) takes the other.
+        pool = problems._SlabPool(0)
+        assert not pool.split_pays()
+        pool.record(False, 2.0, 100)
+        assert pool.split_pays()
+        pool.record(True, 1.0, 100)
+        P = problems._PROBE
+        picks = [pool.split_pays() for _ in range(2 * P)]
+        assert [k + 3 for k, split in enumerate(picks) if not split] == [P, 2 * P]
+        # Splitting turns slower: the average moves a quarter of the way to
+        # each new time, so it passes 2.0 s at the second product of 4.0 s.
+        for split_after in (True, False):
+            pool.record(True, 4.0, 100)
+            assert pool.split_pays() == split_after
+        picks = [pool.split_pays() for _ in range(2 * P)]
+        assert [k + 2 * P + 5 for k, split in enumerate(picks) if split] == [3 * P, 4 * P]
+
+    @pytest.mark.parametrize("m", [problems._CHUNK - 1, problems._CHUNK, problems._CHUNK + 1,
+                                   2 * problems._CHUNK + 1])
+    def test_chunked_value_tail_bit_identical(self, m):
+        # The full-set value's sigmoid, residual and square run chunk by
+        # chunk in the margins buffer; the sum is one np.sum over it.
+        # Several points, because a sum regrouped at the chunk edges often
+        # rounds to the same bits.
+        rng = np.random.default_rng(m)
+        features = rng.standard_normal((m, 4)) * rng.choice([0.5, 5.0, 50.0], (m, 1))
+        labels = (rng.random(m) > 0.5).astype(float)
+        prob = SquaredLossProblem(Dataset(features, labels), NetworkSpec(4))
+        for x in rng.standard_normal((6, 4)):
+            z = features @ x
+            r = labels - masked_sigmoid(z)
+            want = float(np.sum(r * r) / m)
+            assert problems._sigmoid_mean_square_residual(labels, z.copy()) == want
+            assert prob.value_mean(np.arange(m), x) == want
 
 
 class TestReadOnlyDataset:
