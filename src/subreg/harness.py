@@ -194,7 +194,9 @@ def convert_labels(in_path, out_path, label_col: int = 0, rule: str = "odd-even"
     """Rewrite the label column of a CSV file.
 
     ``odd-even`` maps odd integer labels to 1 and even ones to 0 (the usual
-    parity split of digit datasets); ``sign`` maps positives to 1.
+    parity split of digit datasets); ``sign`` maps positives to 1.  A label
+    that is not a number, or is NaN or infinite, is rejected with its line
+    number, as ``load_dataset`` does.
     """
     if rule not in ("odd-even", "sign"):
         raise ValueError(f"unknown conversion rule {rule!r}")
@@ -209,7 +211,11 @@ def convert_labels(in_path, out_path, label_col: int = 0, rule: str = "odd-even"
             tokens = line.split(",")
             if not 0 <= label_col < len(tokens):
                 raise ValueError(f"{in_path}:{lineno}: label column out of range")
-            value = float(tokens[label_col])
+            try:
+                value = float(tokens[label_col])
+            except ValueError as exc:
+                raise ValueError(f"{in_path}:{lineno}: malformed row ({exc})") from None
+            value = _finite_label(value, in_path, lineno)
             if rule == "odd-even":
                 tokens[label_col] = _format(float(int(round(value)) % 2))
             else:

@@ -27,12 +27,14 @@ __all__ = [
     "phi_2",
     "TrustRegionResult",
     "check_termination",
+    "DENSE_MAX_N",
     "dense_path",
     "leftmost_eigenpair",
     "materialise_operator",
 ]
 
 _EIGSH_SEED = 1423  # deterministic start-vector stream for the eigensolver
+DENSE_MAX_N = 200  # largest order whose Hessian the eigensolvers materialise
 
 
 def phi_1(g) -> float:
@@ -63,70 +65,66 @@ def check_termination(phis, epsilons) -> bool:
     return all(phi <= eps / (j + 1) for j, (phi, eps) in enumerate(zip(phis, epsilons)))
 
 
-def dense_path(n: int, dense_threshold: int) -> bool:
-    """Whether the eigensolvers materialise an order-n Hessian."""
-    return n <= dense_threshold or n < 3
+def dense_path(n: int) -> bool:
+    """Whether the eigensolvers materialise an order-n Hessian (eigsh needs n >= 3)."""
+    return n <= DENSE_MAX_N or n < 3
 
 
-def materialise_operator(h_action, n: int, check_symmetry: bool = True, tol: float = 1e-3):
+def materialise_operator(h_action, n: int, check_symmetry: bool = True):
     """Apply the action to the identity block and return a dense matrix.
 
     The action receives all n identity columns in one ``(n, n)`` call; a
     ``SampleHessian`` whose dense matrix is built answers it from that
-    matrix.  Raises if the result is asymmetric beyond ``tol`` relative to
-    its scale (see ``finite_sum.symmetric_part``).
+    matrix.  With ``check_symmetry`` it raises if the result is asymmetric
+    beyond 1e-3 relative to its scale (see ``finite_sum.symmetric_part``).
     """
-    return symmetric_part(h_action(np.eye(n)), n, check_symmetry, tol)
+    return symmetric_part(h_action(np.eye(n)), n, check_symmetry)
 
 
-def leftmost_eigenpair(h_action, n: int, dense_threshold: int = 200, seed: int = _EIGSH_SEED):
-    """Smallest eigenvalue and a unit eigenvector of a symmetric action."""
-    if dense_path(n, dense_threshold):
+def leftmost_eigenpair(h_action, n: int):
+    """Smallest eigenvalue and a unit eigenvector of a symmetric action.
+
+    The dense path symmetrises the materialised action without checking it.
+    """
+    if dense_path(n):
         H = materialise_operator(h_action, n, check_symmetry=False)
         lam, q = eigh(H)
         return float(lam[0]), q[:, 0]
     op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float))
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     lam, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=50 * n, tol=1e-9)
     v = vec[:, 0]
     return float(lam[0]), v / np.linalg.norm(v)
 
 
-def phi_2(
-    g,
-    h_action,
-    n: int,
-    dense_threshold: int = 200,
-    check_symmetry: bool = True,
-    seed: int = _EIGSH_SEED,
-) -> TrustRegionResult:
+def phi_2(g, h_action, n: int) -> TrustRegionResult:
     """Largest unit-ball decrease of the quadratic model (g, H).
 
-    Dense path (n <= dense_threshold): materialise H through its action and
+    Dense path (n <= DENSE_MAX_N): materialise H through its action and
     root-find on the multiplier over the eigendecomposition; accurate to
     about 1e-6 in the value.  Iterative path: leftmost eigenpair plus
     conjugate-gradient solves inside a bisection on the multiplier,
-    accurate to about 1e-3.
+    accurate to about 1e-3.  Either path first checks that the action is
+    symmetric to 1e-3: the dense one on the whole matrix, the iterative
+    one on two random pairs of vectors.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
-    if dense_path(n, dense_threshold):
-        H = materialise_operator(h_action, n, check_symmetry=check_symmetry)
-        return _phi2_dense(g, H)
-    if check_symmetry:
-        _check_symmetry_probabilistic(h_action, n, seed)
-    return _phi2_iterative(g, h_action, n, seed)
+    if dense_path(n):
+        return _phi2_dense(g, materialise_operator(h_action, n))
+    _check_symmetry_probabilistic(h_action, n)
+    return _phi2_iterative(g, h_action, n)
 
 
-def _check_symmetry_probabilistic(h_action, n: int, seed: int, tol: float = 1e-3):
-    rng = np.random.default_rng(seed + 1)
+def _check_symmetry_probabilistic(h_action, n: int):
+    rng = np.random.default_rng(_EIGSH_SEED + 1)
     for _ in range(2):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         left = float(u @ np.asarray(h_action(v), dtype=float))
         right = float(v @ np.asarray(h_action(u), dtype=float))
-        if abs(left - right) > tol * (1.0 + abs(left)):
+        if abs(left - right) > 1e-3 * (1.0 + abs(left)):
             raise ValueError("Hessian action is not symmetric")
 
 
@@ -193,9 +191,9 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
     return _result(g, apply_H, d, mu_star, boundary=True)
 
 
-def _phi2_iterative(g: np.ndarray, h_action, n: int, seed: int) -> TrustRegionResult:
+def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:
     apply_H = lambda v: np.asarray(h_action(v), dtype=float)
-    lam1, q1 = leftmost_eigenpair(h_action, n, dense_threshold=0, seed=seed)
+    lam1, q1 = leftmost_eigenpair(h_action, n)
     gnorm = float(np.linalg.norm(g))
     scale = max(1.0, abs(lam1), gnorm)
     mu_lo = max(0.0, -lam1)

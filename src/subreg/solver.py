@@ -47,7 +47,7 @@ the dense matrix the subproblem solver built for their sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -64,7 +64,7 @@ from .sampling import (
     merged_mean,
     value_log_argument,
 )
-from .subproblem import BBConfig, cubic_step, quadratic_step
+from .subproblem import cubic_step, quadratic_step
 
 __all__ = [
     "SolverConfig",
@@ -98,7 +98,13 @@ class SolverConfig:
     ``budget_cm`` is checked only between outer iterations: one iteration
     can overrun the budget by orders of magnitude (a 20 CM budget on a
     20000 x 50 sigmoid problem charged 4862 CM at q = 1 and 5284 CM at
-    q = 2 in its first iteration).
+    q = 2 in its first iteration).  ``stall_limit`` full-sample iterations
+    in a row without predicted decrease raise ``SolverStallError``.
+
+    How the cubic subproblem is solved to within ``theta * eps1`` is not
+    configuration: the spectral-gradient constants live in ``subproblem``,
+    and the order up to which the eigensolvers materialise the Hessian is
+    ``optimality.DENSE_MAX_N``.
     """
 
     q: int = 1
@@ -118,9 +124,7 @@ class SolverConfig:
     budget_cm: float = math.inf
     max_iters: int = 1_000_000
     seed: int = 0
-    bb: BBConfig = field(default_factory=BBConfig)
     exact_loss_threshold: int = 100_000
-    dense_threshold: int = 200
     stall_limit: int = 60
     record_iterates: bool = False
 
@@ -151,6 +155,8 @@ class SolverConfig:
             raise ValueError("budget must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if self.stall_limit < 1:
+            raise ValueError("stall_limit must be positive")
 
     def omega(self, sigma: float) -> float:
         return min(0.5 * self.alpha * self.eta, 1.0 / sigma)
@@ -359,8 +365,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
         _require_finite("gradient", float(np.linalg.norm(g)))
         if hessian is None:
             hessian = problem.hessian_action(h_idx, x, base=h_base)
-        model = RegularisedModel(2, g, sigma, hessian)
-        s, diag = cubic_step(model, cfg.bb, cfg.eps1, cfg.theta, eps2, cfg.dense_threshold)
+        model = RegularisedModel(g, sigma, hessian)
+        s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
 
         norm_s = float(np.linalg.norm(s))
         # Taylor decrease via the model identity, avoiding extra actions.
@@ -368,7 +374,7 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
         grad_norm = diag["grad_norm"]
         if cfg.q == 2:
             # cubic_step has phi_2 at s when its second-order test passed.
-            quantities = accuracy_quantities(model, s, 2, cfg.dense_threshold, diag["phi2"])
+            quantities = accuracy_quantities(model, s, diag["phi2"])
         else:
             degenerate = grad_norm == 0.0
             quantities = AccuracyQuantities(
@@ -377,7 +383,7 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
                 delta_t_f=dtf,
                 model_grad_norm=grad_norm,
             )
-        targets = quantities.targets(omega, 2)
+        targets = quantities.targets(omega)
 
         # One pass per shrink of the targets, on this solve until a sample grows.
         grown = False
@@ -503,7 +509,7 @@ def minimize(
         if converged and config.q == 2:
             # The last growth pass's Hessian: the same sample at the same x,
             # with its dense matrix when cubic_step built one.
-            phi2_val = phi_2(g, hessian, n, config.dense_threshold).value
+            phi2_val = phi_2(g, hessian, n).value
             converged = check_termination([grad_norm, phi2_val], [config.eps1, config.eps2])
         h_g_overlap = _overlap(h_idx, g_idx)
         if converged:

@@ -9,42 +9,25 @@ solver returns satisfies m(s) <= m(0) = 0.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import RegularisedModel, model_hessian_action
 from .optimality import dense_path, leftmost_eigenpair, phi_2
 
-__all__ = ["BBConfig", "quadratic_step", "bb_step_length", "cubic_step"]
+__all__ = ["quadratic_step", "bb_step_length", "cubic_step"]
 
 
-@dataclass(frozen=True)
-class BBConfig:
-    """Spectral-gradient solver parameters.
-
-    The defaults are the standard choices for nonmonotone spectral gradient
-    methods; all of them are configuration, none is load-bearing for
-    correctness.
-    """
-
-    max_inner_iterations: int = 500
-    lambda_min: float = 1e-10
-    lambda_max: float = 1e10
-    memory: int = 10
-    sufficient_decrease: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_min < self.lambda_max:
-            raise ValueError("need 0 < lambda_min < lambda_max")
-        if self.memory < 1:
-            raise ValueError("nonmonotone memory must be at least 1")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("sufficient decrease constant must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
+# Spectral-gradient constants: the standard choices for nonmonotone
+# spectral gradient methods.  They bound how the cubic model is minimised,
+# not what the returned step satisfies.
+_MAX_INNER_ITERATIONS = 500
+_LAMBDA_MIN = 1e-10
+_LAMBDA_MAX = 1e10
+_MEMORY = 10
+_SUFFICIENT_DECREASE = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 60
 
 
 def quadratic_step(g, sigma: float):
@@ -61,8 +44,8 @@ def quadratic_step(g, sigma: float):
     return s, float(g @ g) / sigma
 
 
-def bb_step_length(ds, dg, lambda_min: float, lambda_max: float) -> float:
-    """Spectral step length (ds @ ds) / (ds @ dg), clamped to the bounds.
+def bb_step_length(ds, dg) -> float:
+    """Spectral step length (ds @ ds) / (ds @ dg), clamped to [1e-10, 1e10].
 
     Non-positive curvature along the last displacement gives no usable
     spectral estimate; the safeguard returns the upper bound.
@@ -71,49 +54,41 @@ def bb_step_length(ds, dg, lambda_min: float, lambda_max: float) -> float:
     dg = np.asarray(dg, dtype=float)
     denom = float(ds @ dg)
     if denom <= 0.0:
-        return lambda_max
-    return float(np.clip(float(ds @ ds) / denom, lambda_min, lambda_max))
+        return _LAMBDA_MAX
+    return float(np.clip(float(ds @ ds) / denom, _LAMBDA_MIN, _LAMBDA_MAX))
 
 
-def cubic_step(
-    model: RegularisedModel,
-    config: BBConfig,
-    eps1: float,
-    theta: float,
-    eps2: float | None = None,
-    dense_threshold: int = 200,
-):
+def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float | None = None):
     """Approximately minimise the cubic model.
 
-    Returns a step with m(s) <= 0 and, when the iteration budget allows,
-    model gradient norm at most theta * eps1.  With ``eps2`` given the
-    order-two model measure at the step is also pushed below theta * eps2
-    by restarting along directions of negative curvature; when that test
-    passes, the diagnostics carry its value at the returned step as
-    ``phi2`` (otherwise None).  ``hvp_evals`` counts the Hessian-action
-    columns this solve asks the model's ``SampleHessian`` for, however
-    they are answered.  Where the eigensolvers take the dense path and the
+    Returns a step with m(s) <= 0 and, when the 500 spectral-gradient
+    iterations allow, model gradient norm at most theta * eps1.  With
+    ``eps2`` given the order-two model measure at the step is also pushed
+    below theta * eps2 by restarting along directions of negative
+    curvature; when that test passes, the diagnostics carry its value at
+    the returned step as ``phi2`` (otherwise None).  ``hvp_evals`` counts
+    the Hessian-action columns this solve asks the model's
+    ``SampleHessian`` for, however they are answered.  Where the
+    eigensolvers take the dense path (``optimality.dense_path``) and the
     second-order test needs H, the dense matrix is built first, uncounted,
-    and every later action is a product with it.
-    On budget exhaustion the best iterate found is returned with a
-    diagnostic.
+    and every later action is a product with it.  When the iterations run
+    out or the line search stalls, the best iterate found is returned with
+    ``converged`` False.
     """
-    if model.order != 2:
-        raise ValueError("cubic_step needs an order-2 model")
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
 
     H = model.hessian_action
     start = H.columns
     n = model.n
-    if eps2 is not None and dense_path(n, dense_threshold):
+    if eps2 is not None and dense_path(n):
         # The second-order test materialises H on every converged solve.
         H.dense()
     tol = theta * eps1
 
     s = np.zeros(n)
     value, grad = 0.0, model.grad.copy()
-    history = deque([0.0], maxlen=config.memory)
+    history = deque([0.0], maxlen=_MEMORY)
     best_s, best_value = s, 0.0
     lam = 1.0 / model.sigma
     iterations = 0
@@ -138,11 +113,9 @@ def cubic_step(
         if escapes >= 20:
             return False
         if not s.any():
-            lam1, d1 = leftmost_eigenpair(H, n, dense_threshold)
+            lam1, d1 = leftmost_eigenpair(H, n)
         else:
-            lam1, d1 = leftmost_eigenpair(
-                model_hessian_action(model, s), n, dense_threshold
-            )
+            lam1, d1 = leftmost_eigenpair(model_hessian_action(model, s), n)
         if lam1 >= -1e-12:
             return False
         # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.
@@ -162,10 +135,10 @@ def cubic_step(
         if eps2 is None:
             return True
         action = model_hessian_action(model, s)
-        phi2_value = phi_2(model.gradient(s), action, n, dense_threshold).value
+        phi2_value = phi_2(model.gradient(s), action, n).value
         return phi2_value <= theta * eps2
 
-    while iterations < config.max_inner_iterations:
+    while iterations < _MAX_INNER_ITERATIONS:
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             # A stationary start (no decrease yet) is the saddle pathology of
@@ -184,21 +157,21 @@ def cubic_step(
         reference = max(history)
         alpha = lam
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = s + alpha * direction
             trial_value, trial_grad = model.value_and_gradient(trial)
             if np.isfinite(trial_value) and (
-                trial_value <= reference + config.sufficient_decrease * alpha * slope
+                trial_value <= reference + _SUFFICIENT_DECREASE * alpha * slope
             ):
                 accepted = True
                 break
-            alpha *= config.backtrack_factor
+            alpha *= _BACKTRACK_FACTOR
         if not accepted:
             break  # line search stalled; fall back to the best iterate
 
         ds = trial - s
         dgrad = trial_grad - grad
-        lam = bb_step_length(ds, dgrad, config.lambda_min, config.lambda_max)
+        lam = bb_step_length(ds, dgrad)
         s, value, grad = trial, trial_value, trial_grad
         history.append(value)
         if value < best_value:

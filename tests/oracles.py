@@ -160,16 +160,16 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         passes += 1
         _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
         hessian = problem.hessian_action(h_idx, x, base=h_base)
-        model = RegularisedModel(2, g, sigma, hessian)
+        model = RegularisedModel(g, sigma, hessian)
         eps2 = cfg.eps2 if cfg.q == 2 else None
-        s, diag = cubic_step(model, cfg.bb, cfg.eps1, cfg.theta, eps2, cfg.dense_threshold)
+        s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
         hvp_props += diag["hvp_evals"] * h_idx.size
 
         norm_s = float(np.linalg.norm(s))
         dtf = sigma * norm_s**3 / 6.0 - diag["model_value"]
         grad_norm = diag["grad_norm"]
         if cfg.q == 2:
-            quantities = accuracy_quantities(model, s, 2, cfg.dense_threshold, diag["phi2"])
+            quantities = accuracy_quantities(model, s, diag["phi2"])
         else:
             degenerate = grad_norm == 0.0
             quantities = AccuracyQuantities(
@@ -179,7 +179,7 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
                 model_grad_norm=grad_norm,
             )
         full = g_idx.size == N and h_idx.size == N
-        targets = quantities.targets(omega, 2)
+        targets = quantities.targets(omega)
         if full or (eps_g <= targets[0] and eps_h <= targets[1]):
             return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
 

@@ -98,8 +98,8 @@ def test_criterion_3_cubic_subproblem_stationarity():
     """Frozen stationary point of the (e1, I, 1) instance plus global-value
     agreement with the grid oracle on 30 random convex instances, n <= 3."""
     start = time.time()
-    m = RegularisedModel(2, np.array([1.0, 0.0]), 1.0, lambda v: v)
-    s, _ = sr.cubic_step(m, sr.BBConfig(), eps1=1e-9, theta=0.5)
+    m = RegularisedModel(np.array([1.0, 0.0]), 1.0, lambda v: v)
+    s, _ = sr.cubic_step(m, eps1=1e-9, theta=0.5)
     frozen_err = float(np.linalg.norm(s - np.array([-SQRT3_MINUS_1, 0.0])))
 
     rng = np.random.default_rng(1234)
@@ -110,8 +110,8 @@ def test_criterion_3_cubic_subproblem_stationarity():
         H = A @ A.T + 0.1 * np.eye(n)
         g = rng.standard_normal(n)
         sigma = float(rng.uniform(0.3, 3.0))
-        model = RegularisedModel(2, g, sigma, (lambda M: (lambda v: M @ v))(H))
-        step, _ = sr.cubic_step(model, sr.BBConfig(), eps1=1e-9, theta=0.5)
+        model = RegularisedModel(g, sigma, (lambda M: (lambda v: M @ v))(H))
+        step, _ = sr.cubic_step(model, eps1=1e-9, theta=0.5)
         worst = max(worst, abs(model.value(step) - cubic_model_oracle(g, H, sigma)))
     elapsed = time.time() - start
     ok = frozen_err <= 1e-4 and worst <= 1e-6

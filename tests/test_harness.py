@@ -134,6 +134,21 @@ class TestConvert:
         ds = load_dataset(dst, "csv")
         np.testing.assert_array_equal(ds.labels, [0.0, 1.0])
 
+    @pytest.mark.parametrize("rule", ["odd-even", "sign"])
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_rejected(self, tmp_path, rule, label):
+        src = tmp_path / "in.csv"
+        src.write_text(f"1,0.1\n{label},0.2\n")
+        with pytest.raises(ValueError, match=r"in\.csv:2: non-finite label"):
+            convert_labels(src, tmp_path / "out.csv", rule=rule)
+
+    @pytest.mark.parametrize("rule", ["odd-even", "sign"])
+    def test_malformed_label_reports_line(self, tmp_path, rule):
+        src = tmp_path / "in.csv"
+        src.write_text("1,0.1\n2,0.2\nabc,0.3\n")
+        with pytest.raises(ValueError, match=r"in\.csv:3: malformed row"):
+            convert_labels(src, tmp_path / "out.csv", rule=rule)
+
 
 def small_experiment(tmp_path, runs=2, budget=3.0, seed=5):
     full = synthesize_dataset(21, 360, 6, 4.0)

@@ -8,24 +8,19 @@ from subreg.model import (
     accuracy_quantities,
     model_hessian_action,
 )
+from subreg.subproblem import quadratic_step
 
 from oracles import central_diff_gradient, sphere_scan_max
 
 
 def cubic_model(g, H, sigma):
-    return RegularisedModel(2, np.asarray(g, dtype=float), sigma, lambda v: H @ v)
+    return RegularisedModel(np.asarray(g, dtype=float), sigma, lambda v: H @ v)
 
 
 class TestModelValue:
     def test_zero_step_is_zero(self):
-        m = RegularisedModel(1, np.array([3.0, -1.0]), 2.0)
+        m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
         assert m.value(np.zeros(2)) == 0.0
-        m2 = cubic_model([1.0, 0.0], np.eye(2), 1.0)
-        assert m2.value(np.zeros(2)) == 0.0
-
-    def test_quadratic_closed_form(self):
-        m = RegularisedModel(1, np.array([3.0, 4.0]), 2.0)
-        assert m.value(np.array([-1.5, -2.0])) == pytest.approx(-6.25, abs=1e-14)
 
     def test_cubic_stationary_value(self):
         # scalar arithmetic: -t + t^2/2 + t^3/6 at t = sqrt(3) - 1
@@ -36,19 +31,12 @@ class TestModelValue:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RegularisedModel(3, np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            RegularisedModel(1, np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            RegularisedModel(2, np.zeros(2), 1.0)  # missing Hessian action
+            cubic_model(np.zeros(2), np.eye(2), 0.0)
+        with pytest.raises(TypeError):
+            RegularisedModel(np.zeros(2), 1.0)  # missing Hessian action
 
 
 class TestModelGradient:
-    def test_exact_minimiser_of_quadratic(self):
-        g = np.array([3.0, 4.0])
-        m = RegularisedModel(1, g, 2.0)
-        np.testing.assert_array_equal(m.gradient(-g / 2.0), np.zeros(2))
-
     def test_at_zero_returns_estimate(self):
         g = np.array([0.3, -0.7])
         m = cubic_model(g, np.diag([2.0, -1.0]), 0.5)
@@ -82,30 +70,29 @@ class TestTaylorDecrease:
         assert m.taylor_decrease(np.zeros(2)) == 0.0
 
     def test_quadratic_step_formula(self):
+        # the p = 1 step's predicted decrease is the Taylor decrease -g @ s
         g = np.array([3.0, 4.0])
-        m = RegularisedModel(1, g, 2.0)
-        assert m.taylor_decrease(-g / 2.0) == pytest.approx(12.5, rel=1e-15)
+        s, dt = quadratic_step(g, 2.0)
+        assert dt == pytest.approx(-float(g @ s), rel=1e-15)
+        assert dt == pytest.approx(12.5, rel=1e-15)
 
     def test_regulariser_identity(self):
-        # decrease equals regulariser(s) - value(s) for both orders
+        # decrease equals regulariser(s) - value(s)
         rng = np.random.default_rng(2)
         s = rng.standard_normal(3)
-        m1 = RegularisedModel(1, rng.standard_normal(3), 1.7)
-        reg1 = 0.5 * 1.7 * np.linalg.norm(s) ** 2
-        assert m1.taylor_decrease(s) == pytest.approx(reg1 - m1.value(s), rel=1e-12)
         H = np.diag([0.5, -1.0, 2.0])
-        m2 = cubic_model(rng.standard_normal(3), H, 0.9)
-        reg2 = 0.9 * np.linalg.norm(s) ** 3 / 6.0
-        assert m2.taylor_decrease(s) == pytest.approx(reg2 - m2.value(s), rel=1e-12)
+        m = cubic_model(rng.standard_normal(3), H, 0.9)
+        reg = 0.9 * np.linalg.norm(s) ** 3 / 6.0
+        assert m.taylor_decrease(s) == pytest.approx(reg - m.value(s), rel=1e-12)
 
     def test_descent_implies_decrease_dominates_regulariser(self):
+        # the p = 1 step: decrease >= (sigma/2) ||s||^2
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = rng.standard_normal(2)
-            m = RegularisedModel(1, g, 1.0)
-            s = -g * rng.uniform(0.1, 1.9)  # descent segment of the quadratic
-            if m.value(s) <= 0.0:
-                assert m.taylor_decrease(s) >= 0.5 * np.linalg.norm(s) ** 2 - 1e-12
+            sigma = float(rng.uniform(0.1, 4.0))
+            s, dt = quadratic_step(g, sigma)
+            assert dt >= 0.5 * sigma * np.linalg.norm(s) ** 2 - 1e-12
 
     def test_descent_domination_cubic(self):
         rng = np.random.default_rng(7)
@@ -122,13 +109,12 @@ class TestTaylorDecrease:
 
 class TestStationarityMeasure:
     def test_exact_minimiser_is_stationary(self):
-        g = np.array([3.0, 4.0])
-        m = RegularisedModel(1, g, 2.0)
-        assert m.stationarity(-g / 2.0) == 0.0
+        # g = e1, H = I, sigma = 1: the minimiser is -(sqrt(3) - 1) e1
+        m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
+        assert m.stationarity(np.array([1.0 - np.sqrt(3.0), 0.0])) <= 1e-15
 
     def test_at_zero_equals_gradient_norm(self):
-        g = np.array([3.0, 4.0])
-        m = RegularisedModel(1, g, 2.0)
+        m = cubic_model([3.0, 4.0], np.diag([1.0, -2.0]), 2.0)
         assert m.stationarity(np.zeros(2)) == 5.0
 
     def test_equals_sphere_maximum(self):
@@ -142,30 +128,30 @@ class TestStationarityMeasure:
 
 class TestAccuracyQuantities:
     def test_degenerate_exact_minimiser(self):
-        g = np.array([3.0, 4.0])
-        m = RegularisedModel(1, g, 2.0)
-        q = accuracy_quantities(m, -g / 2.0, 1)
-        assert q.model_grad_norm == 0.0
+        # zero gradient and positive definite H: s = 0 is a second-order point
+        m = cubic_model([0.0, 0.0], np.diag([1.0, 2.0]), 2.0)
+        q = accuracy_quantities(m, np.zeros(2))
+        assert q.model_grad_norm == 0.0 and q.phi2_value == 0.0
         assert q.delta_t_min == 0.0  # targets collapse; the relative test takes over
-        assert q.targets(0.2, 1) == (0.0,)
+        assert q.targets(0.2) == (0.0, 0.0)
 
     def test_tau_uses_unit_sphere_maximisers(self):
         m = cubic_model([0.4, 0.0], np.eye(2), 1.0)
-        q = accuracy_quantities(m, np.array([0.5, 0.0]), 1)
+        q = accuracy_quantities(m, np.array([0.5, 0.0]))
         assert q.tau == 1.0
-        q2 = accuracy_quantities(m, np.array([2.5, 0.0]), 1)
+        q2 = accuracy_quantities(m, np.array([2.5, 0.0]))
         assert q2.tau == 2.5
 
     def test_frozen_target_values(self):
         q = AccuracyQuantities(tau=2.0, delta_t_min=0.6, delta_t_f=0.6, model_grad_norm=1.0)
-        nu1, nu2 = q.targets(0.2, 2)
+        nu1, nu2 = q.targets(0.2)
         assert nu1 == pytest.approx(0.01, rel=1e-15)
         assert nu2 == pytest.approx(0.005, rel=1e-15)
 
     def test_q2_includes_curvature_measure(self):
         H = np.diag([-2.0, 1.0])
         m = cubic_model([0.0, 0.0], H, 3.0)
-        q = accuracy_quantities(m, np.zeros(2), 2)
+        q = accuracy_quantities(m, np.zeros(2))
         # at s = 0 the curvature measure is 1 (leftmost eigenvalue -2)
         assert q.phi2_value == pytest.approx(1.0, abs=1e-8)
         assert q.delta_t_min == 0.0
@@ -174,16 +160,11 @@ class TestAccuracyQuantities:
         H = np.diag([-2.0, 1.0])
         m = cubic_model([0.3, -0.1], H, 3.0)
         s = np.array([0.2, 0.1])
-        computed = accuracy_quantities(m, s, 2)
-        supplied = accuracy_quantities(m, s, 2, phi2=computed.phi2_value)
+        computed = accuracy_quantities(m, s)
+        supplied = accuracy_quantities(m, s, phi2=computed.phi2_value)
         assert supplied == computed
         # The passed value is used as is.
-        assert accuracy_quantities(m, s, 2, phi2=0.0).phi2_value == 0.0
-
-    def test_order_mismatch_rejected(self):
-        m = RegularisedModel(1, np.ones(2), 1.0)
-        with pytest.raises(ValueError):
-            accuracy_quantities(m, np.zeros(2), 2)
+        assert accuracy_quantities(m, s, phi2=0.0).phi2_value == 0.0
 
 
 class TestModelHessian:
@@ -211,13 +192,8 @@ class TestModelHessian:
             gradient=lambda i, x: (mats[i] + mats[i].T) @ x + 0.4 * (x @ x) * x,
         )
         x = rng.standard_normal(n)
-        m = RegularisedModel(2, rng.standard_normal(n), 0.7, prob.hessian_action([0, 1, 2], x))
+        m = RegularisedModel(rng.standard_normal(n), 0.7, prob.hessian_action([0, 1, 2], x))
         s = np.zeros(n) if zero_step else rng.standard_normal(n)
         action = model_hessian_action(m, s)
         block = action(np.eye(n))
         np.testing.assert_array_equal(block, np.column_stack([action(e) for e in np.eye(n)]))
-
-    def test_order_one_rejected(self):
-        m = RegularisedModel(1, np.ones(2), 1.0)
-        with pytest.raises(ValueError):
-            model_hessian_action(m, np.zeros(2))

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from subreg.optimality import (
+    DENSE_MAX_N,
+    _phi2_dense,
+    _phi2_iterative,
     check_termination,
+    dense_path,
     leftmost_eigenpair,
     materialise_operator,
     phi_1,
@@ -99,27 +103,37 @@ class TestPhi2Dense:
 class TestPhi2Iterative:
     def test_agrees_with_dense_path(self):
         rng = np.random.default_rng(7)
-        n = 50
+        n = DENSE_MAX_N + 10  # the iterative path's eigsh, as phi_2 runs it
         for trial in range(5):
             A = rng.standard_normal((n, n)) / np.sqrt(n)
             H = 0.5 * (A + A.T)
             if trial % 2 == 0:
                 H -= 0.5 * np.eye(n)  # force indefiniteness
             g = rng.standard_normal(n) / np.sqrt(n)
-            dense = phi_2(g, action_of(H), n, dense_threshold=n + 1)
-            iterative = phi_2(g, action_of(H), n, dense_threshold=0)
+            dense = _phi2_dense(g, H)
+            iterative = _phi2_iterative(g, action_of(H), n)
             assert abs(dense.value - iterative.value) <= 2e-3
 
     def test_iterative_hard_case(self):
-        n = 40
+        n = DENSE_MAX_N + 10
         lam = np.linspace(1.0, 2.0, n)
         lam[0] = -1.5
         H = np.diag(lam)
         g = np.zeros(n)
         g[1:] = 0.01
-        dense = phi_2(g, action_of(H), n, dense_threshold=n + 1)
-        iterative = phi_2(g, action_of(H), n, dense_threshold=0)
+        dense = _phi2_dense(g, H)
+        iterative = _phi2_iterative(g, action_of(H), n)
         assert abs(dense.value - iterative.value) <= 2e-3
+
+    def test_asymmetric_operator_rejected(self):
+        n = DENSE_MAX_N + 1
+        H = np.eye(n) + np.triu(np.ones((n, n)), 1)
+        with pytest.raises(ValueError, match="not symmetric"):
+            phi_2(np.ones(n), action_of(H), n)
+
+    def test_dense_path_ends_at_the_constant(self):
+        assert dense_path(DENSE_MAX_N)
+        assert not dense_path(DENSE_MAX_N + 1)
 
 
 class TestLeftmost:
@@ -134,12 +148,13 @@ class TestLeftmost:
 
     def test_iterative_matches_dense(self):
         rng = np.random.default_rng(9)
-        n = 60
+        n = DENSE_MAX_N + 10
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        lam_d, _ = leftmost_eigenpair(action_of(H), n, dense_threshold=n + 1)
-        lam_i, _ = leftmost_eigenpair(action_of(H), n, dense_threshold=0)
-        assert abs(lam_d - lam_i) <= 1e-6 * max(1.0, abs(lam_d))
+        lam_i, vec = leftmost_eigenpair(action_of(H), n)
+        w, Q = np.linalg.eigh(H)
+        assert abs(w[0] - lam_i) <= 1e-6 * max(1.0, abs(w[0]))
+        assert abs(abs(vec @ Q[:, 0]) - 1.0) <= 1e-6
 
 
 class TestMaterialise:

@@ -99,11 +99,19 @@ class TestConfigValidation:
             dict(kappa=0.0),
             dict(t=0.0),
             dict(q=2, p=2),  # missing eps2
+            dict(stall_limit=0),
+            dict(stall_limit=-3),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
+
+    def test_nonpositive_stall_limit_rejected_before_iterating(self):
+        # Unchecked, the first iteration would raise SolverStallError.
+        prob = sigmoid_problem(seed=5, N=300, d=5)
+        with pytest.raises(ValueError, match="stall_limit"):
+            minimize(prob, SolverConfig(p=1, budget_cm=5.0, stall_limit=0))
 
     def test_omega_definition(self):
         cfg = SolverConfig(alpha=0.5, eta=0.8)
