@@ -194,16 +194,17 @@ def convert_labels(in_path, out_path, label_col: int = 0, rule: str = "odd-even"
     """Rewrite the label column of a CSV file.
 
     ``odd-even`` maps odd integer labels to 1 and even ones to 0 (the usual
-    parity split of digit datasets); ``sign`` maps positives to 1.  A label
-    that is not a number, or is NaN or infinite, is rejected with its line
-    number, as ``load_dataset`` does.
+    parity split of digit datasets) and rejects a non-integer label, which
+    has no parity; ``sign`` maps positives to 1.  A label that is not a
+    number, or is NaN or infinite, is rejected with its line number, as
+    ``load_dataset`` does.  Every row is converted before ``out_path`` is
+    opened, so a rejected file writes nothing there.
     """
     if rule not in ("odd-even", "sign"):
         raise ValueError(f"unknown conversion rule {rule!r}")
     in_path, out_path = Path(in_path), Path(out_path)
-    with in_path.open("r", encoding="utf-8") as src, out_path.open(
-        "w", encoding="utf-8", newline=""
-    ) as dst:
+    rows = []
+    with in_path.open("r", encoding="utf-8") as src:
         for lineno, line in enumerate(src, start=1):
             line = line.strip()
             if not line:
@@ -217,20 +218,19 @@ def convert_labels(in_path, out_path, label_col: int = 0, rule: str = "odd-even"
                 raise ValueError(f"{in_path}:{lineno}: malformed row ({exc})") from None
             value = _finite_label(value, in_path, lineno)
             if rule == "odd-even":
-                tokens[label_col] = _format(float(int(round(value)) % 2))
+                if not value.is_integer():
+                    raise ValueError(f"{in_path}:{lineno}: non-integer label {value!r} has no parity")
+                tokens[label_col] = _format(float(int(value) % 2))
             else:
                 tokens[label_col] = _format(1.0 if value > 0.0 else 0.0)
-            dst.write(",".join(tokens) + "\n")
+            rows.append(",".join(tokens) + "\n")
+    with out_path.open("w", encoding="utf-8", newline="") as dst:
+        dst.writelines(rows)
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a problem, a solver setup and a repetition count.
-
-    ``trace_every`` thins written trace files to every k-th iteration (the
-    final row is always kept); cost reconstruction from a file needs the
-    default full granularity.
-    """
+    """One experiment: a problem, a solver setup and a repetition count."""
 
     train: Dataset
     network: NetworkSpec
@@ -238,13 +238,10 @@ class ExperimentConfig:
     test: Optional[Dataset] = None
     runs: int = 1
     out_dir: Optional[Path] = None
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be at least 1")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
@@ -388,13 +385,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> List[RunSu
             )
         )
         if config.out_dir is not None:
-            events = result.trace
-            if config.trace_every > 1 and events:
-                kept = events[:: config.trace_every]
-                if kept[-1] is not events[-1]:
-                    kept.append(events[-1])
-                events = kept
-            write_trace(config.out_dir / f"trace_seed{seed}.csv", events)
+            write_trace(config.out_dir / f"trace_seed{seed}.csv", result.trace)
         if verbose:
             rate_text = "" if rate is None else f" rate={rate:.4f}"
             print(

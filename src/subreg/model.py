@@ -68,19 +68,10 @@ class RegularisedModel:
         return self.grad + hs + 0.5 * self.sigma * float(np.linalg.norm(s)) * s
 
     def value_and_gradient(self, s):
-        """Both quantities from a single Hessian action."""
+        """Value, gradient and the Hessian action H s they share: one action."""
         s = np.asarray(s, dtype=float)
         hs = self._hs(s)
-        return self._value_with_hs(s, hs), self._gradient_with_hs(s, hs)
-
-    def taylor_decrease(self, s) -> float:
-        """Predicted decrease of the unregularised expansion at step s."""
-        s = np.asarray(s, dtype=float)
-        return -float(self.grad @ s) - 0.5 * float(s @ self._hs(s))
-
-    def stationarity(self, s) -> float:
-        """Norm of the model gradient, the order-one model measure."""
-        return float(np.linalg.norm(self.gradient(s)))
+        return self._value_with_hs(s, hs), self._gradient_with_hs(s, hs), hs
 
 
 def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], np.ndarray]:
@@ -129,28 +120,30 @@ class AccuracyQuantities:
         return tuple(omega * self.delta_t_min / (6.0 * self.tau**ell) for ell in (1, 2))
 
 
-def accuracy_quantities(
-    model: RegularisedModel, s, phi2: Optional[float] = None
-) -> AccuracyQuantities:
-    """Evaluate tau and the minimum decrease for the second-order accuracy
-    test at step s.
+def accuracy_quantities(model: RegularisedModel, s, diag: dict, q: int) -> AccuracyQuantities:
+    """Evaluate tau and the minimum decrease of the accuracy test at the
+    step s that ``cubic_step`` returned with diagnostics ``diag``.
 
-    Maximisers of the order-one measure lie on the unit sphere whenever the
-    model gradient is nonzero, so their norm is one; when both measures are
-    degenerate tau falls back to the step norm.  The order-two model
-    measure is computed by the unit-ball trust-region solve, unless the
-    caller already holds its value at s and passes it as ``phi2``.
+    The solve reports the Taylor decrease and the model gradient norm at
+    its step.  For q = 2 it also reports the order-two model measure when
+    its own second-order test passed; otherwise that measure is computed
+    here by the unit-ball trust-region solve.  Maximisers of the model
+    measures lie on the unit sphere whenever a measure is nonzero, so
+    their norm is one; when every measure is zero tau falls back to the
+    step norm.
     """
-    s = np.asarray(s, dtype=float)
-    grad_norm = model.stationarity(s)
-    dtf = model.taylor_decrease(s)
-    if phi2 is None:
-        phi2 = optimality.phi_2(model.gradient(s), model_hessian_action(model, s), model.n).value
+    dtf, grad_norm = diag["taylor_decrease"], diag["grad_norm"]
+    phi2 = None
+    if q == 2:
+        phi2 = diag["phi2"]
+        if phi2 is None:
+            h_action = model_hessian_action(model, s)
+            phi2 = optimality.phi_2(model.gradient(s), h_action, model.n).value
+    measures = (grad_norm,) if phi2 is None else (grad_norm, phi2)
     norm_s = float(np.linalg.norm(s))
-    degenerate = grad_norm == 0.0 and phi2 == 0.0
     return AccuracyQuantities(
-        tau=norm_s if degenerate else max(norm_s, 1.0),
-        delta_t_min=float(min(dtf, grad_norm, phi2)),
+        tau=max(norm_s, 1.0) if any(measures) else norm_s,
+        delta_t_min=min(dtf, *measures),
         delta_t_f=dtf,
         model_grad_norm=grad_norm,
         phi2_value=phi2,

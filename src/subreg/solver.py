@@ -32,16 +32,18 @@ pass that extends neither sample reuses the previous pass's whole solve
 the Hessian columns of the solve it uses, so CM and traces are those of a
 loop that rebuilds and re-solves on every pass.
 
-Known gap: for q = 2 the accuracy test of each solve needs the order-two
-model measure at the trial step, and the Hessian actions it takes are not
-charged.  When the subproblem solver's own second-order test passed at
-that step, its value is reused and the test applies the Hessian twice
-(model gradient and Taylor decrease); otherwise it also materialises the
-model Hessian, about n + 3 actions on the dense path.  On the q = 2
-sigmoid benchmark problem (N = 20000, n = 50, seed 1000, 1200 CM budget)
-that is 100 uncharged actions (20 full-sample equivalents) against 3539
-charged ones (654 full-sample equivalents); all of them are answered from
-the dense matrix the subproblem solver built for their sample.
+The subproblem solver reports the Taylor decrease and the model gradient
+norm at its step, from the Hessian action it took there, and for q = 2
+the order-two model measure when its own second-order test passed; the
+accuracy test of a growth pass reads them and takes no action of its own.
+Known gap: when that second-order test did not pass, the accuracy test
+computes the order-two measure itself, and those Hessian actions are not
+charged: n + 1 on the dense path (the model gradient and the model
+Hessian).  On the q = 2 sigmoid benchmark problem (N = 20000, n = 50,
+1200 CM budget) every solve's test passes, so no action goes uncharged;
+at eps1 = 0 and a 20 CM budget (seed 1000) no solve converges, and the
+10 passes ask 510 uncharged actions (120 full-sample equivalents) against
+2641 charged full-sample equivalents.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, full_value
+from .finite_sum import FiniteSumProblem, SampleHessian, full_value
 from .model import AccuracyQuantities, RegularisedModel, accuracy_quantities
 from .optimality import check_termination, phi_2
 from .sampling import (
@@ -68,7 +70,6 @@ from .subproblem import cubic_step, quadratic_step
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "SolverResult",
     "TraceEvent",
     "CostMeter",
@@ -133,25 +134,26 @@ class SolverConfig:
             raise ValueError("need 1 <= q <= p <= 2")
         if self.sigma0 <= 0.0 or not 0.0 < self.sigma_min < self.sigma0:
             raise ValueError("need 0 < sigma_min < sigma0")
-        if self.eps1 < 0.0:
+        # Each check is written so that NaN fails it.
+        if not self.eps1 >= 0.0:
             raise ValueError("eps1 must be nonnegative (0 disables the test)")
-        if self.q == 2 and (self.eps2 is None or self.eps2 < 0.0):
+        if self.q == 2 and (self.eps2 is None or not self.eps2 >= 0.0):
             raise ValueError("q = 2 needs a nonnegative eps2")
         if not 0.0 < self.theta <= 0.5:
             raise ValueError("theta must lie in (0, 0.5]")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.kappa_eps <= 0.0 or not 0.0 < self.gamma_eps < 1.0:
+        if not self.kappa_eps > 0.0 or not 0.0 < self.gamma_eps < 1.0:
             raise ValueError("need kappa_eps > 0 and gamma_eps in (0, 1)")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
         if not 0.0 < self.t < 1.0:
             raise ValueError("t must lie in (0, 1)")
-        if self.budget_cm <= 0.0:
+        if not self.budget_cm > 0.0:
             raise ValueError("budget must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -160,17 +162,6 @@ class SolverConfig:
 
     def omega(self, sigma: float) -> float:
         return min(0.5 * self.alpha * self.eta, 1.0 / sigma)
-
-
-@dataclass
-class SolverState:
-    """Mutable per-run state: iterate, regulariser, accuracy level, meter."""
-
-    x: np.ndarray
-    sigma: float
-    omega: float
-    k: int = 0
-    rng: Optional[np.random.Generator] = None
 
 
 class CostMeter:
@@ -257,6 +248,9 @@ def _require_finite(what: str, value: float) -> None:
         raise FloatingPointError(f"non-finite {what} estimate")
 
 
+_EMPTY = np.empty(0, dtype=np.intp)
+
+
 def _first_gradient(problem, idx, x, known):
     """Gradient mean over an iteration's first draw.
 
@@ -271,8 +265,27 @@ def _first_gradient(problem, idx, x, known):
     return known["grad"]
 
 
-def _grow_gradient(problem, x, omega, cfg, rng, known):
-    """Sample-growth loop for the order-one model (p = 1).
+@dataclass
+class StepRecord:
+    """What a growth loop hands ``minimize``: the gradient estimate and its
+    sample, the Hessian sample (empty for p = 1), the trial step and its
+    Taylor decrease, the accuracy quantities (None for p = 1), the Hessian
+    work charged, the number of growth passes and the last pass's
+    ``SampleHessian`` (None for p = 1)."""
+
+    g: np.ndarray
+    g_idx: np.ndarray
+    h_idx: np.ndarray
+    s: np.ndarray
+    delta_t: float
+    quantities: Optional[AccuracyQuantities]
+    hvp_props: int
+    passes: int
+    hessian: Optional[SampleHessian]
+
+
+def _grow_gradient(problem, x, omega, sigma, cfg, rng, known):
+    """Sample-growth loop for the order-one model (p = 1), then its step.
 
     Shrinks the accuracy target geometrically until it is at most
     omega * ||g|| or the sample has grown to the full sum, whose estimate
@@ -294,7 +307,9 @@ def _grow_gradient(problem, x, omega, cfg, rng, known):
             idx, ext = extend_subsample(rng, N, idx, size)
             g = merged_mean(g, old_count, problem.gradient_mean(ext, x), ext.size)
         passes += 1
-    return g, idx, passes
+    _require_finite("gradient", float(np.linalg.norm(g)))
+    s, delta_t = quadratic_step(g, sigma)
+    return StepRecord(g, idx, _EMPTY, s, delta_t, None, 0, passes, None)
 
 
 class _SampleGradient:
@@ -330,9 +345,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     Each pass solves the cubic subproblem with the current Hessian sample,
     derives the adaptive accuracy targets from the step, and accepts once
     the requested accuracies meet them.  Full samples are exact, so they
-    terminate the loop unconditionally.  Returns the estimates, the step
-    and its accuracy quantities, the Hessian work, the pass count and the
-    last pass's ``SampleHessian``.
+    terminate the loop unconditionally.  Returns the last pass's
+    ``StepRecord``, with the Taylor decrease the solve reported at its step.
 
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The Hessian sample's
@@ -367,22 +381,7 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
             hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(g, sigma, hessian)
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
-
-        norm_s = float(np.linalg.norm(s))
-        # Taylor decrease via the model identity, avoiding extra actions.
-        dtf = sigma * norm_s**3 / 6.0 - diag["model_value"]
-        grad_norm = diag["grad_norm"]
-        if cfg.q == 2:
-            # cubic_step has phi_2 at s when its second-order test passed.
-            quantities = accuracy_quantities(model, s, diag["phi2"])
-        else:
-            degenerate = grad_norm == 0.0
-            quantities = AccuracyQuantities(
-                tau=norm_s if degenerate else max(norm_s, 1.0),
-                delta_t_min=min(dtf, grad_norm),
-                delta_t_f=dtf,
-                model_grad_norm=grad_norm,
-            )
+        quantities = accuracy_quantities(model, s, diag, cfg.q)
         targets = quantities.targets(omega)
 
         # One pass per shrink of the targets, on this solve until a sample grows.
@@ -392,7 +391,9 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
             hvp_props += diag["hvp_evals"] * h_idx.size
             full = g_idx.size == N and h_idx.size == N
             if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-                return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
+                return StepRecord(
+                    g, g_idx, h_idx, s, quantities.delta_t_f, quantities, hvp_props, passes, hessian
+                )
 
             eps_g *= cfg.gamma_eps
             eps_h *= cfg.gamma_eps
@@ -451,23 +452,19 @@ def minimize(
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    state = SolverState(
-        x=x,
-        sigma=config.sigma0,
-        omega=config.omega(config.sigma0),
-        rng=np.random.default_rng(config.seed),
-    )
+    grow = _grow_gradient if config.p == 1 else _grow_model_and_step
+    sigma = config.sigma0
+    rng = np.random.default_rng(config.seed)
     meter = CostMeter()
     trace: List[TraceEvent] = []
-    iterates: Optional[List[np.ndarray]] = [state.x.copy()] if config.record_iterates else None
+    iterates: Optional[List[np.ndarray]] = [x.copy()] if config.record_iterates else None
     successes = 0
     completed = 0
     stall = 0
     stop_reason = "iteration_cap"
-    empty = np.empty(0, dtype=np.intp)
 
     # Full-sample objective ("train"), test loss and full-sample gradient
-    # ("grad") at state.x, each computed at most once per iterate; emptied
+    # ("grad") at x, each computed at most once per iterate; emptied
     # whenever x moves.  A full-sample estimate is exact, so it doubles as
     # the measurement and vice versa: every full-set value is value_mean
     # over 0..N-1 at the same x, bit for bit, and a full first gradient
@@ -479,146 +476,106 @@ def minimize(
         if N > config.exact_loss_threshold:
             return None, None
         if "train" not in known:
-            known["train"] = full_value(problem, state.x)
+            known["train"] = full_value(problem, x)
         if test_loss is not None and "test" not in known:
-            known["test"] = float(test_loss(state.x))
+            known["test"] = float(test_loss(x))
         return known["train"], known.get("test")
 
-    def emit(event: TraceEvent):
-        trace.append(event)
-        if on_event is not None:
-            on_event(event)
-
     for k in range(config.max_iters):
-        state.k = k
-        # Step 1 (and step computation for the cubic model).
-        if config.p == 1:
-            g, g_idx, _ = _grow_gradient(problem, state.x, state.omega, config, state.rng, known)
-            h_idx, hvp_props = empty, 0
-            s = None
-            quantities = None
-        else:
-            g, g_idx, h_idx, s, quantities, hvp_props, _, hessian = _grow_model_and_step(
-                problem, state.x, state.omega, state.sigma, config, state.rng, known
-            )
+        omega = config.omega(sigma)
+        # Step 1, with the trial step (step 2) of either model.
+        step = grow(problem, x, omega, sigma, config, rng, known)
+        g, g_idx, h_idx, delta_t = step.g, step.g_idx, step.h_idx, step.delta_t
         grad_norm = float(np.linalg.norm(g))
-        _require_finite("gradient", grad_norm)
 
         # Termination on the estimated measures.
         converged = config.eps1 > 0.0 and check_termination([grad_norm], [config.eps1])
         if converged and config.q == 2:
             # The last growth pass's Hessian: the same sample at the same x,
             # with its dense matrix when cubic_step built one.
-            phi2_val = phi_2(g, hessian, n).value
+            phi2_val = phi_2(g, step.hessian, n).value
             converged = check_termination([grad_norm, phi2_val], [config.eps1, config.eps2])
-        h_g_overlap = _overlap(h_idx, g_idx)
-        if converged:
-            charge = iteration_charge(
-                N, 0, 0, g_idx.size, 0, h_idx.size, h_g_overlap, hvp_props
-            )
-            meter.charge(charge)
-            train, test = exact_losses()
-            emit(
-                TraceEvent(
-                    k, meter.total, state.sigma, state.omega, grad_norm, math.nan, 0,
-                    0, 0, int(g_idx.size), int(h_idx.size), 0,
-                    h_g_overlap, hvp_props, None, train, test,
-                )
-            )
-            stop_reason = "converged"
-            break
 
-        # Step 2 for the quadratic model; the cubic step and its decrease
-        # came out of the growth loop.
-        if config.p == 1:
-            s, delta_t = quadratic_step(g, state.sigma)
-        else:
-            delta_t = quantities.delta_t_f
-
+        d1_idx = d2_idx = _EMPTY
+        f_x = None
+        rho_k = math.nan if converged else -math.inf
+        success = False
         # Steps 3 and 4: estimate f at both ends, then test acceptance.
-        if delta_t > 0.0:
-            nu0 = state.omega * delta_t
+        if not converged and delta_t > 0.0:
+            nu0 = omega * delta_t
             if nu0 <= 0.0:  # underflow near stationarity: use the exact sum
                 size = N
             else:
                 size = bernstein_size(config.kappa, nu0, config.t, value_log_argument(config.t), N)
-            d1_idx = draw_subsample(state.rng, N, size)
-            d2_idx = draw_subsample(state.rng, N, size)
-            x_trial = state.x + s
+            d1_idx = draw_subsample(rng, N, size)
+            d2_idx = draw_subsample(rng, N, size)
+            x_trial = x + step.s
             # A size-N draw is the full set, whose value may be known at x.
             if size == N and "train" in known:
                 f_x = known["train"]
             else:
-                f_x = problem.value_mean(d1_idx, state.x)
+                f_x = problem.value_mean(d1_idx, x)
                 if size == N:
                     known["train"] = f_x
             f_xs = problem.value_mean(d2_idx, x_trial)
             _require_finite("function", f_x)
             _require_finite("function", f_xs)
             rho_k = rho(f_x, f_xs, delta_t)
-        else:
-            d1_idx = d2_idx = empty
-            f_x = None
-            rho_k = -math.inf
+            success = rho_k >= config.eta
+            if success:
+                x = x_trial
+                known.clear()
+                if d2_idx.size == N:
+                    known["train"] = f_xs
+                successes += 1
 
-        success = rho_k >= config.eta
-        if success:
-            state.x = x_trial
-            known.clear()
-            if d2_idx.size == N:
-                known["train"] = f_xs
-            successes += 1
-
-        # Stall safeguard: a full-sample model that predicts no decrease is
-        # genuinely stationary; repeated occurrences cannot make progress.
-        at_full = g_idx.size == N and (config.p == 1 or h_idx.size == N)
-        if delta_t <= 0.0 and at_full:
-            stall += 1
-        else:
-            stall = 0
+        # Stall safeguard: a full-sample model (no Hessian sample for p = 1)
+        # that predicts no decrease is genuinely stationary; repeated
+        # occurrences cannot make progress.
+        at_full = g_idx.size == N and h_idx.size in (0, N)
+        stall = stall + 1 if not converged and delta_t <= 0.0 and at_full else 0
         if stall >= config.stall_limit:
             raise SolverStallError(
                 f"no predicted decrease in {stall} consecutive full-sample iterations"
             )
 
         g_d1_overlap = _overlap(g_idx, d1_idx)
-        charge = iteration_charge(
-            N,
-            int(d1_idx.size),
-            int(d2_idx.size),
-            int(g_idx.size),
-            g_d1_overlap,
-            int(h_idx.size),
-            h_g_overlap,
-            hvp_props,
-        )
-        meter.charge(charge)
-        train, test = exact_losses()
-        emit(
-            TraceEvent(
-                k, meter.total, state.sigma, state.omega, grad_norm, rho_k, int(success),
-                int(d1_idx.size), int(d2_idx.size), int(g_idx.size), int(h_idx.size),
-                g_d1_overlap, h_g_overlap, hvp_props,
-                f_x, train, test,
+        h_g_overlap = _overlap(h_idx, g_idx)
+        meter.charge(
+            iteration_charge(
+                N, int(d1_idx.size), int(d2_idx.size), int(g_idx.size), g_d1_overlap,
+                int(h_idx.size), h_g_overlap, step.hvp_props,
             )
         )
+        train, test = exact_losses()
+        event = TraceEvent(
+            k, meter.total, sigma, omega, grad_norm, rho_k, int(success),
+            int(d1_idx.size), int(d2_idx.size), int(g_idx.size), int(h_idx.size),
+            g_d1_overlap, h_g_overlap, step.hvp_props,
+            f_x, train, test,
+        )
+        trace.append(event)
+        if on_event is not None:
+            on_event(event)
+        if converged:
+            stop_reason = "converged"
+            break
         completed = k + 1
         if iterates is not None:
-            iterates.append(state.x.copy())
+            iterates.append(x.copy())
 
-        # Steps 5 and 6: regulariser and accuracy-level updates.
+        # Steps 5 and 6: regulariser update; omega follows it.
         if success:
-            state.sigma = max(config.sigma_min, state.sigma / config.gamma)
+            sigma = max(config.sigma_min, sigma / config.gamma)
         else:
-            state.sigma = config.gamma * state.sigma
-        state.omega = config.omega(state.sigma)
+            sigma = config.gamma * sigma
 
         if meter.total >= config.budget_cm:
             stop_reason = "budget"
             break
 
     return SolverResult(
-        x=state.x,
+        x=x,
         trace=trace,
         stop_reason=stop_reason,
         iterations=completed,

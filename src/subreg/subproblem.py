@@ -66,7 +66,10 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     ``eps2`` given the order-two model measure at the step is also pushed
     below theta * eps2 by restarting along directions of negative
     curvature; when that test passes, the diagnostics carry its value at
-    the returned step as ``phi2`` (otherwise None).  ``hvp_evals`` counts
+    the returned step as ``phi2`` (otherwise None).  The diagnostics also
+    carry the model gradient norm ``grad_norm`` and the Taylor decrease
+    ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned step, from
+    the action H s the solve took there.  ``hvp_evals`` counts
     the Hessian-action columns this solve asks the model's
     ``SampleHessian`` for, however they are answered.  Where the
     eigensolvers take the dense path (``optimality.dense_path``) and the
@@ -87,7 +90,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     tol = theta * eps1
 
     s = np.zeros(n)
-    value, grad = 0.0, model.grad.copy()
+    value, grad, hs = 0.0, model.grad.copy(), np.zeros(n)
     history = deque([0.0], maxlen=_MEMORY)
     best_s, best_value = s, 0.0
     lam = 1.0 / model.sigma
@@ -102,6 +105,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
             "hvp_evals": H.columns - start,
             "converged": converged,
             "grad_norm": float(np.linalg.norm(grad)),
+            "taylor_decrease": -float(model.grad @ s) - 0.5 * float(s @ hs),
             "model_value": value,
             "escapes": escapes,
             "phi2": phi2_value if converged else None,
@@ -109,7 +113,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
 
     def try_escape():
         """Seed a move along estimated negative curvature; True on success."""
-        nonlocal s, value, grad, lam, escapes
+        nonlocal s, value, grad, hs, lam, escapes
         if escapes >= 20:
             return False
         if not s.any():
@@ -121,9 +125,9 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.
         t = 2.0 * abs(lam1) / model.sigma
         for cand in (s + t * d1, s - t * d1):
-            cand_value, cand_grad = model.value_and_gradient(cand)
+            cand_value, cand_grad, cand_hs = model.value_and_gradient(cand)
             if cand_value < value:
-                s, value, grad = cand, cand_value, cand_grad
+                s, value, grad, hs = cand, cand_value, cand_grad, cand_hs
                 history.append(value)
                 lam = 1.0 / model.sigma
                 escapes += 1
@@ -159,7 +163,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = s + alpha * direction
-            trial_value, trial_grad = model.value_and_gradient(trial)
+            trial_value, trial_grad, trial_hs = model.value_and_gradient(trial)
             if np.isfinite(trial_value) and (
                 trial_value <= reference + _SUFFICIENT_DECREASE * alpha * slope
             ):
@@ -172,7 +176,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         ds = trial - s
         dgrad = trial_grad - grad
         lam = bb_step_length(ds, dgrad)
-        s, value, grad = trial, trial_value, trial_grad
+        s, value, grad, hs = trial, trial_value, trial_grad, trial_hs
         history.append(value)
         if value < best_value:
             best_s, best_value = s, value
@@ -182,7 +186,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
 
     if not converged and best_value < value:
         s, value = best_s, best_value
-        grad = model.gradient(s)
+        _, grad, hs = model.value_and_gradient(s)
     if value > 0.0:
         raise RuntimeError(f"cubic subproblem returned a non-descent step: {diagnostics()}")
     return s, diagnostics()

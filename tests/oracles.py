@@ -10,7 +10,7 @@ blocks but redoes every one of them on every pass.
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from subreg.model import AccuracyQuantities, RegularisedModel, accuracy_quantities
+from subreg.model import RegularisedModel, accuracy_quantities
 from subreg.sampling import (
     bernstein_size,
     draw_subsample,
@@ -19,7 +19,7 @@ from subreg.sampling import (
     hessian_log_argument,
     merged_mean,
 )
-from subreg.solver import _first_gradient, _require_finite
+from subreg.solver import StepRecord, _first_gradient, _require_finite
 from subreg.subproblem import cubic_step
 
 
@@ -165,23 +165,13 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
         hvp_props += diag["hvp_evals"] * h_idx.size
 
-        norm_s = float(np.linalg.norm(s))
-        dtf = sigma * norm_s**3 / 6.0 - diag["model_value"]
-        grad_norm = diag["grad_norm"]
-        if cfg.q == 2:
-            quantities = accuracy_quantities(model, s, diag["phi2"])
-        else:
-            degenerate = grad_norm == 0.0
-            quantities = AccuracyQuantities(
-                tau=norm_s if degenerate else max(norm_s, 1.0),
-                delta_t_min=min(dtf, grad_norm),
-                delta_t_f=dtf,
-                model_grad_norm=grad_norm,
-            )
+        quantities = accuracy_quantities(model, s, diag, cfg.q)
         full = g_idx.size == N and h_idx.size == N
         targets = quantities.targets(omega)
         if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-            return g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian
+            return StepRecord(
+                g, g_idx, h_idx, s, quantities.delta_t_f, quantities, hvp_props, passes, hessian
+            )
 
         eps_g *= cfg.gamma_eps
         eps_h *= cfg.gamma_eps

@@ -142,6 +142,37 @@ class TestConvert:
         with pytest.raises(ValueError, match=r"in\.csv:2: non-finite label"):
             convert_labels(src, tmp_path / "out.csv", rule=rule)
 
+    @pytest.mark.parametrize("label", ["0.5", "1.5", "2.5", "3.5", "7.2"])
+    def test_odd_even_rejects_non_integer_label(self, tmp_path, label):
+        # Rounding used to give 0.5, 1.5, 2.5 and 3.5 class 0 and 7.2 class 1.
+        src = tmp_path / "in.csv"
+        src.write_text(f"1,0.1\n{label},0.2\n")
+        with pytest.raises(ValueError, match=r"in\.csv:2: non-integer label"):
+            convert_labels(src, tmp_path / "out.csv", rule="odd-even")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_sign_accepts_non_integer_label(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("0.5,0.1\n-2.5,0.2\n")
+        convert_labels(src, tmp_path / "out.csv", rule="sign")
+        assert (tmp_path / "out.csv").read_text() == "1.0,0.1\n0.0,0.2\n"
+
+    @pytest.mark.parametrize("rule", ["odd-even", "sign"])
+    @pytest.mark.parametrize("existing", [None, "keep,me\n"])
+    def test_rejected_label_writes_nothing(self, tmp_path, rule, existing):
+        # The first rows used to be left behind in a partial output file.
+        src = tmp_path / "in.csv"
+        src.write_text("1,0.1\n2,0.2\nabc,0.3\n")
+        dst = tmp_path / "out.csv"
+        if existing is not None:
+            dst.write_text(existing)
+        with pytest.raises(ValueError, match=r"in\.csv:3: malformed row"):
+            convert_labels(src, dst, rule=rule)
+        if existing is None:
+            assert not dst.exists()
+        else:
+            assert dst.read_text() == existing
+
     @pytest.mark.parametrize("rule", ["odd-even", "sign"])
     def test_malformed_label_reports_line(self, tmp_path, rule):
         src = tmp_path / "in.csv"
@@ -291,18 +322,6 @@ class TestExperiment:
         for summary, result in zip(summaries, results):
             assert summary.final_train_loss == full_value(problem, result.x)
             assert summary.final_test_loss == testing_loss(config.network, result.x, config.test)
-
-    def test_trace_thinning_keeps_final_row(self, tmp_path):
-        config = small_experiment(tmp_path, runs=1)
-        config.trace_every = 4
-        run_experiment(config, verbose=False)
-        thinned = read_trace(tmp_path / "trace_seed5.csv")
-        assert all(e.k % 4 == 0 for e in thinned[:-1])
-        full = small_experiment(tmp_path / "full", runs=1)
-        run_experiment(full, verbose=False)
-        reference = read_trace(tmp_path / "full" / "trace_seed5.csv")
-        assert thinned[-1].cm == reference[-1].cm
-        assert len(thinned) < len(reference)
 
 
 class TestCli:

@@ -8,7 +8,8 @@ from subreg.model import (
     accuracy_quantities,
     model_hessian_action,
 )
-from subreg.subproblem import quadratic_step
+from subreg import subproblem
+from subreg.subproblem import cubic_step, quadratic_step
 
 from oracles import central_diff_gradient, sphere_scan_max
 
@@ -59,15 +60,30 @@ class TestModelGradient:
         H = np.diag([1.0, -2.0, 0.5])
         m = cubic_model(rng.standard_normal(3), H, 1.3)
         s = rng.standard_normal(3)
-        v, g = m.value_and_gradient(s)
+        v, g, hs = m.value_and_gradient(s)
         assert v == m.value(s)
         np.testing.assert_array_equal(g, m.gradient(s))
+        np.testing.assert_array_equal(hs, H @ s)
+
+
+def measured(m, s, phi2=None):
+    """The diagnostics ``cubic_step`` reports at its step s, computed at s."""
+    _, grad, hs = m.value_and_gradient(s)
+    return {
+        "taylor_decrease": -float(m.grad @ s) - 0.5 * float(s @ hs),
+        "grad_norm": float(np.linalg.norm(grad)),
+        "phi2": phi2,
+    }
 
 
 class TestTaylorDecrease:
+    """The Taylor decrease the cubic solve reports at its step."""
+
     def test_zero_step(self):
-        m = cubic_model([1.0, 2.0], np.eye(2), 1.0)
-        assert m.taylor_decrease(np.zeros(2)) == 0.0
+        m = cubic_model([0.0, 0.0], np.eye(2), 1.0)
+        s, diag = cubic_step(m, eps1=1e-3, theta=0.5)
+        np.testing.assert_array_equal(s, np.zeros(2))
+        assert diag["taylor_decrease"] == 0.0
 
     def test_quadratic_step_formula(self):
         # the p = 1 step's predicted decrease is the Taylor decrease -g @ s
@@ -79,11 +95,11 @@ class TestTaylorDecrease:
     def test_regulariser_identity(self):
         # decrease equals regulariser(s) - value(s)
         rng = np.random.default_rng(2)
-        s = rng.standard_normal(3)
         H = np.diag([0.5, -1.0, 2.0])
         m = cubic_model(rng.standard_normal(3), H, 0.9)
+        s, diag = cubic_step(m, eps1=1e-6, theta=0.5)
         reg = 0.9 * np.linalg.norm(s) ** 3 / 6.0
-        assert m.taylor_decrease(s) == pytest.approx(reg - m.value(s), rel=1e-12)
+        assert diag["taylor_decrease"] == pytest.approx(reg - m.value(s), rel=1e-12)
 
     def test_descent_implies_decrease_dominates_regulariser(self):
         # the p = 1 step: decrease >= (sigma/2) ||s||^2
@@ -95,52 +111,78 @@ class TestTaylorDecrease:
             assert dt >= 0.5 * sigma * np.linalg.norm(s) ** 2 - 1e-12
 
     def test_descent_domination_cubic(self):
+        # every step the solve returns has m(s) <= 0, so dT >= regulariser(s)
         rng = np.random.default_rng(7)
         sigma = 1.3
         for _ in range(40):
             n = int(rng.integers(1, 4))
             A = rng.standard_normal((n, n))
             m = cubic_model(rng.standard_normal(n), 0.5 * (A + A.T), sigma)
-            s = rng.standard_normal(n)
-            if m.value(s) <= 0.0:
-                reg = sigma * np.linalg.norm(s) ** 3 / 6.0
-                assert m.taylor_decrease(s) >= reg - 1e-12 * max(1.0, reg)
+            s, diag = cubic_step(m, eps1=1e-6, theta=0.5)
+            reg = sigma * np.linalg.norm(s) ** 3 / 6.0
+            assert diag["taylor_decrease"] >= reg - 1e-12 * max(1.0, reg)
 
 
 class TestStationarityMeasure:
+    """The model gradient norm the cubic solve reports at its step."""
+
     def test_exact_minimiser_is_stationary(self):
         # g = e1, H = I, sigma = 1: the minimiser is -(sqrt(3) - 1) e1
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
-        assert m.stationarity(np.array([1.0 - np.sqrt(3.0), 0.0])) <= 1e-15
+        s, diag = cubic_step(m, eps1=1e-12, theta=0.5)
+        assert diag["grad_norm"] <= 0.5e-12
+        assert abs(s[0] - (1.0 - np.sqrt(3.0))) <= 1e-12
 
-    def test_at_zero_equals_gradient_norm(self):
+    def test_at_zero_equals_gradient_norm(self, monkeypatch):
+        # without iterations the solve returns s = 0, where grad m = g
+        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 0)
         m = cubic_model([3.0, 4.0], np.diag([1.0, -2.0]), 2.0)
-        assert m.stationarity(np.zeros(2)) == 5.0
+        s, diag = cubic_step(m, eps1=1e-3, theta=0.5)
+        np.testing.assert_array_equal(s, np.zeros(2))
+        assert diag["grad_norm"] == 5.0 and diag["taylor_decrease"] == 0.0
 
-    def test_equals_sphere_maximum(self):
+    def test_equals_sphere_maximum(self, monkeypatch):
+        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 2)
         rng = np.random.default_rng(4)
         m = cubic_model(rng.standard_normal(3), np.diag([1.0, -0.5, 2.0]), 1.1)
-        s = rng.standard_normal(3)
+        s, diag = cubic_step(m, eps1=1e-12, theta=0.5)
         grad = m.gradient(s)
         scan = sphere_scan_max(lambda d: float(-grad @ d), 3, samples=10_000, seed=5)
-        assert abs(m.stationarity(s) - scan) <= 1e-2 * m.stationarity(s)
+        assert diag["grad_norm"] > 0.0
+        assert abs(diag["grad_norm"] - scan) <= 1e-2 * diag["grad_norm"]
 
 
 class TestAccuracyQuantities:
     def test_degenerate_exact_minimiser(self):
         # zero gradient and positive definite H: s = 0 is a second-order point
         m = cubic_model([0.0, 0.0], np.diag([1.0, 2.0]), 2.0)
-        q = accuracy_quantities(m, np.zeros(2))
+        s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
+        q = accuracy_quantities(m, s, diag, 2)
         assert q.model_grad_norm == 0.0 and q.phi2_value == 0.0
         assert q.delta_t_min == 0.0  # targets collapse; the relative test takes over
         assert q.targets(0.2) == (0.0, 0.0)
 
     def test_tau_uses_unit_sphere_maximisers(self):
         m = cubic_model([0.4, 0.0], np.eye(2), 1.0)
-        q = accuracy_quantities(m, np.array([0.5, 0.0]))
-        assert q.tau == 1.0
-        q2 = accuracy_quantities(m, np.array([2.5, 0.0]))
-        assert q2.tau == 2.5
+        for order in (1, 2):
+            s = np.array([0.5, 0.0])
+            assert accuracy_quantities(m, s, measured(m, s), order).tau == 1.0
+            s = np.array([2.5, 0.0])
+            assert accuracy_quantities(m, s, measured(m, s), order).tau == 2.5
+
+    def test_one_definition_for_both_orders(self):
+        m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
+        s = np.array([-0.1, 0.05])
+        diag = measured(m, s)
+        first = accuracy_quantities(m, s, diag, 1)
+        second = accuracy_quantities(m, s, measured(m, s, phi2=1e-9), 2)
+        assert first.phi2_value is None and second.phi2_value == 1e-9
+        assert first.delta_t_f == second.delta_t_f == diag["taylor_decrease"]
+        assert first.delta_t_min == min(diag["taylor_decrease"], diag["grad_norm"])
+        assert second.delta_t_min == 1e-9
+        # a zero step with a zero measure: tau falls back to ||s|| = 0
+        zero = cubic_model([0.0, 0.0], np.eye(2), 1.0)
+        assert accuracy_quantities(zero, np.zeros(2), measured(zero, np.zeros(2)), 1).tau == 0.0
 
     def test_frozen_target_values(self):
         q = AccuracyQuantities(tau=2.0, delta_t_min=0.6, delta_t_f=0.6, model_grad_norm=1.0)
@@ -151,7 +193,7 @@ class TestAccuracyQuantities:
     def test_q2_includes_curvature_measure(self):
         H = np.diag([-2.0, 1.0])
         m = cubic_model([0.0, 0.0], H, 3.0)
-        q = accuracy_quantities(m, np.zeros(2))
+        q = accuracy_quantities(m, np.zeros(2), measured(m, np.zeros(2)), 2)
         # at s = 0 the curvature measure is 1 (leftmost eigenvalue -2)
         assert q.phi2_value == pytest.approx(1.0, abs=1e-8)
         assert q.delta_t_min == 0.0
@@ -160,11 +202,16 @@ class TestAccuracyQuantities:
         H = np.diag([-2.0, 1.0])
         m = cubic_model([0.3, -0.1], H, 3.0)
         s = np.array([0.2, 0.1])
-        computed = accuracy_quantities(m, s)
-        supplied = accuracy_quantities(m, s, phi2=computed.phi2_value)
+        diag = measured(m, s)
+        before = m.hessian_action.columns
+        computed = accuracy_quantities(m, s, diag, 2)
+        assert m.hessian_action.columns > before
+        before = m.hessian_action.columns
+        supplied = accuracy_quantities(m, s, measured(m, s, computed.phi2_value), 2)
         assert supplied == computed
-        # The passed value is used as is.
-        assert accuracy_quantities(m, s, phi2=0.0).phi2_value == 0.0
+        # The passed value is used as is, and the step's measures ask no action.
+        assert accuracy_quantities(m, s, measured(m, s, 0.0), 2).phi2_value == 0.0
+        assert m.hessian_action.columns == before + 2  # the two calls of measured
 
 
 class TestModelHessian:

@@ -107,6 +107,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("field", ["budget_cm", "eps1", "eps2", "gamma", "kappa", "kappa_eps"])
+    def test_nan_rejected(self, field):
+        # Every comparison with NaN is false: an unchecked NaN budget never
+        # stops the run, kappa makes every sample full, eps1 ends termination.
+        cfg = SolverConfig(**{**dict(p=2, q=2, eps2=1e-3), field: math.nan})
+        with pytest.raises(ValueError):
+            cfg.validate()
+
+    def test_infinite_budget_valid(self):
+        SolverConfig(budget_cm=math.inf).validate()
+
     def test_nonpositive_stall_limit_rejected_before_iterating(self):
         # Unchecked, the first iteration would raise SolverStallError.
         prob = sigmoid_problem(seed=5, N=300, d=5)
@@ -351,24 +362,24 @@ class TestGradientGrowthLoop:
         prob = CustomProblem(2, 1000, value=lambda i, x: float(g0 @ x),
                              gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        g, idx, passes = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0), {})
-        np.testing.assert_allclose(g, g0)
-        assert passes == 6
+        step = _grow_gradient(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
+        np.testing.assert_allclose(step.g, g0)
+        assert step.passes == 6
 
     def test_immediate_accept_on_large_gradient(self):
         g0 = np.array([10.0, 0.0])
         prob = CustomProblem(2, 1000, value=lambda i, x: float(g0 @ x),
                              gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        _, _, passes = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0), {})
-        assert passes == 1
+        step = _grow_gradient(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
+        assert step.passes == 1
 
     def test_full_sample_bypasses_test(self):
         g0 = np.zeros(2)  # zero gradient: only the full-sample exit applies
         prob = CustomProblem(2, 50, value=lambda i, x: 0.0, gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        g, idx, _ = _grow_gradient(prob, np.zeros(2), 0.2, cfg, np.random.default_rng(0), {})
-        assert idx.size == 50
+        step = _grow_gradient(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
+        assert step.g_idx.size == 50
 
     def test_degenerate_model_loop_runs_to_full_sample(self):
         # zero decrease forces the targets to zero, so the order-2 growth
@@ -380,12 +391,12 @@ class TestGradientGrowthLoop:
             hvp=lambda i, x, v: np.zeros(2),
         )
         cfg = SolverConfig(p=2, kappa=1e-2)
-        g, g_idx, h_idx, s, quantities, _, passes, _ = _grow_model_and_step(
+        step = _grow_model_and_step(
             prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {}
         )
-        assert g_idx.size == 30 and h_idx.size == 30
-        assert quantities.delta_t_min == 0.0
-        np.testing.assert_array_equal(s, np.zeros(2))
+        assert step.g_idx.size == 30 and step.h_idx.size == 30
+        assert step.quantities.delta_t_min == 0.0
+        np.testing.assert_array_equal(step.s, np.zeros(2))
 
 
 class TestOverlap:
@@ -504,12 +515,12 @@ class TestOneValuePerIterate:
     def test_full_gradient_and_hessian_samples_share_one_gradient(self):
         prob = counting_problem(53, 120, 4)
         cfg = SolverConfig(p=2, **EXACT)
-        g, g_idx, h_idx, *_ = _grow_model_and_step(
+        step = _grow_model_and_step(
             prob, np.full(4, 0.1), 0.2, 0.1, cfg, np.random.default_rng(0), {}
         )
-        assert g_idx.size == h_idx.size == prob.N
+        assert step.g_idx.size == step.h_idx.size == prob.N
         assert prob.full_gradients == 1
-        np.testing.assert_array_equal(g, full_gradient(prob, np.full(4, 0.1)))
+        np.testing.assert_array_equal(step.g, full_gradient(prob, np.full(4, 0.1)))
 
 
 class DoubleWellProblem(CustomProblem):
@@ -614,14 +625,16 @@ class TestGrowthLoopReuse:
                 rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
                 got = _grow_model_and_step(prob, x, omega, sigma, cfg, rng, {})
                 ref = grow_model_and_step_rebuild(prob, x, omega, sigma, cfg, ref_rng, {})
-                g, g_idx, h_idx, s, quantities, hvp_props, passes, hessian = got
-                assert g.tobytes() == ref[0].tobytes()
-                np.testing.assert_array_equal(g_idx, ref[1])
-                np.testing.assert_array_equal(h_idx, ref[2])
-                assert s.tobytes() == ref[3].tobytes()
-                assert repr(dataclasses.astuple(quantities)) == repr(dataclasses.astuple(ref[4]))
-                assert (hvp_props, passes) == (ref[5], ref[6])
-                assert hessian.dense().tobytes() == ref[7].dense().tobytes()
+                for name in ("g", "g_idx", "h_idx", "s"):
+                    got_array, ref_array = getattr(got, name), getattr(ref, name)
+                    assert got_array.dtype == ref_array.dtype
+                    assert got_array.tobytes() == ref_array.tobytes()
+                assert repr(got.delta_t) == repr(ref.delta_t)
+                assert repr(dataclasses.astuple(got.quantities)) == repr(
+                    dataclasses.astuple(ref.quantities)
+                )
+                assert (got.hvp_props, got.passes) == (ref.hvp_props, ref.passes)
+                assert got.hessian.dense().tobytes() == ref.hessian.dense().tobytes()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("kind,q", GROWTH_GRID)
@@ -649,7 +662,7 @@ class TestGrowthLoopReuse:
                 solves.clear()
                 passes = _grow_model_and_step(
                     prob, x, omega, sigma, cfg, np.random.default_rng(3), {}
-                )[6]
+                ).passes
                 # Samples grow only by extension: a new size is a new sample.
                 sizes = [size for size, _ in builds]
                 assert len(sizes) == len(set(sizes))
@@ -679,6 +692,42 @@ class TestGrowthLoopReuse:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+class TestStepMeasures:
+    """A growth pass takes its step's measures from the solve."""
+
+    def test_no_hessian_column_outside_the_solve(self, monkeypatch):
+        prob = sigmoid_problem(seed=7, N=300, d=6)
+        built, solved, outside = [], [], []
+        build = prob.hessian_action
+        solve, grow = solver_module.cubic_step, solver_module._grow_model_and_step
+
+        def counted_build(indices, x, base=None):
+            built.append(build(indices, x, base))
+            return built[-1]
+
+        def counted_solve(model, *args):
+            before = model.hessian_action.columns
+            result = solve(model, *args)
+            solved.append(model.hessian_action.columns - before)
+            return result
+
+        def counted_grow(*args):
+            built.clear()
+            solved.clear()
+            step = grow(*args)
+            # Columns asked of this loop's Hessians outside cubic_step.
+            outside.append(sum(h.columns for h in built) - sum(solved))
+            return step
+
+        monkeypatch.setattr(prob, "hessian_action", counted_build)
+        monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
+        monkeypatch.setattr(solver_module, "_grow_model_and_step", counted_grow)
+        cfg = SolverConfig(p=2, q=2, eps1=1e-3, eps2=1e-2, budget_cm=100.0, seed=3)
+        res = minimize(prob, cfg)
+        assert len(outside) == len(res.trace) > 1
+        assert outside == [0] * len(outside)
+
+
 class TestBaseGradient:
     """The Hessian sample's gradient is computed only for a differenced action."""
 
@@ -701,7 +750,7 @@ class TestBaseGradient:
                 got = _grow_model_and_step(
                     prob, point, omega, sigma, cfg, np.random.default_rng(3), {}
                 )
-                g_idx, h_idx = got[1], got[2]
+                g_idx, h_idx = got.g_idx, got.h_idx
                 rows = np.sort(np.concatenate(seen))
                 if kind in ("sigmoid", "custom_hvp"):
                     # Exact actions: the G sample's pieces, each once.

@@ -209,6 +209,38 @@ class TestCubicStep:
         _, diag = cubic_step(m, eps1=1e-8, theta=0.5)
         assert diag["phi2"] is None
 
+    def test_reports_taylor_decrease_and_grad_norm_at_the_step(self, monkeypatch):
+        """The solve's measures equal fresh ones at its step, bit for bit:
+        on a converged solve, after an escape, and when the iteration cap
+        returns the best iterate, whose fallback takes one action there."""
+
+        def fresh(m, s):
+            _, grad, hs = m.value_and_gradient(s)
+            return -float(m.grad @ s) - 0.5 * float(s @ hs), float(np.linalg.norm(grad))
+
+        m = cubic_model([1.0, 0.3], [[2.0, 0.5], [0.5, 1.0]], 0.7)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
+        assert diag["converged"] and diag["escapes"] == 0
+        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
+
+        m, _ = self.saddle_instance()
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert diag["converged"] and diag["escapes"] == 1
+        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
+
+        H = np.array([[1.5, 1.0, -0.5], [1.0, 1.0, 0.0], [-0.5, 0.0, 0.5]])
+        columns = []
+        m = RegularisedModel(
+            np.array([0.0, 0.5, -0.5]), 0.25, lambda v: (columns.append(v.copy()), H @ v)[1]
+        )
+        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 6)
+        s, diag = cubic_step(m, eps1=1e-14, theta=0.5)
+        assert not diag["converged"]
+        # The step was asked of H as a trial and once more by the fallback.
+        assert sum(np.array_equal(v, s) for v in columns) == 2
+        assert diag["hvp_evals"] == len(columns) == 9
+        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
+
     def test_theta_validated(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(ValueError):
