@@ -2,16 +2,17 @@
 
 Subcommands: ``train`` runs seeded experiments, ``synth`` writes a synthetic
 dataset, ``convert`` remaps label columns, ``audit`` measures the empirical
-failure rate of the Bernstein-sized estimators.  Every flag can also be set
-from a flat ``key=value`` config file ('#' starts a comment); command-line
-flags win over file values.
+failure rate of the Bernstein-sized estimators.  The solver flags of
+``train`` are ``SolverConfig``'s fields.  Every ``train`` flag can also be
+set from a flat ``key=value`` config file ('#' starts a comment), parsed
+like the flags; command-line flags win over file values.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -48,25 +49,25 @@ def parse_config_file(path) -> dict:
     return values
 
 
+# Every SolverConfig field is a train flag, with the field's default and
+# type; recording iterates is for tests.
+_SOLVER_FIELDS = [f for f in fields(SolverConfig) if f.name != "record_iterates"]
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = SolverConfig()
-    parser.add_argument("--q", type=int, default=defaults.q, help="optimality order (1 or 2)")
-    parser.add_argument("--p", type=int, default=defaults.p, help="model derivative order (1 or 2)")
-    parser.add_argument("--sigma0", type=float, default=defaults.sigma0)
-    parser.add_argument("--sigma-min", type=float, default=defaults.sigma_min)
-    parser.add_argument("--eps1", type=float, default=defaults.eps1)
-    parser.add_argument("--eps2", type=float, default=None)
-    parser.add_argument("--theta", type=float, default=defaults.theta)
-    parser.add_argument("--eta", type=float, default=defaults.eta)
-    parser.add_argument("--gamma", type=float, default=defaults.gamma)
-    parser.add_argument("--alpha", type=float, default=defaults.alpha)
-    parser.add_argument("--kappa-eps", type=float, default=defaults.kappa_eps)
-    parser.add_argument("--gamma-eps", type=float, default=defaults.gamma_eps)
-    parser.add_argument("--kappa", type=float, default=defaults.kappa)
-    parser.add_argument("--t", type=float, default=defaults.t)
-    parser.add_argument("--budget-cm", type=float, default=math.inf)
-    parser.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    parser.add_argument("--seed", type=int, default=0)
+    for f in _SOLVER_FIELDS:
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=float if f.default is None else type(f.default),
+            default=f.default,
+        )
+
+
+def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "sparse"), default="csv")
+    parser.add_argument("--label-col", type=int, default=0)
+    parser.add_argument("--dim", type=int, default=None, help="feature dimension (sparse format)")
+    parser.add_argument("--scale", choices=("none", "minmax"), default="none")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,12 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run one or more seeded experiments")
     train.add_argument("--config", type=str, default=None, help="key=value config file")
     train.add_argument("--dataset", type=str, required=False)
-    train.add_argument("--format", choices=("csv", "sparse"), default="csv")
-    train.add_argument("--label-col", type=int, default=0)
-    train.add_argument("--dim", type=int, default=None, help="feature dimension (sparse format)")
+    _add_dataset_flags(train)
     train.add_argument("--test-dataset", type=str, default=None)
     train.add_argument("--net", type=str, default="", help="comma list of hidden sizes; empty = no net")
-    train.add_argument("--scale", choices=("none", "minmax"), default="none")
     train.add_argument("--runs", type=int, default=1)
     train.add_argument("--out", type=str, default=None)
     _add_solver_flags(train)
@@ -104,10 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="audit estimator accuracy on a dataset")
     audit.add_argument("--dataset", type=str, default=None)
-    audit.add_argument("--format", choices=("csv", "sparse"), default="csv")
-    audit.add_argument("--label-col", type=int, default=0)
-    audit.add_argument("--dim", type=int, default=None)
-    audit.add_argument("--scale", choices=("none", "minmax"), default="none")
+    _add_dataset_flags(audit)
     audit.add_argument("--synth-n", type=int, default=5000)
     audit.add_argument("--synth-d", type=int, default=10)
     audit.add_argument("--synth-separation", type=float, default=2.0)
@@ -125,49 +120,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: List[str]) -> argp
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
-        sub = next(
-            action for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        train_parser = sub.choices["train"]
-        known = {
-            action.dest: action for action in train_parser._actions
-            if action.dest not in ("help", "config")
-        }
-        defaults = {}
-        for key, raw in file_values.items():
-            if key not in known:
+        for key in file_values:
+            if key not in vars(args) or key in ("config", "command"):
                 raise ValueError(f"unknown config key {key!r}")
-            action = known[key]
-            if action.type is not None:
-                defaults[key] = action.type(raw)
-            else:
-                defaults[key] = raw
-        train_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)  # explicit flags still win
+        # The file's values go right after the subcommand, so that argparse
+        # types and checks them and explicit flags, parsed later, still win.
+        at = argv.index(args.command) + 1
+        tokens = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     return args
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        q=args.q,
-        p=args.p,
-        sigma0=args.sigma0,
-        sigma_min=args.sigma_min,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        theta=args.theta,
-        eta=args.eta,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        kappa_eps=args.kappa_eps,
-        gamma_eps=args.gamma_eps,
-        kappa=args.kappa,
-        t=args.t,
-        budget_cm=args.budget_cm,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
+def _scaled(args: argparse.Namespace, dataset: Dataset, reference=None) -> Dataset:
+    """``dataset`` with ``--scale`` applied by the reference Dataset's column ranges."""
+    if args.scale == "none":
+        return dataset
+    reference = dataset if reference is None else reference
+    return Dataset(minmax_scale(dataset.features, reference.features), dataset.labels)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -180,17 +149,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         test_set = load_dataset(
             args.test_dataset, args.format, args.label_col, args.dim or train_set.d
         )
-    if args.scale == "minmax":
-        # The test set is scaled by the training set's column ranges.
-        if test_set is not None:
-            test_set = Dataset(minmax_scale(test_set.features, train_set.features), test_set.labels)
-        train_set = Dataset(minmax_scale(train_set.features), train_set.labels)
+        test_set = _scaled(args, test_set, reference=train_set)
+    train_set = _scaled(args, train_set)
     hidden = tuple(int(tok) for tok in args.net.split(",") if tok.strip())
     spec = NetworkSpec(input_dim=train_set.d, hidden_sizes=hidden)
     config = ExperimentConfig(
         train=train_set,
         network=spec,
-        solver=_solver_config(args),
+        solver=SolverConfig(**{f.name: getattr(args, f.name) for f in _SOLVER_FIELDS}),
         test=test_set,
         runs=args.runs,
         out_dir=Path(args.out) if args.out else None,
@@ -214,7 +180,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.dataset is not None:
-        dataset = load_dataset(args.dataset, args.format, args.label_col, args.dim, args.scale)
+        dataset = _scaled(args, load_dataset(args.dataset, args.format, args.label_col, args.dim))
     else:
         dataset = synthesize_dataset(args.seed, args.synth_n, args.synth_d, args.synth_separation)
     spec = NetworkSpec(input_dim=dataset.d)

@@ -9,7 +9,7 @@ produce byte-identical files on every platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -34,16 +34,6 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = [f.name for f in fields(TraceEvent)]
-SUMMARY_COLUMNS = [
-    "seed",
-    "stop_reason",
-    "iterations",
-    "successes",
-    "total_cm",
-    "final_train_loss",
-    "final_test_loss",
-    "classification_rate",
-]
 
 
 def _format(value) -> str:
@@ -56,75 +46,76 @@ def _format(value) -> str:
     return str(value)
 
 
-def _parse_float(token: str) -> Optional[float]:
-    return None if token == "" else float(token)
+# One parser per trace column, from the TraceEvent field's declared type;
+# an empty optional field is None.
+_TRACE_PARSERS = [
+    {"int": int, "float": float, "Optional[float]": lambda tok: float(tok) if tok else None}[f.type]
+    for f in fields(TraceEvent)
+]
 
 
-def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] = None,
-                 scale: str = "none") -> Dataset:
+def _lines(path: Path):
+    """Yield ``(lineno, line)`` for each stripped, non-blank line."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
+def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] = None) -> Dataset:
     """Read a dense CSV or sparse ``label index:value`` file.
 
     Labels map to {0, 1}: values <= 0 become 0, positive values become 1;
     a NaN or infinite label is rejected with its line number.
     Sparse indices are 1-based; ``dim`` caps the feature dimension and is
-    inferred from the largest index seen when omitted.  ``scale="minmax"``
-    rescales every feature column to [0, 1].
+    inferred from the largest index seen when omitted.  Features are
+    returned as read; ``minmax_scale`` rescales them.
     """
     path = Path(path)
     if fmt not in ("csv", "sparse"):
         raise ValueError(f"unknown dataset format {fmt!r}")
-    if scale not in ("none", "minmax"):
-        raise ValueError(f"unknown scaling mode {scale!r}")
     raw_labels: List[float] = []
     if fmt == "csv":
         rows: List[List[float]] = []
         width = None
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                tokens = line.split(",")
-                try:
-                    values = [float(tok) for tok in tokens]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-                if width is None:
-                    width = len(values)
-                    if not 0 <= label_col < width:
-                        raise ValueError(f"label column {label_col} outside row of width {width}")
-                elif len(values) != width:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {width} columns, found {len(values)}"
-                    )
-                raw_labels.append(_finite_label(values.pop(label_col), path, lineno))
-                rows.append(values)
+        for lineno, line in _lines(path):
+            try:
+                values = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if width is None:
+                width = len(values)
+                if not 0 <= label_col < width:
+                    raise ValueError(f"label column {label_col} outside row of width {width}")
+            elif len(values) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {width} columns, found {len(values)}"
+                )
+            raw_labels.append(_finite_label(values.pop(label_col), path, lineno))
+            rows.append(values)
         if not rows:
             raise ValueError(f"{path}: empty dataset")
         features = np.asarray(rows, dtype=float)
     else:
         entries: List[List[tuple]] = []
         max_index = 0
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                tokens = line.split()
-                try:
-                    label = float(tokens[0])
-                    pairs = []
-                    for tok in tokens[1:]:
-                        index_str, value_str = tok.split(":", 1)
-                        index = int(index_str)
-                        if index < 1:
-                            raise ValueError(f"index {index} is not 1-based")
-                        pairs.append((index, float(value_str)))
-                        max_index = max(max_index, index)
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-                raw_labels.append(_finite_label(label, path, lineno))
-                entries.append(pairs)
+        for lineno, line in _lines(path):
+            tokens = line.split()
+            try:
+                label = float(tokens[0])
+                pairs = []
+                for tok in tokens[1:]:
+                    index_str, value_str = tok.split(":", 1)
+                    index = int(index_str)
+                    if index < 1:
+                        raise ValueError(f"index {index} is not 1-based")
+                    pairs.append((index, float(value_str)))
+                    max_index = max(max_index, index)
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+            raw_labels.append(_finite_label(label, path, lineno))
+            entries.append(pairs)
         if not entries:
             raise ValueError(f"{path}: empty dataset")
         d = dim if dim is not None else max_index
@@ -135,8 +126,6 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
             for index, value in pairs:
                 features[row, index - 1] = value
     labels = (np.asarray(raw_labels) > 0.0).astype(float)
-    if scale == "minmax":
-        features = minmax_scale(features)
     return Dataset(features=features, labels=labels)
 
 
@@ -155,6 +144,10 @@ def minmax_scale(features: np.ndarray, reference: Optional[np.ndarray] = None) -
     both see the same map.
     """
     reference = features if reference is None else reference
+    if reference.shape[1] != features.shape[1]:
+        raise ValueError(
+            f"reference has {reference.shape[1]} columns, features {features.shape[1]}"
+        )
     lo = reference.min(axis=0)
     span = reference.max(axis=0) - lo
     span[span == 0.0] = 1.0  # constant columns map to 0
@@ -204,26 +197,22 @@ def convert_labels(in_path, out_path, label_col: int = 0, rule: str = "odd-even"
         raise ValueError(f"unknown conversion rule {rule!r}")
     in_path, out_path = Path(in_path), Path(out_path)
     rows = []
-    with in_path.open("r", encoding="utf-8") as src:
-        for lineno, line in enumerate(src, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if not 0 <= label_col < len(tokens):
-                raise ValueError(f"{in_path}:{lineno}: label column out of range")
-            try:
-                value = float(tokens[label_col])
-            except ValueError as exc:
-                raise ValueError(f"{in_path}:{lineno}: malformed row ({exc})") from None
-            value = _finite_label(value, in_path, lineno)
-            if rule == "odd-even":
-                if not value.is_integer():
-                    raise ValueError(f"{in_path}:{lineno}: non-integer label {value!r} has no parity")
-                tokens[label_col] = _format(float(int(value) % 2))
-            else:
-                tokens[label_col] = _format(1.0 if value > 0.0 else 0.0)
-            rows.append(",".join(tokens) + "\n")
+    for lineno, line in _lines(in_path):
+        tokens = line.split(",")
+        if not 0 <= label_col < len(tokens):
+            raise ValueError(f"{in_path}:{lineno}: label column out of range")
+        try:
+            value = float(tokens[label_col])
+        except ValueError as exc:
+            raise ValueError(f"{in_path}:{lineno}: malformed row ({exc})") from None
+        value = _finite_label(value, in_path, lineno)
+        if rule == "odd-even":
+            if not value.is_integer():
+                raise ValueError(f"{in_path}:{lineno}: non-integer label {value!r} has no parity")
+            tokens[label_col] = _format(float(int(value) % 2))
+        else:
+            tokens[label_col] = _format(1.0 if value > 0.0 else 0.0)
+        rows.append(",".join(tokens) + "\n")
     with out_path.open("w", encoding="utf-8", newline="") as dst:
         dst.writelines(rows)
 
@@ -242,6 +231,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.test is not None and self.test.d != self.train.d:
+            raise ValueError(f"test set has {self.test.d} features, training set {self.train.d}")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
@@ -258,6 +249,9 @@ class RunSummary:
     classification_rate: Optional[float]
 
 
+SUMMARY_COLUMNS = [f.name for f in fields(RunSummary)]
+
+
 def write_trace(path, events: List[TraceEvent]) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -267,63 +261,42 @@ def write_trace(path, events: List[TraceEvent]) -> None:
 
 
 def read_trace(path) -> List[TraceEvent]:
+    """Events of a ``write_trace`` file; a malformed row is rejected with its line."""
     path = Path(path)
+    lines = _lines(path)
+    if next(lines, (0, ""))[1].split(",") != TRACE_COLUMNS:
+        raise ValueError(f"{path}: unexpected trace header")
     events = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != TRACE_COLUMNS:
-            raise ValueError(f"{path}: unexpected trace header")
-        int_cols = {
-            "k", "success", "d1_size", "d2_size", "g_size", "h_size",
-            "g_d1_overlap", "h_g_overlap", "hvp_props",
-        }
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tokens = line.split(",")
-            kwargs = {}
-            for name, token in zip(TRACE_COLUMNS, tokens):
-                if name in int_cols:
-                    kwargs[name] = int(token)
-                else:
-                    kwargs[name] = _parse_float(token)
-            events.append(TraceEvent(**kwargs))
+    for lineno, line in lines:
+        tokens = line.split(",")
+        try:
+            if len(tokens) != len(TRACE_COLUMNS):
+                raise ValueError(f"expected {len(TRACE_COLUMNS)} fields, found {len(tokens)}")
+            events.append(TraceEvent(*(parse(tok) for parse, tok in zip(_TRACE_PARSERS, tokens))))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
     return events
 
 
 def write_summary(path, summaries: List[RunSummary]) -> None:
     """Per-run rows plus a final arithmetic-mean row."""
     path = Path(path)
+    means = summary_means(summaries)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for s in summaries:
-            row = [
-                str(s.seed), s.stop_reason, str(s.iterations), str(s.successes),
-                _format(s.total_cm), _format(s.final_train_loss),
-                _format(s.final_test_loss), _format(s.classification_rate),
-            ]
-            fh.write(",".join(row) + "\n")
-        means = summary_means(summaries)
-        row = ["mean", "", _format(means["iterations"]), _format(means["successes"]),
-               _format(means["total_cm"]), _format(means["final_train_loss"]),
-               _format(means["final_test_loss"]), _format(means["classification_rate"])]
+            fh.write(",".join(_format(getattr(s, c)) for c in SUMMARY_COLUMNS) + "\n")
+        row = ["mean", ""] + [_format(means[c]) for c in SUMMARY_COLUMNS[2:]]
         fh.write(",".join(row) + "\n")
 
 
 def summary_means(summaries: List[RunSummary]) -> dict:
-    def mean_of(values):
-        values = [v for v in values if v is not None]
-        return sum(values) / len(values) if values else None
-
-    return {
-        "iterations": mean_of([float(s.iterations) for s in summaries]),
-        "successes": mean_of([float(s.successes) for s in summaries]),
-        "total_cm": mean_of([s.total_cm for s in summaries]),
-        "final_train_loss": mean_of([s.final_train_loss for s in summaries]),
-        "final_test_loss": mean_of([s.final_test_loss for s in summaries]),
-        "classification_rate": mean_of([s.classification_rate for s in summaries]),
-    }
+    """Mean of each numeric summary column over the runs that have it."""
+    means = {}
+    for c in SUMMARY_COLUMNS[2:]:
+        values = [getattr(s, c) for s in summaries if getattr(s, c) is not None]
+        means[c] = sum(values) / len(values) if values else None
+    return means
 
 
 def run_experiment(config: ExperimentConfig, verbose: bool = True) -> List[RunSummary]:
@@ -346,7 +319,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> List[RunSu
     summaries: List[RunSummary] = []
     for run_index in range(config.runs):
         seed = config.solver.seed + run_index
-        cfg = SolverConfig(**{**config.solver.__dict__, "seed": seed})
+        cfg = replace(config.solver, seed=seed)
         if spec.hidden_sizes:
             x0 = initial_point(spec, np.random.default_rng([seed, 1]))
         else:

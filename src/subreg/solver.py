@@ -69,6 +69,7 @@ from .sampling import (
 from .subproblem import cubic_step, quadratic_step
 
 __all__ = [
+    "EXACT_LOSS_THRESHOLD",
     "SolverConfig",
     "SolverResult",
     "TraceEvent",
@@ -78,6 +79,10 @@ __all__ = [
     "iteration_charge",
     "minimize",
 ]
+
+
+EXACT_LOSS_THRESHOLD = 100_000  # largest N whose exact losses are recorded
+_STALL_LIMIT = 60  # full-sample iterations without predicted decrease
 
 
 class SolverStallError(RuntimeError):
@@ -99,8 +104,9 @@ class SolverConfig:
     ``budget_cm`` is checked only between outer iterations: one iteration
     can overrun the budget by orders of magnitude (a 20 CM budget on a
     20000 x 50 sigmoid problem charged 4862 CM at q = 1 and 5284 CM at
-    q = 2 in its first iteration).  ``stall_limit`` full-sample iterations
-    in a row without predicted decrease raise ``SolverStallError``.
+    q = 2 in its first iteration).  ``_STALL_LIMIT`` (a constant, 60)
+    full-sample iterations in a row without predicted decrease raise
+    ``SolverStallError``.
 
     How the cubic subproblem is solved to within ``theta * eps1`` is not
     configuration: the spectral-gradient constants live in ``subproblem``,
@@ -125,8 +131,6 @@ class SolverConfig:
     budget_cm: float = math.inf
     max_iters: int = 1_000_000
     seed: int = 0
-    exact_loss_threshold: int = 100_000
-    stall_limit: int = 60
     record_iterates: bool = False
 
     def validate(self) -> None:
@@ -157,8 +161,6 @@ class SolverConfig:
             raise ValueError("budget must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.stall_limit < 1:
-            raise ValueError("stall_limit must be positive")
 
     def omega(self, sigma: float) -> float:
         return min(0.5 * self.alpha * self.eta, 1.0 / sigma)
@@ -473,7 +475,7 @@ def minimize(
     known = {}
 
     def exact_losses():
-        if N > config.exact_loss_threshold:
+        if N > EXACT_LOSS_THRESHOLD:
             return None, None
         if "train" not in known:
             known["train"] = full_value(problem, x)
@@ -534,7 +536,7 @@ def minimize(
         # occurrences cannot make progress.
         at_full = g_idx.size == N and h_idx.size in (0, N)
         stall = stall + 1 if not converged and delta_t <= 0.0 and at_full else 0
-        if stall >= config.stall_limit:
+        if stall >= _STALL_LIMIT:
             raise SolverStallError(
                 f"no predicted decrease in {stall} consecutive full-sample iterations"
             )

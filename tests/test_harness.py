@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from subreg.harness import (
     ExperimentConfig,
     convert_labels,
     load_dataset,
+    minmax_scale,
     read_trace,
     run_experiment,
     save_dataset_csv,
@@ -14,7 +18,7 @@ from subreg.harness import (
     write_trace,
 )
 from subreg.problems import Dataset, NetworkSpec, classification_rate
-from subreg.solver import SolverConfig, iteration_charge
+from subreg.solver import SolverConfig, TraceEvent, iteration_charge
 
 
 class TestLoadDataset:
@@ -80,9 +84,14 @@ class TestLoadDataset:
     def test_minmax_scaling(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,0.0,5.0\n0,2.0,5.0\n1,4.0,5.0\n")
-        ds = load_dataset(path, "csv", scale="minmax")
-        np.testing.assert_allclose(ds.features[:, 0], [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(ds.features[:, 1], [0.0, 0.0, 0.0])
+        features = minmax_scale(load_dataset(path, "csv").features)
+        np.testing.assert_allclose(features[:, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(features[:, 1], [0.0, 0.0, 0.0])
+
+    def test_minmax_reference_of_another_width_rejected(self):
+        # Used to fail inside numpy: operands could not be broadcast together.
+        with pytest.raises(ValueError, match="reference has 3 columns, features 2"):
+            minmax_scale(np.ones((2, 2)), np.ones((4, 3)))
 
     def test_roundtrip_with_save(self, tmp_path):
         ds = synthesize_dataset(0, 20, 3, 1.0)
@@ -249,7 +258,7 @@ class TestExperiment:
         config = ExperimentConfig(
             train=flat,
             network=NetworkSpec(2),
-            solver=SolverConfig(eps1=0.0, kappa=1e9, stall_limit=5, max_iters=50),
+            solver=SolverConfig(eps1=0.0, kappa=1e9),
             runs=2,
             out_dir=tmp_path,
         )
@@ -307,8 +316,8 @@ class TestExperiment:
         monkeypatch.setattr(SquaredLossProblem, "value_mean", counted_value_mean)
         monkeypatch.setattr(harness, "testing_loss", counted_testing_loss)
         monkeypatch.setattr(harness, "minimize", recorded_minimize)
+        monkeypatch.setattr("subreg.solver.EXACT_LOSS_THRESHOLD", threshold)
         config = small_experiment(tmp_path, runs=2)
-        config.solver.exact_loss_threshold = threshold
         summaries = run_experiment(config, verbose=False)
         monkeypatch.undo()
 
@@ -322,6 +331,174 @@ class TestExperiment:
         for summary, result in zip(summaries, results):
             assert summary.final_train_loss == full_value(problem, result.x)
             assert summary.final_test_loss == testing_loss(config.network, result.x, config.test)
+
+
+class TestReadTrace:
+    def write_sample(self, path):
+        event = TraceEvent(0, 0.5, 0.1, 0.2, 1.5, -math.inf, 0, 10, 10, 20, 0, 5, 0, 0, 0.7, None, None)
+        write_trace(path, [event, event])
+        return path.read_text().splitlines()
+
+    def test_roundtrip(self, tmp_path):
+        self.write_sample(tmp_path / "t.csv")
+        events = read_trace(tmp_path / "t.csv")
+        assert len(events) == 2
+        assert events[0].k == 0 and type(events[0].k) is int
+        assert events[0].rho == -math.inf and events[0].train_loss is None
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row + ",999",  # used to be read without complaint
+            lambda row: row.rsplit(",", 1)[0],  # used to raise a bare TypeError
+            lambda row: "abc" + row[1:],  # used to raise a bare ValueError
+            lambda row: "1.5" + row[1:],  # a float in the integer column k
+        ],
+        ids=["extra_field", "short_row", "non_numeric", "float_in_int_column"],
+    )
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, edit):
+        path = tmp_path / "t.csv"
+        lines = self.write_sample(path)
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row")):
+            read_trace(path)
+
+    def test_unexpected_header_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        lines = self.write_sample(path)
+        path.write_text("\n".join([lines[0].replace("cm", "cost")] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="unexpected trace header"):
+            read_trace(path)
+
+
+class TestTestSetWidth:
+    def test_experiment_config_rejects_another_width(self):
+        train = synthesize_dataset(0, 20, 3, 1.0)
+        test = synthesize_dataset(1, 10, 2, 1.0)
+        with pytest.raises(ValueError, match="test set has 2 features, training set 3"):
+            ExperimentConfig(train=train, network=NetworkSpec(3), solver=SolverConfig(), test=test)
+
+    @pytest.mark.parametrize(
+        "scale,message",
+        [("none", "test set has 2 features, training set 3"),
+         ("minmax", "reference has 3 columns, features 2")],
+        ids=["none", "minmax"],
+    )
+    def test_cli_fails_before_any_run(self, tmp_path, scale, message):
+        # Used to fail inside the first iteration and leave an empty --out.
+        train = tmp_path / "train.csv"
+        train.write_text("1,0.1,0.2,0.3\n0,0.4,0.5,0.6\n")
+        test = tmp_path / "test.csv"
+        test.write_text("1,0.1,0.2\n0,0.3,0.4\n")
+        out = tmp_path / "exp"
+        with pytest.raises(ValueError, match=message):
+            main(["train", "--dataset", str(train), "--test-dataset", str(test),
+                  "--scale", scale, "--budget-cm", "2", "--out", str(out)])
+        assert not out.exists()
+
+
+# The train flags that set SolverConfig fields, with a non-default value each.
+SOLVER_VALUES = {
+    "q": "2", "p": "2", "sigma0": "0.3", "sigma_min": "1e-4", "eps1": "0.01",
+    "eps2": "0.002", "theta": "0.25", "eta": "0.7", "gamma": "3", "alpha": "0.4",
+    "kappa_eps": "0.25", "gamma_eps": "0.25", "kappa": "0.05", "t": "0.1",
+    "budget_cm": "7", "max_iters": "9", "seed": "4",
+}
+INT_SETTINGS = {"q", "p", "max_iters", "seed"}
+
+
+def flags_in_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    return set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+
+
+def train_solver(tmp_path, monkeypatch, argv, config_text=None):
+    """The SolverConfig that ``train`` builds from ``argv`` and a config file."""
+    seen = {}
+    monkeypatch.setattr("subreg.cli.run_experiment", lambda config: seen.update(c=config))
+    data = tmp_path / "d.csv"
+    data.write_text("1,0.5\n0,0.25\n")
+    argv = ["train", "--dataset", str(data)] + argv
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    return seen["c"].solver
+
+
+class TestDerivedCommandLine:
+    def test_train_flags_pinned(self, capsys):
+        # A new SolverConfig field becomes a flag only through this list.
+        solver_flags = {"--" + name.replace("_", "-") for name in SOLVER_VALUES}
+        other = {"--help", "--config", "--dataset", "--format", "--label-col", "--dim",
+                 "--scale", "--test-dataset", "--net", "--runs", "--out"}
+        assert len(solver_flags) == 17
+        assert flags_in_help(capsys, "train") == solver_flags | other
+
+    def test_audit_flags_pinned(self, capsys):
+        assert flags_in_help(capsys, "audit") == {
+            "--help", "--dataset", "--format", "--label-col", "--dim", "--scale", "--synth-n",
+            "--synth-d", "--synth-separation", "--order", "--nu", "--kappa", "--t", "--trials",
+            "--seed",
+        }
+
+    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        solver = train_solver(tmp_path, monkeypatch, [])
+        assert solver == SolverConfig()
+        assert solver.eps2 is None and solver.budget_cm == math.inf
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("name", sorted(SOLVER_VALUES))
+    def test_setting_reaches_config_with_its_type(self, tmp_path, monkeypatch, name, source):
+        raw = SOLVER_VALUES[name]
+        if source == "flag":
+            solver = train_solver(tmp_path, monkeypatch, ["--" + name.replace("_", "-"), raw])
+        else:
+            solver = train_solver(tmp_path, monkeypatch, [], f"{name}={raw}\n")
+        kind = int if name in INT_SETTINGS else float
+        value = getattr(solver, name)
+        assert type(value) is kind and value == kind(raw)
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_explicit_flag_beats_file(self, tmp_path, monkeypatch, before):
+        # The flag wins whether it comes before or after --config.
+        flag = ["--sigma0", "0.7"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma0=0.3\nkappa-eps=0.25\n")
+        argv = flag + ["--config", str(cfg)] if before else ["--config", str(cfg)] + flag
+        solver = train_solver(tmp_path, monkeypatch, argv)
+        assert solver.sigma0 == 0.7 and solver.kappa_eps == 0.25
+
+    @pytest.mark.parametrize("key", ["nope", "config", "command", "record_iterates"])
+    def test_unknown_key_rejected(self, tmp_path, monkeypatch, key):
+        with pytest.raises(ValueError, match="unknown config key"):
+            train_solver(tmp_path, monkeypatch, [], f"{key}=1\n")
+
+    @pytest.mark.parametrize("line", ["seed=1.5", "sigma0=abc", "format=json", "scale=log"])
+    def test_badly_typed_file_value_refused_by_the_parser(self, tmp_path, monkeypatch, line):
+        # Used to raise ValueError from the field's type, or to fail later
+        # in load_dataset for a value outside the flag's choices.
+        with pytest.raises(SystemExit) as exit_info:
+            train_solver(tmp_path, monkeypatch, [], line + "\n")
+        assert exit_info.value.code == 2
+
+    def test_audit_scales_its_dataset(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,5\n0,10,5\n1,5,5\n")
+        seen = {}
+
+        def fake_audit(problem, *args):
+            seen["features"] = problem.dataset.features
+            return 0.0
+
+        monkeypatch.setattr("subreg.cli.audit_accuracy", fake_audit)
+        assert main(["audit", "--dataset", str(data), "--scale", "minmax",
+                     "--nu", "0.5", "--kappa", "1.0"]) == 0
+        np.testing.assert_array_equal(seen["features"], [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
 
 
 class TestCli:

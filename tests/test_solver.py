@@ -99,8 +99,6 @@ class TestConfigValidation:
             dict(kappa=0.0),
             dict(t=0.0),
             dict(q=2, p=2),  # missing eps2
-            dict(stall_limit=0),
-            dict(stall_limit=-3),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -117,12 +115,6 @@ class TestConfigValidation:
 
     def test_infinite_budget_valid(self):
         SolverConfig(budget_cm=math.inf).validate()
-
-    def test_nonpositive_stall_limit_rejected_before_iterating(self):
-        # Unchecked, the first iteration would raise SolverStallError.
-        prob = sigmoid_problem(seed=5, N=300, d=5)
-        with pytest.raises(ValueError, match="stall_limit"):
-            minimize(prob, SolverConfig(p=1, budget_cm=5.0, stall_limit=0))
 
     def test_omega_definition(self):
         cfg = SolverConfig(alpha=0.5, eta=0.8)
@@ -282,7 +274,7 @@ class TestSampledMode:
 
     def test_stall_safeguard_raises(self):
         flat = CustomProblem(2, 4, value=lambda i, x: 1.0, gradient=lambda i, x: np.zeros(2))
-        cfg = SolverConfig(eps1=0.0, stall_limit=60, max_iters=500, **EXACT)
+        cfg = SolverConfig(eps1=0.0, max_iters=500, **EXACT)
         with pytest.raises(SolverStallError):
             minimize(flat, cfg)
 
@@ -298,10 +290,10 @@ class TestSampledMode:
         res = minimize(prob, SolverConfig(budget_cm=2.0, seed=0), on_event=seen.append)
         assert seen == res.trace
 
-    def test_exact_losses_suppressed_above_threshold(self):
+    def test_exact_losses_suppressed_above_threshold(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "EXACT_LOSS_THRESHOLD", 50)
         prob = sigmoid_problem(seed=43, N=120, d=4)
-        cfg = SolverConfig(budget_cm=2.0, seed=0, exact_loss_threshold=50)
-        res = minimize(prob, cfg)
+        res = minimize(prob, SolverConfig(budget_cm=2.0, seed=0))
         assert all(e.train_loss is None for e in res.trace)
 
 
