@@ -4,13 +4,15 @@ Subcommands: ``train`` runs seeded experiments, ``synth`` writes a synthetic
 dataset, ``convert`` remaps label columns, ``audit`` measures the empirical
 failure rate of the Bernstein-sized estimators.  The solver flags of
 ``train`` are ``SolverConfig``'s fields.  Every ``train`` flag can also be
-set from a flat ``key=value`` config file ('#' starts a comment), parsed
-like the flags; command-line flags win over file values.
+set from a flat ``key=value`` config file ('#' at the start of a line or
+after whitespace starts a comment), parsed like the flags; command-line
+flags win over file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -34,12 +36,19 @@ from .solver import SolverConfig
 __all__ = ["main", "build_parser", "parse_config_file"]
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_file(path) -> dict:
-    """Flat key=value pairs; keys use the flag names without dashes."""
+    """Flat key=value pairs; keys use the flag names without dashes.
+
+    A '#' starts a comment only at the start of a line or after whitespace,
+    so a value such as a path may contain one.
+    """
     values = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -158,7 +158,10 @@ def synthesize_dataset(seed: int, N: int, d: int, separation: float) -> Dataset:
     """Two seeded Gaussian blobs at +-separation * u for a random unit u.
 
     Labels follow the blob; separation 0 collapses both blobs so no
-    predictor can beat chance.
+    predictor can beat chance.  Feature (i, j) is ``z + (separation *
+    sign_i) * u_j`` for a standard normal z; each blob's shift is one
+    d-vector added in place, so the call holds the noise and its permuted
+    copy and no other N x d array.
     """
     if N < 1 or d < 1:
         raise ValueError("N and d must be positive")
@@ -167,12 +170,14 @@ def synthesize_dataset(seed: int, N: int, d: int, separation: float) -> Dataset:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
+    half = (N + 1) // 2
     labels = np.zeros(N)
-    labels[: (N + 1) // 2] = 1.0
-    signs = np.where(labels == 1.0, 1.0, -1.0)
-    features = rng.standard_normal((N, d)) + separation * signs[:, None] * u[None, :]
+    labels[:half] = 1.0
+    features = rng.standard_normal((N, d))
+    features[:half] += separation * u
+    features[half:] += -separation * u
     order = rng.permutation(N)  # prefix splits stay label-balanced
-    return Dataset(features=features[order], labels=labels[order])
+    return Dataset(features=features.take(order, axis=0), labels=labels[order])
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

@@ -9,6 +9,10 @@ computed by safeguarded root-finding on the Lagrange multiplier of the
 boundary-constrained problem, with the classic hard case (gradient
 orthogonal to the leftmost eigenspace) handled by completing the boundary
 solution along a leftmost eigenvector.
+
+SciPy serves only these eigensolvers and phi2, which only the cubic model
+(p = 2) calls, so it is imported on first use: importing ``subreg`` or
+running the quadratic variant (p = 1) loads no SciPy submodule.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, cg, eigsh
 
 from .finite_sum import symmetric_part
 
@@ -87,9 +88,13 @@ def leftmost_eigenpair(h_action, n: int):
     The dense path symmetrises the materialised action without checking it.
     """
     if dense_path(n):
+        from scipy.linalg import eigh
+
         H = materialise_operator(h_action, n, check_symmetry=False)
         lam, q = eigh(H)
         return float(lam[0]), q[:, 0]
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float))
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     lam, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=50 * n, tol=1e-9)
@@ -134,6 +139,9 @@ def _result(g, H_apply, d, mu, boundary) -> TrustRegionResult:
 
 
 def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
+    from scipy.linalg import eigh
+    from scipy.optimize import brentq
+
     lam, Q = eigh(H)
     w = Q.T @ g
     lam1 = float(lam[0])
@@ -192,6 +200,8 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
 
 
 def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:
+    from scipy.sparse.linalg import LinearOperator, cg
+
     apply_H = lambda v: np.asarray(h_action(v), dtype=float)
     lam1, q1 = leftmost_eigenpair(h_action, n)
     gnorm = float(np.linalg.norm(g))

@@ -125,6 +125,44 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_dataset(0, 10, 4, -1.0)
 
+    @pytest.mark.parametrize(
+        "seed, N, d, separation",
+        [
+            (1, 1, 1, 2.0),
+            (2, 6000, 50, 1.5),
+            (3, 4, 7, -0.0),  # validation lets a signed zero through
+            (4, 777, 13, 0.0),  # odd N: one more sample in the first blob
+        ],
+    )
+    def test_bits_of_the_one_expression_construction(self, seed, N, d, separation):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        labels = np.zeros(N)
+        labels[: (N + 1) // 2] = 1.0
+        signs = np.where(labels == 1.0, 1.0, -1.0)
+        features = rng.standard_normal((N, d)) + separation * signs[:, None] * u[None, :]
+        order = rng.permutation(N)
+        ds = synthesize_dataset(seed, N, d, separation)
+        assert ds.features.tobytes() == features[order].tobytes()
+        assert ds.labels.tobytes() == labels[order].tobytes()
+
+    # numpy adds into a temporary in place only from 256 KB on, so the
+    # smaller case shows whether the construction itself makes a third
+    # N x d array.
+    @pytest.mark.parametrize("N, d", [(1000, 30), (20000, 50)])
+    def test_peak_is_the_noise_and_its_permuted_copy(self, N, d):
+        import tracemalloc
+
+        synthesize_dataset(0, 1, 1, 1.0)  # first-call set-up inside numpy is not the call's
+        tracemalloc.start()
+        try:
+            synthesize_dataset(0, N, d, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * N * d * 8
+
 
 class TestConvert:
     def test_odd_even(self, tmp_path):
@@ -554,6 +592,16 @@ class TestCli:
         cfg.write_text("sigma0=0.5\nkappa-eps=0.25 # trailing comment\n\n")
         values = parse_config_file(cfg)
         assert values == {"sigma0": "0.5", "kappa_eps": "0.25"}
+
+    def test_config_value_may_contain_hash(self, tmp_path):
+        data = tmp_path / "data#1.csv"
+        main(["synth", "--seed", "2", "--n", "80", "--d", "3", "--out", str(data)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# the run\ndataset={data}\t# training set\nruns=1 #one\nbudget-cm=1\n")
+        assert parse_config_file(cfg) == {"dataset": str(data), "runs": "1", "budget_cm": "1"}
+        out = tmp_path / "exp"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()
 
     def test_config_unknown_key(self, tmp_path):
         cfg = tmp_path / "x.cfg"

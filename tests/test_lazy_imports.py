@@ -1,0 +1,64 @@
+"""SciPy serves only the cubic model, so the quadratic variant never loads it.
+
+Each check runs in a fresh interpreter: this test process has imported
+SciPy already (``oracles`` uses ``scipy.optimize``).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import subreg
+
+SCIPY_SUBPACKAGES = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+
+P1_RUN = """
+import sys
+import subreg
+from subreg import cli, harness
+
+data, out = sys.argv[1:]
+ds = harness.synthesize_dataset(0, 300, 4, 2.0)
+problem = subreg.SquaredLossProblem(ds, subreg.NetworkSpec(4))
+result = subreg.minimize(problem, subreg.SolverConfig(p=1, budget_cm=5.0, seed=1))
+assert result.stop_reason in ("budget", "converged"), result.stop_reason
+harness.save_dataset_csv(ds, data)
+code = cli.main(["train", "--dataset", data, "--p", "1", "--budget-cm", "2",
+                 "--runs", "1", "--out", out])
+assert code == 0
+"""
+
+P2_RUN = """
+import subreg
+
+ds = subreg.synthesize_dataset(0, 300, 4, 2.0)
+problem = subreg.SquaredLossProblem(ds, subreg.NetworkSpec(4))
+config = subreg.SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=40.0, seed=1)
+result = subreg.minimize(problem, config)
+assert result.stop_reason in ("budget", "converged"), result.stop_reason
+"""
+
+
+def scipy_modules_after(code, *args):
+    """The SciPy modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
+    src = str(Path(subreg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_quadratic_variant_imports_no_scipy_subpackage(tmp_path):
+    modules = scipy_modules_after(P1_RUN, tmp_path / "d.csv", tmp_path / "out")
+    assert [m for m in modules if m.startswith(SCIPY_SUBPACKAGES)] == []
+
+
+def test_cubic_variant_loads_the_eigensolvers_on_first_use():
+    modules = scipy_modules_after(P2_RUN)
+    assert {"scipy.linalg", "scipy.optimize"} <= set(modules)
