@@ -13,11 +13,10 @@ model of the p = 1 method has a closed-form minimiser and needs no object
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from . import optimality
 from .finite_sum import SampleHessian
 
 __all__ = ["RegularisedModel", "AccuracyQuantities", "accuracy_quantities", "model_hessian_action"]
@@ -103,15 +102,11 @@ class AccuracyQuantities:
 
     ``tau`` mixes the step norm with the unit-sphere maximiser norms of the
     model measures; ``delta_t_min`` is the smallest of the Taylor decrease
-    at the step and the model measures themselves.  ``phi2_value`` is the
-    order-two model measure, None when only first order is targeted.
+    at the step and the model measures themselves.
     """
 
     tau: float
     delta_t_min: float
-    delta_t_f: float
-    model_grad_norm: float
-    phi2_value: Optional[float] = None
 
     def targets(self, omega: float) -> tuple:
         """Gradient and Hessian accuracy targets: omega * dt_min / (6 tau^l)."""
@@ -120,31 +115,19 @@ class AccuracyQuantities:
         return tuple(omega * self.delta_t_min / (6.0 * self.tau**ell) for ell in (1, 2))
 
 
-def accuracy_quantities(model: RegularisedModel, s, diag: dict, q: int) -> AccuracyQuantities:
+def accuracy_quantities(s, diag: dict) -> AccuracyQuantities:
     """Evaluate tau and the minimum decrease of the accuracy test at the
     step s that ``cubic_step`` returned with diagnostics ``diag``.
 
-    The solve reports the Taylor decrease and the model gradient norm at
-    its step.  For q = 2 it also reports the order-two model measure when
-    its own second-order test passed; otherwise that measure is computed
-    here by the unit-ball trust-region solve.  Maximisers of the model
-    measures lie on the unit sphere whenever a measure is nonzero, so
-    their norm is one; when every measure is zero tau falls back to the
-    step norm.
+    The solve reports the Taylor decrease, the model gradient norm and,
+    when it was given ``eps2``, the order-two model measure at its step;
+    this is arithmetic on that report.  Maximisers of the model measures
+    lie on the unit sphere whenever a measure is nonzero, so their norm is
+    one; when every measure is zero tau falls back to the step norm.
     """
-    dtf, grad_norm = diag["taylor_decrease"], diag["grad_norm"]
-    phi2 = None
-    if q == 2:
-        phi2 = diag["phi2"]
-        if phi2 is None:
-            h_action = model_hessian_action(model, s)
-            phi2 = optimality.phi_2(model.gradient(s), h_action, model.n).value
-    measures = (grad_norm,) if phi2 is None else (grad_norm, phi2)
+    measures = [m for m in (diag["grad_norm"], diag["phi2"]) if m is not None]
     norm_s = float(np.linalg.norm(s))
     return AccuracyQuantities(
         tau=max(norm_s, 1.0) if any(measures) else norm_s,
-        delta_t_min=min(dtf, *measures),
-        delta_t_f=dtf,
-        model_grad_norm=grad_norm,
-        phi2_value=phi2,
+        delta_t_min=min(diag["taylor_decrease"], *measures),
     )

@@ -62,18 +62,19 @@ def bernstein_size(kappa: float, nu: float, t: float, log_argument: float, N: in
 
     Clamped to [1, N]; the closed form can round to zero for loose accuracy
     targets and exceeds N near stationarity, where the exact mean is used.
+    A target of exactly 0 asks for the exact mean, N.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    if nu < 0.0:
+        raise ValueError("nu must be nonnegative")
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     if log_argument <= 1.0:
         raise ValueError("log_argument must exceed 1")
     if N < 1:
         raise ValueError("N must be positive")
-    ratio = kappa / nu
+    ratio = math.inf if nu == 0.0 else kappa / nu
     raw = 4.0 * ratio * (2.0 * ratio + 1.0 / 3.0) * math.log(log_argument)
     if not math.isfinite(raw):
         return int(N)

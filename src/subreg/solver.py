@@ -28,22 +28,14 @@ the method.
 A growth pass redoes only what grew.  While the Hessian sample is not
 extended, the next pass keeps its ``SampleHessian`` and dense matrix; a
 pass that extends neither sample reuses the previous pass's whole solve
-(step, diagnostics and accuracy quantities).  Every pass is still charged
-the Hessian columns of the solve it uses, so CM and traces are those of a
-loop that rebuilds and re-solves on every pass.
+(step and diagnostics).  Every pass is still charged the Hessian columns
+of the solve it uses, so CM and traces are those of a loop that rebuilds
+and re-solves on every pass.
 
 The subproblem solver reports the Taylor decrease and the model gradient
 norm at its step, from the Hessian action it took there, and for q = 2
-the order-two model measure when its own second-order test passed; the
-accuracy test of a growth pass reads them and takes no action of its own.
-Known gap: when that second-order test did not pass, the accuracy test
-computes the order-two measure itself, and those Hessian actions are not
-charged: n + 1 on the dense path (the model gradient and the model
-Hessian).  On the q = 2 sigmoid benchmark problem (N = 20000, n = 50,
-1200 CM budget) every solve's test passes, so no action goes uncharged;
-at eps1 = 0 and a 20 CM budget (seed 1000) no solve converges, and the
-10 passes ask 510 uncharged actions (120 full-sample equivalents) against
-2641 charged full-sample equivalents.
+the order-two model measure there, counted in its columns; the accuracy
+test of a growth pass reads them and takes no action of its own.
 """
 
 from __future__ import annotations
@@ -55,7 +47,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .finite_sum import FiniteSumProblem, SampleHessian, full_value
-from .model import AccuracyQuantities, RegularisedModel, accuracy_quantities
+from .model import RegularisedModel, accuracy_quantities
 from .optimality import check_termination, phi_2
 from .sampling import (
     bernstein_size,
@@ -103,7 +95,7 @@ class SolverConfig:
     solver runs to its iteration cap on every growth pass that solves, and
     ``budget_cm`` is checked only between outer iterations: one iteration
     can overrun the budget by orders of magnitude (a 20 CM budget on a
-    20000 x 50 sigmoid problem charged 4862 CM at q = 1 and 5284 CM at
+    20000 x 50 sigmoid problem charged 4862 CM at q = 1 and 5519 CM at
     q = 2 in its first iteration).  ``_STALL_LIMIT`` (a constant, 60)
     full-sample iterations in a row without predicted decrease raise
     ``SolverStallError``.
@@ -271,16 +263,14 @@ def _first_gradient(problem, idx, x, known):
 class StepRecord:
     """What a growth loop hands ``minimize``: the gradient estimate and its
     sample, the Hessian sample (empty for p = 1), the trial step and its
-    Taylor decrease, the accuracy quantities (None for p = 1), the Hessian
-    work charged, the number of growth passes and the last pass's
-    ``SampleHessian`` (None for p = 1)."""
+    Taylor decrease, the Hessian work charged, the number of growth passes
+    and the last pass's ``SampleHessian`` (None for p = 1)."""
 
     g: np.ndarray
     g_idx: np.ndarray
     h_idx: np.ndarray
     s: np.ndarray
     delta_t: float
-    quantities: Optional[AccuracyQuantities]
     hvp_props: int
     passes: int
     hessian: Optional[SampleHessian]
@@ -301,7 +291,7 @@ def _grow_gradient(problem, x, omega, sigma, cfg, rng, known):
     idx = draw_subsample(rng, N, size)
     g = _first_gradient(problem, idx, x, known)
     passes = 1
-    while idx.size < N and eps > omega * float(np.linalg.norm(g)) and eps > 1e-300:
+    while idx.size < N and eps > omega * float(np.linalg.norm(g)):
         eps *= cfg.gamma_eps
         size = bernstein_size(cfg.kappa, eps, cfg.t, log_arg, N)
         if size > idx.size:
@@ -311,7 +301,7 @@ def _grow_gradient(problem, x, omega, sigma, cfg, rng, known):
         passes += 1
     _require_finite("gradient", float(np.linalg.norm(g)))
     s, delta_t = quadratic_step(g, sigma)
-    return StepRecord(g, idx, _EMPTY, s, delta_t, None, 0, passes, None)
+    return StepRecord(g, idx, _EMPTY, s, delta_t, 0, passes, None)
 
 
 class _SampleGradient:
@@ -355,9 +345,8 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
     ``SampleHessian`` (and the dense matrix it caches) is built when H is
     drawn or extended and kept otherwise.  A pass that extends neither
     sample would repeat the previous solve exactly, so it reuses that
-    step, its diagnostics and its accuracy quantities; it only shrinks the
-    accuracy targets and is charged the same Hessian columns as the solve
-    it reuses.
+    step and its diagnostics; it only shrinks the accuracy targets and is
+    charged the same Hessian columns as the solve it reuses.
     """
     N, n = problem.N, problem.n
     glog = gradient_log_argument(n, cfg.t)
@@ -383,8 +372,7 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
             hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(g, sigma, hessian)
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
-        quantities = accuracy_quantities(model, s, diag, cfg.q)
-        targets = quantities.targets(omega)
+        targets = accuracy_quantities(s, diag).targets(omega)
 
         # One pass per shrink of the targets, on this solve until a sample grows.
         grown = False
@@ -393,19 +381,18 @@ def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
             hvp_props += diag["hvp_evals"] * h_idx.size
             full = g_idx.size == N and h_idx.size == N
             if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-                return StepRecord(
-                    g, g_idx, h_idx, s, quantities.delta_t_f, quantities, hvp_props, passes, hessian
-                )
+                delta_t = diag["taylor_decrease"]
+                return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)
 
             eps_g *= cfg.gamma_eps
             eps_h *= cfg.gamma_eps
-            new_g = bernstein_size(cfg.kappa, max(eps_g, 1e-300), cfg.t, glog, N)
+            new_g = bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N)
             if new_g > g_idx.size:
                 old = g_idx.size
                 g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
                 g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
                 grown = True
-            new_h = bernstein_size(cfg.kappa, max(eps_h, 1e-300), cfg.t, hlog, N)
+            new_h = bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N)
             if new_h > h_idx.size:
                 h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
                 h_base.extend(ext)
@@ -504,11 +491,8 @@ def minimize(
         success = False
         # Steps 3 and 4: estimate f at both ends, then test acceptance.
         if not converged and delta_t > 0.0:
-            nu0 = omega * delta_t
-            if nu0 <= 0.0:  # underflow near stationarity: use the exact sum
-                size = N
-            else:
-                size = bernstein_size(config.kappa, nu0, config.t, value_log_argument(config.t), N)
+            nu0 = omega * delta_t  # underflow to 0 near stationarity asks the exact sum
+            size = bernstein_size(config.kappa, nu0, config.t, value_log_argument(config.t), N)
             d1_idx = draw_subsample(rng, N, size)
             d2_idx = draw_subsample(rng, N, size)
             x_trial = x + step.s

@@ -65,18 +65,19 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     iterations allow, model gradient norm at most theta * eps1.  With
     ``eps2`` given the order-two model measure at the step is also pushed
     below theta * eps2 by restarting along directions of negative
-    curvature; when that test passes, the diagnostics carry its value at
-    the returned step as ``phi2`` (otherwise None).  The diagnostics also
-    carry the model gradient norm ``grad_norm`` and the Taylor decrease
-    ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned step, from
-    the action H s the solve took there.  ``hvp_evals`` counts
-    the Hessian-action columns this solve asks the model's
-    ``SampleHessian`` for, however they are answered.  Where the
-    eigensolvers take the dense path (``optimality.dense_path``) and the
-    second-order test needs H, the dense matrix is built first, uncounted,
-    and every later action is a product with it.  When the iterations run
-    out or the line search stalls, the best iterate found is returned with
-    ``converged`` False.
+    curvature.  The diagnostics carry the model gradient norm
+    ``grad_norm`` and the Taylor decrease ``taylor_decrease = -g @ s -
+    0.5 s @ H s`` at the returned step, from the action H s the solve took
+    there, and with ``eps2`` given the order-two measure ``phi2`` there
+    (otherwise None): the last second-order test's value, or one
+    measurement taken before returning when no test ran at that step.
+    ``hvp_evals`` counts the Hessian-action columns this solve asks the
+    model's ``SampleHessian`` for, however they are answered, so it
+    includes that measurement.  Where the eigensolvers take the dense path
+    (``optimality.dense_path``) and ``eps2`` is given, the dense matrix is
+    built first, uncounted, and every later action is a product with it.
+    When the iterations run out or the line search stalls, the best
+    iterate found is returned with ``converged`` False.
     """
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
@@ -85,7 +86,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     start = H.columns
     n = model.n
     if eps2 is not None and dense_path(n):
-        # The second-order test materialises H on every converged solve.
+        # Measuring phi2 at the returned step materialises H.
         H.dense()
     tol = theta * eps1
 
@@ -97,7 +98,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     iterations = 0
     escapes = 0
     converged = False
-    phi2_value = None
+    phi2_value, phi2_at = None, None
 
     def diagnostics():
         return {
@@ -108,7 +109,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
             "taylor_decrease": -float(model.grad @ s) - 0.5 * float(s @ hs),
             "model_value": value,
             "escapes": escapes,
-            "phi2": phi2_value if converged else None,
+            "phi2": phi2_value,
         }
 
     def try_escape():
@@ -134,13 +135,11 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
                 return True
         return False
 
-    def second_order_ok():
-        nonlocal phi2_value
-        if eps2 is None:
-            return True
-        action = model_hessian_action(model, s)
-        phi2_value = phi_2(model.gradient(s), action, n).value
-        return phi2_value <= theta * eps2
+    def measure_phi2():
+        """The order-two model measure at s, from the model gradient held there."""
+        nonlocal phi2_value, phi2_at
+        phi2_value, phi2_at = phi_2(grad, model_hessian_action(model, s), n).value, s
+        return phi2_value
 
     while iterations < _MAX_INNER_ITERATIONS:
         gnorm = float(np.linalg.norm(grad))
@@ -149,7 +148,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
             # pure gradient descent; probe curvature before accepting it.
             if value == 0.0 and try_escape():
                 continue
-            if second_order_ok():
+            if eps2 is None or measure_phi2() <= theta * eps2:
                 converged = True
                 break
             if not try_escape():
@@ -163,7 +162,9 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = s + alpha * direction
-            trial_value, trial_grad, trial_hs = model.value_and_gradient(trial)
+            # A huge trial may overflow; the finiteness test rejects it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_value, trial_grad, trial_hs = model.value_and_gradient(trial)
             if np.isfinite(trial_value) and (
                 trial_value <= reference + _SUFFICIENT_DECREASE * alpha * slope
             ):
@@ -189,4 +190,6 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         _, grad, hs = model.value_and_gradient(s)
     if value > 0.0:
         raise RuntimeError(f"cubic subproblem returned a non-descent step: {diagnostics()}")
+    if eps2 is not None and phi2_at is not s:
+        measure_phi2()
     return s, diagnostics()

@@ -165,22 +165,20 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
         hvp_props += diag["hvp_evals"] * h_idx.size
 
-        quantities = accuracy_quantities(model, s, diag, cfg.q)
         full = g_idx.size == N and h_idx.size == N
-        targets = quantities.targets(omega)
+        targets = accuracy_quantities(s, diag).targets(omega)
         if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-            return StepRecord(
-                g, g_idx, h_idx, s, quantities.delta_t_f, quantities, hvp_props, passes, hessian
-            )
+            delta_t = diag["taylor_decrease"]
+            return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)
 
         eps_g *= cfg.gamma_eps
         eps_h *= cfg.gamma_eps
-        new_g = bernstein_size(cfg.kappa, max(eps_g, 1e-300), cfg.t, glog, N)
+        new_g = bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N)
         if new_g > g_idx.size:
             old = g_idx.size
             g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
             g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
-        new_h = bernstein_size(cfg.kappa, max(eps_h, 1e-300), cfg.t, hlog, N)
+        new_h = bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N)
         if new_h > h_idx.size:
             old = h_idx.size
             h_idx, ext = extend_subsample(rng, N, h_idx, new_h)

@@ -157,61 +157,60 @@ class TestAccuracyQuantities:
         # zero gradient and positive definite H: s = 0 is a second-order point
         m = cubic_model([0.0, 0.0], np.diag([1.0, 2.0]), 2.0)
         s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
-        q = accuracy_quantities(m, s, diag, 2)
-        assert q.model_grad_norm == 0.0 and q.phi2_value == 0.0
+        q = accuracy_quantities(s, diag)
+        assert diag["grad_norm"] == 0.0 and diag["phi2"] == 0.0
         assert q.delta_t_min == 0.0  # targets collapse; the relative test takes over
         assert q.targets(0.2) == (0.0, 0.0)
 
     def test_tau_uses_unit_sphere_maximisers(self):
         m = cubic_model([0.4, 0.0], np.eye(2), 1.0)
-        for order in (1, 2):
+        for phi2 in (None, 0.3):  # the report of a q = 1 and of a q = 2 solve
             s = np.array([0.5, 0.0])
-            assert accuracy_quantities(m, s, measured(m, s), order).tau == 1.0
+            assert accuracy_quantities(s, measured(m, s, phi2)).tau == 1.0
             s = np.array([2.5, 0.0])
-            assert accuracy_quantities(m, s, measured(m, s), order).tau == 2.5
+            assert accuracy_quantities(s, measured(m, s, phi2)).tau == 2.5
 
     def test_one_definition_for_both_orders(self):
         m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
         s = np.array([-0.1, 0.05])
         diag = measured(m, s)
-        first = accuracy_quantities(m, s, diag, 1)
-        second = accuracy_quantities(m, s, measured(m, s, phi2=1e-9), 2)
-        assert first.phi2_value is None and second.phi2_value == 1e-9
-        assert first.delta_t_f == second.delta_t_f == diag["taylor_decrease"]
+        first = accuracy_quantities(s, diag)
+        second = accuracy_quantities(s, measured(m, s, phi2=1e-9))
         assert first.delta_t_min == min(diag["taylor_decrease"], diag["grad_norm"])
         assert second.delta_t_min == 1e-9
         # a zero step with a zero measure: tau falls back to ||s|| = 0
         zero = cubic_model([0.0, 0.0], np.eye(2), 1.0)
-        assert accuracy_quantities(zero, np.zeros(2), measured(zero, np.zeros(2)), 1).tau == 0.0
+        assert accuracy_quantities(np.zeros(2), measured(zero, np.zeros(2))).tau == 0.0
 
     def test_frozen_target_values(self):
-        q = AccuracyQuantities(tau=2.0, delta_t_min=0.6, delta_t_f=0.6, model_grad_norm=1.0)
+        q = AccuracyQuantities(tau=2.0, delta_t_min=0.6)
         nu1, nu2 = q.targets(0.2)
         assert nu1 == pytest.approx(0.01, rel=1e-15)
         assert nu2 == pytest.approx(0.005, rel=1e-15)
 
-    def test_q2_includes_curvature_measure(self):
-        H = np.diag([-2.0, 1.0])
-        m = cubic_model([0.0, 0.0], H, 3.0)
-        q = accuracy_quantities(m, np.zeros(2), measured(m, np.zeros(2)), 2)
-        # at s = 0 the curvature measure is 1 (leftmost eigenvalue -2)
-        assert q.phi2_value == pytest.approx(1.0, abs=1e-8)
-        assert q.delta_t_min == 0.0
+    def test_q2_includes_curvature_measure(self, monkeypatch):
+        # A solve that ends at its iteration cap at s = 0 still reports the
+        # curvature measure there, 1 (leftmost eigenvalue -2), and counts
+        # the n columns that measured it.
+        m = cubic_model([0.0, 0.0], np.diag([-2.0, 1.0]), 3.0)
+        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 0)
+        s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
+        assert not diag["converged"]
+        np.testing.assert_array_equal(s, np.zeros(2))
+        assert diag["phi2"] == pytest.approx(1.0, abs=1e-8)
+        assert diag["hvp_evals"] == m.hessian_action.columns == 2
+        assert accuracy_quantities(s, diag).delta_t_min == 0.0
 
     def test_supplied_phi2_skips_the_solve(self):
-        H = np.diag([-2.0, 1.0])
-        m = cubic_model([0.3, -0.1], H, 3.0)
-        s = np.array([0.2, 0.1])
-        diag = measured(m, s)
+        # The quantities are arithmetic on the solve's report: they ask no
+        # Hessian action and use the reported measure as is.
+        m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
         before = m.hessian_action.columns
-        computed = accuracy_quantities(m, s, diag, 2)
-        assert m.hessian_action.columns > before
-        before = m.hessian_action.columns
-        supplied = accuracy_quantities(m, s, measured(m, s, computed.phi2_value), 2)
-        assert supplied == computed
-        # The passed value is used as is, and the step's measures ask no action.
-        assert accuracy_quantities(m, s, measured(m, s, 0.0), 2).phi2_value == 0.0
-        assert m.hessian_action.columns == before + 2  # the two calls of measured
+        q = accuracy_quantities(s, diag)
+        assert q.delta_t_min == min(diag["taylor_decrease"], diag["grad_norm"], diag["phi2"])
+        assert accuracy_quantities(s, dict(diag, phi2=0.0)).delta_t_min == 0.0
+        assert m.hessian_action.columns == before
 
 
 class TestModelHessian:

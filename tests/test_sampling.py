@@ -30,6 +30,11 @@ class TestBernsteinSize:
     def test_clamps_to_n(self):
         assert bernstein_size(1e9, 1e-6, 0.2, 10.0, 500) == 500
 
+    def test_zero_target_asks_the_exact_mean(self):
+        # A target of exactly 0 (or one that underflows the ratio) is N.
+        assert bernstein_size(1.0, 0.0, 0.2, 10.0, 500) == 500
+        assert bernstein_size(1e-2, 5e-324, 0.2, 10.0, 500) == 500
+
     def test_log_arguments(self):
         assert value_log_argument(0.2) == 10.0
         assert gradient_log_argument(9, 0.2) == 50.0
