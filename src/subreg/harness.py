@@ -325,10 +325,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> List[RunSu
     for run_index in range(config.runs):
         seed = config.solver.seed + run_index
         cfg = replace(config.solver, seed=seed)
-        if spec.hidden_sizes:
-            x0 = initial_point(spec, np.random.default_rng([seed, 1]))
-        else:
-            x0 = np.zeros(spec.parameter_count)
+        x0 = initial_point(spec, np.random.default_rng([seed, 1]))
         try:
             result: SolverResult = minimize(problem, cfg, x0=x0, test_loss=test_loss_fn)
         except (SolverStallError, RuntimeError, FloatingPointError) as exc:

@@ -25,12 +25,17 @@ from the sample's cached dense matrix (``SampleHessian.dense``).  Building
 that matrix is not a request and is not charged, so CM stays the cost of
 the method.
 
-A growth pass redoes only what grew.  While the Hessian sample is not
-extended, the next pass keeps its ``SampleHessian`` and dense matrix; a
-pass that extends neither sample reuses the previous pass's whole solve
-(step and diagnostics).  Every pass is still charged the Hessian columns
-of the solve it uses, so CM and traces are those of a loop that rebuilds
-and re-solves on every pass.
+Both model orders share one sample-growth loop.  Each pass checks one
+accuracy level against the targets of the current step and shrinks it
+until every target holds or every sample is the full sum.  For p = 1 the
+only sample is the gradient's and the target is the relative test
+omega * ||g||; for p = 2 a Hessian sample follows it and the targets
+are the adaptive ones of the cubic step.  A growth pass redoes only what
+grew.  While the Hessian sample is not extended, the next pass keeps its
+``SampleHessian`` and dense matrix; a pass that extends neither sample
+reuses the previous pass's whole solve (step and diagnostics).  Every
+pass is still charged the Hessian columns of the solve it uses, so CM
+and traces are those of a loop that rebuilds and re-solves on every pass.
 
 The subproblem solver reports the Taylor decrease and the model gradient
 norm at its step, from the Hessian action it took there, and for q = 2
@@ -261,7 +266,7 @@ def _first_gradient(problem, idx, x, known):
 
 @dataclass
 class StepRecord:
-    """What a growth loop hands ``minimize``: the gradient estimate and its
+    """What the growth loop hands ``minimize``: the gradient estimate and its
     sample, the Hessian sample (empty for p = 1), the trial step and its
     Taylor decrease, the Hessian work charged, the number of growth passes
     and the last pass's ``SampleHessian`` (None for p = 1)."""
@@ -276,50 +281,31 @@ class StepRecord:
     hessian: Optional[SampleHessian]
 
 
-def _grow_gradient(problem, x, omega, sigma, cfg, rng, known):
-    """Sample-growth loop for the order-one model (p = 1), then its step.
-
-    Shrinks the accuracy target geometrically until it is at most
-    omega * ||g|| or the sample has grown to the full sum, whose estimate
-    is exact so the test is moot.  Growth extends the previous draw, so
-    each component gradient is evaluated once per outer iteration.
-    """
-    N = problem.N
-    log_arg = gradient_log_argument(problem.n, cfg.t)
-    eps = cfg.kappa_eps
-    size = bernstein_size(cfg.kappa, eps, cfg.t, log_arg, N)
-    idx = draw_subsample(rng, N, size)
-    g = _first_gradient(problem, idx, x, known)
-    passes = 1
-    while idx.size < N and eps > omega * float(np.linalg.norm(g)):
-        eps *= cfg.gamma_eps
-        size = bernstein_size(cfg.kappa, eps, cfg.t, log_arg, N)
-        if size > idx.size:
-            old_count = idx.size
-            idx, ext = extend_subsample(rng, N, idx, size)
-            g = merged_mean(g, old_count, problem.gradient_mean(ext, x), ext.size)
-        passes += 1
-    _require_finite("gradient", float(np.linalg.norm(g)))
-    s, delta_t = quadratic_step(g, sigma)
-    return StepRecord(g, idx, _EMPTY, s, delta_t, 0, passes, None)
-
-
 class _SampleGradient:
-    """Gradient mean at ``x`` over a growing Hessian sample, as a ``base``.
+    """A growing sample and the gradient mean at ``x`` over it.
 
-    A differenced Hessian action needs it; an exact one never asks.  Each
-    piece of the sample (the draw, then every extension) is evaluated at
-    the first call after it was added and merged in order, so the mean has
-    the bits of evaluating each piece as it is drawn.
+    ``idx`` is the sample, ascending, and ``grow`` extends it.  Calling the
+    sample returns the mean: each piece of the sample (the draw, then
+    every extension) is evaluated at the first call after it was added
+    and merged in order, so the mean has the bits of evaluating each piece
+    as it is drawn.  The gradient sample's mean is read after every
+    growth; the Hessian sample is its ``SampleHessian``'s ``base``, which
+    a differenced action asks for and an exact one never does.
     """
 
     def __init__(self, problem, x, idx, mean=None):
+        self.idx = idx
         self._problem, self._x = problem, x
         self._mean, self._count = mean, 0 if mean is None else idx.size
         self._pending = [idx] if mean is None else []
 
-    def extend(self, ext: np.ndarray) -> None:
+    def grow(self, rng, size: int) -> bool:
+        """Extend the sample to ``size`` indices; False when it has as many."""
+        if size <= self.idx.size:
+            return False
+        self.idx, ext = extend_subsample(rng, self._problem.N, self.idx, size)
         self._pending.append(ext)
+        return True
 
     def __call__(self) -> np.ndarray:
         for part in self._pending:
@@ -331,73 +317,73 @@ class _SampleGradient:
         return self._mean
 
 
-def _grow_model_and_step(problem, x, omega, sigma, cfg, rng, known):
-    """Sample-growth loop for the order-two model (p = 2).
+def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
+    """Step 1 of the method, growing the derivative samples, with the
+    model's trial step (step 2).
 
-    Each pass solves the cubic subproblem with the current Hessian sample,
-    derives the adaptive accuracy targets from the step, and accepts once
-    the requested accuracies meet them.  Full samples are exact, so they
-    terminate the loop unconditionally.  Returns the last pass's
-    ``StepRecord``, with the Taylor decrease the solve reported at its step.
+    Each pass checks one accuracy level ``eps`` against the targets of the
+    current step and accepts once it meets every one of them, or once
+    every sample is the full sum, whose estimates are exact.  Otherwise it
+    shrinks ``eps`` by ``gamma_eps`` and extends each sample to the size
+    that ``eps`` asks.  For p = 1 the one sample is the gradient's, the
+    step is ``quadratic_step``'s and the target is omega * ||g||: that
+    step zeroes the model gradient exactly, so the adaptive targets would
+    be zero and every sample would grow to the full sum.  For p = 2 a
+    Hessian sample follows it, and the step and its two targets come from
+    ``cubic_step`` and ``accuracy_quantities``.  Returns the last pass's
+    ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
-    extension, so a pass redoes only what grew.  The Hessian sample's
-    ``SampleHessian`` (and the dense matrix it caches) is built when H is
-    drawn or extended and kept otherwise.  A pass that extends neither
-    sample would repeat the previous solve exactly, so it reuses that
-    step and its diagnostics; it only shrinks the accuracy targets and is
-    charged the same Hessian columns as the solve it reuses.
+    extension, so a pass redoes only what grew.  The step is solved again
+    only when a sample grew, and the ``SampleHessian`` (with the dense
+    matrix it caches) is built only when H was drawn or grew.  A pass
+    that grows neither sample keeps the previous step and its
+    diagnostics, and is charged the Hessian columns of that solve again.
     """
     N, n = problem.N, problem.n
-    glog = gradient_log_argument(n, cfg.t)
-    hlog = hessian_log_argument(n, cfg.t)
-    eps_g = eps_h = cfg.kappa_eps
+    eps = cfg.kappa_eps
     eps2 = cfg.eps2 if cfg.q == 2 else None
+    logs = [gradient_log_argument(n, cfg.t), hessian_log_argument(n, cfg.t)][: cfg.p]
 
-    g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N))
-    g = _first_gradient(problem, g_idx, x, known)
-    h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N))
-    # Two full draws are the same set at the same x: one evaluation serves both.
-    h_base = _SampleGradient(problem, x, h_idx, g if g_idx.size == h_idx.size == N else None)
+    def size(log):
+        return bernstein_size(cfg.kappa, eps, cfg.t, log, N)
+
+    draws = [draw_subsample(rng, N, size(log)) for log in logs]
+    g = _first_gradient(problem, draws[0], x, known)
+    samples = [_SampleGradient(problem, x, draws[0], g)]
+    if cfg.p == 2:
+        # Two full draws are the same set at the same x: one evaluation serves both.
+        shared = g if draws[0].size == draws[1].size == N else None
+        samples.append(_SampleGradient(problem, x, draws[1], shared))
 
     hessian = None
-    hvp_props = 0
-    passes = 0
+    hvp_props = passes = 0
+    grew = [True] * cfg.p
     while True:
-        # A new solve: the first pass, or G or H was extended.
-        # Caught here, NaNs would otherwise surface inside the eigensolvers;
-        # the Hessian estimate checks its own.
-        _require_finite("gradient", float(np.linalg.norm(g)))
-        if hessian is None:
-            hessian = problem.hessian_action(h_idx, x, base=h_base)
-        model = RegularisedModel(g, sigma, hessian)
-        s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
-        targets = accuracy_quantities(s, diag).targets(omega)
+        if any(grew):
+            # A new solve: the first pass, or a sample grew.  Caught here,
+            # NaNs would otherwise surface inside the eigensolvers; the
+            # Hessian estimate checks its own.
+            g = samples[0]()
+            grad_norm = float(np.linalg.norm(g))
+            _require_finite("gradient", grad_norm)
+            if cfg.p == 1:
+                s, delta_t = quadratic_step(g, sigma)
+                targets, columns = [omega * grad_norm], 0
+            else:
+                if grew[1]:
+                    hessian = problem.hessian_action(samples[1].idx, x, base=samples[1])
+                s, diag = cubic_step(RegularisedModel(g, sigma, hessian), cfg.eps1, cfg.theta, eps2)
+                delta_t, columns = diag["taylor_decrease"], diag["hvp_evals"] * samples[1].idx.size
+                targets = accuracy_quantities(s, diag).targets(omega)
 
-        # One pass per shrink of the targets, on this solve until a sample grows.
-        grown = False
-        while not grown:
-            passes += 1
-            hvp_props += diag["hvp_evals"] * h_idx.size
-            full = g_idx.size == N and h_idx.size == N
-            if full or (eps_g <= targets[0] and eps_h <= targets[1]):
-                delta_t = diag["taylor_decrease"]
-                return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)
-
-            eps_g *= cfg.gamma_eps
-            eps_h *= cfg.gamma_eps
-            new_g = bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N)
-            if new_g > g_idx.size:
-                old = g_idx.size
-                g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
-                g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
-                grown = True
-            new_h = bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N)
-            if new_h > h_idx.size:
-                h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
-                h_base.extend(ext)
-                hessian = None
-                grown = True
+        passes += 1
+        hvp_props += columns
+        if all(sample.idx.size == N for sample in samples) or all(eps <= e for e in targets):
+            h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
+            return StepRecord(g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian)
+        eps *= cfg.gamma_eps
+        grew = [sample.grow(rng, size(log)) for sample, log in zip(samples, logs)]
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> int:
@@ -441,7 +427,6 @@ def minimize(
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    grow = _grow_gradient if config.p == 1 else _grow_model_and_step
     sigma = config.sigma0
     rng = np.random.default_rng(config.seed)
     meter = CostMeter()
@@ -473,7 +458,7 @@ def minimize(
     for k in range(config.max_iters):
         omega = config.omega(sigma)
         # Step 1, with the trial step (step 2) of either model.
-        step = grow(problem, x, omega, sigma, config, rng, known)
+        step = _grow_and_step(problem, x, omega, sigma, config, rng, known)
         g, g_idx, h_idx, delta_t = step.g, step.g_idx, step.h_idx, step.delta_t
         grad_norm = float(np.linalg.norm(g))
 

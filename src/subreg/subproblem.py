@@ -117,10 +117,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         nonlocal s, value, grad, hs, lam, escapes
         if escapes >= 20:
             return False
-        if not s.any():
-            lam1, d1 = leftmost_eigenpair(H, n)
-        else:
-            lam1, d1 = leftmost_eigenpair(model_hessian_action(model, s), n)
+        lam1, d1 = leftmost_eigenpair(model_hessian_action(model, s), n)
         if lam1 >= -1e-12:
             return False
         # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (finite differences, grid scans,
 derivative-free polish) and shares no code with the implementation paths
-it checks.  The exception is ``grow_model_and_step_rebuild``, a reference
-for the order-two growth loop's bookkeeping: it calls the same building
-blocks but redoes every one of them on every pass.
+it checks.  The exceptions are the two growth-loop references:
+``grow_gradient_reference``, the order-one loop as it stood on its own,
+and ``grow_model_and_step_rebuild``, a reference for the order-two
+loop's bookkeeping.  They call the same building blocks, and the second
+redoes every one of them on every pass.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from subreg.sampling import (
     merged_mean,
 )
 from subreg.solver import StepRecord, _first_gradient, _require_finite
-from subreg.subproblem import cubic_step
+from subreg.subproblem import cubic_step, quadratic_step
 
 
 def central_diff_gradient(f, x, h=None):
@@ -137,10 +139,37 @@ def masked_sigmoid(z, clamp=500.0, lo=1e-300, hi=1.0 - 1e-16):
     return np.clip(out, lo, hi)
 
 
+def grow_gradient_reference(problem, x, omega, sigma, cfg, rng, known):
+    """The order-one growth loop on its own: one gradient sample, grown
+    until its accuracy level is at most omega * ||g|| or it is the full
+    sum, then the quadratic step.
+
+    Same contract and return value as ``solver._grow_and_step`` at p = 1.
+    """
+    N = problem.N
+    log_arg = gradient_log_argument(problem.n, cfg.t)
+    eps = cfg.kappa_eps
+    size = bernstein_size(cfg.kappa, eps, cfg.t, log_arg, N)
+    idx = draw_subsample(rng, N, size)
+    g = _first_gradient(problem, idx, x, known)
+    passes = 1
+    while idx.size < N and eps > omega * float(np.linalg.norm(g)):
+        eps *= cfg.gamma_eps
+        size = bernstein_size(cfg.kappa, eps, cfg.t, log_arg, N)
+        if size > idx.size:
+            old_count = idx.size
+            idx, ext = extend_subsample(rng, N, idx, size)
+            g = merged_mean(g, old_count, problem.gradient_mean(ext, x), ext.size)
+        passes += 1
+    _require_finite("gradient", float(np.linalg.norm(g)))
+    s, delta_t = quadratic_step(g, sigma)
+    return StepRecord(g, idx, np.empty(0, dtype=np.intp), s, delta_t, 0, passes, None)
+
+
 def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     """The order-two growth loop that rebuilds everything on every pass.
 
-    Same contract and return value as ``solver._grow_model_and_step``, but
+    Same contract and return value as ``solver._grow_and_step`` at p = 2, but
     each pass builds a new ``SampleHessian`` and solves the cubic model
     again, whether or not a sample grew.
     """

@@ -16,11 +16,19 @@ from subreg.harness import synthesize_dataset
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 RUNS = {
-    "p1": (dict(p=1, budget_cm=5.0), ("solver.minimize", "sampling.bernstein_size")),
+    "p1": (
+        dict(p=1, budget_cm=5.0),
+        (
+            "solver.minimize", "sampling.bernstein_size", "sampling.draw_subsample",
+            "sampling.extend_subsample", "problems.gradient_mean", "problems.value_mean",
+            "finite_sum.full_value",
+        ),
+    ),
     "p2_q2": (
         dict(p=2, q=2, eps2=1e-3, budget_cm=20.0),
         (
-            "solver.minimize", "sampling.bernstein_size", "subproblem.cubic_step",
+            "solver.minimize", "sampling.bernstein_size", "sampling.draw_subsample",
+            "sampling.extend_subsample", "subproblem.cubic_step",
             "model.accuracy_quantities", "optimality.phi_2",
         ),
     ),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import grow_model_and_step_rebuild
+from oracles import grow_gradient_reference, grow_model_and_step_rebuild
 
 import subreg.solver as solver_module
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
@@ -12,8 +12,7 @@ from subreg.solver import (
     CostMeter,
     SolverConfig,
     SolverStallError,
-    _grow_gradient,
-    _grow_model_and_step,
+    _grow_and_step,
     _overlap,
     iteration_charge,
     minimize,
@@ -367,7 +366,7 @@ class TestGradientGrowthLoop:
         prob = CustomProblem(2, 1000, value=lambda i, x: float(g0 @ x),
                              gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        step = _grow_gradient(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
+        step = _grow_and_step(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
         np.testing.assert_allclose(step.g, g0)
         assert step.passes == 6
 
@@ -376,14 +375,14 @@ class TestGradientGrowthLoop:
         prob = CustomProblem(2, 1000, value=lambda i, x: float(g0 @ x),
                              gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        step = _grow_gradient(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
+        step = _grow_and_step(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
         assert step.passes == 1
 
     def test_full_sample_bypasses_test(self):
         g0 = np.zeros(2)  # zero gradient: only the full-sample exit applies
         prob = CustomProblem(2, 50, value=lambda i, x: 0.0, gradient=lambda i, x: g0.copy())
         cfg = SolverConfig(kappa=1e-2)
-        step = _grow_gradient(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
+        step = _grow_and_step(prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {})
         assert step.g_idx.size == 50
 
     def test_degenerate_model_loop_runs_to_full_sample(self):
@@ -396,7 +395,7 @@ class TestGradientGrowthLoop:
             hvp=lambda i, x, v: np.zeros(2),
         )
         cfg = SolverConfig(p=2, kappa=1e-2)
-        step = _grow_model_and_step(
+        step = _grow_and_step(
             prob, np.zeros(2), 0.2, 0.1, cfg, np.random.default_rng(0), {}
         )
         assert step.g_idx.size == 30 and step.h_idx.size == 30
@@ -520,7 +519,7 @@ class TestOneValuePerIterate:
     def test_full_gradient_and_hessian_samples_share_one_gradient(self):
         prob = counting_problem(53, 120, 4)
         cfg = SolverConfig(p=2, **EXACT)
-        step = _grow_model_and_step(
+        step = _grow_and_step(
             prob, np.full(4, 0.1), 0.2, 0.1, cfg, np.random.default_rng(0), {}
         )
         assert step.g_idx.size == step.h_idx.size == prob.N
@@ -628,7 +627,7 @@ class TestGrowthLoopReuse:
         for x in points:
             for omega, sigma, cfg in growth_configs(q):
                 rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-                got = _grow_model_and_step(prob, x, omega, sigma, cfg, rng, {})
+                got = _grow_and_step(prob, x, omega, sigma, cfg, rng, {})
                 ref = grow_model_and_step_rebuild(prob, x, omega, sigma, cfg, ref_rng, {})
                 for name in ("g", "g_idx", "h_idx", "s"):
                     got_array, ref_array = getattr(got, name), getattr(ref, name)
@@ -662,7 +661,7 @@ class TestGrowthLoopReuse:
             for omega, sigma, cfg in growth_configs(q):
                 builds.clear()
                 solves.clear()
-                passes = _grow_model_and_step(
+                passes = _grow_and_step(
                     prob, x, omega, sigma, cfg, np.random.default_rng(3), {}
                 ).passes
                 # Samples grow only by extension: a new size is a new sample.
@@ -685,13 +684,37 @@ class TestGrowthLoopReuse:
     def test_traces_match_the_rebuilding_loop(self, case, stop, tmp_path, monkeypatch):
         prob = sigmoid_problem(seed=7, N=300, d=6)
         res = minimize(prob, SolverConfig(**case))
-        monkeypatch.setattr(solver_module, "_grow_model_and_step", grow_model_and_step_rebuild)
+        monkeypatch.setattr(solver_module, "_grow_and_step", grow_model_and_step_rebuild)
         ref = minimize(prob, SolverConfig(**case))
         assert res.stop_reason == ref.stop_reason == stop
         assert res.x.tobytes() == ref.x.tobytes()
         write_trace(tmp_path / "got.csv", res.trace)
         write_trace(tmp_path / "ref.csv", ref.trace)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestOrderOneGrowth:
+    """At p = 1 the shared loop is the order-one loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted({kind for kind, _ in GROWTH_GRID}))
+    @pytest.mark.parametrize("kappa", [1e-2, 1e-1])
+    def test_matches_the_reference_loop(self, kind, kappa):
+        # Between them the cases stop on the relative test with partial
+        # samples and on the full sum.
+        prob, points = growth_case(kind)
+        cfg = SolverConfig(kappa=kappa)
+        for x in points:
+            for omega, sigma in ((0.4, 0.1), (0.05, 1.0)):
+                rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+                got = _grow_and_step(prob, x, omega, sigma, cfg, rng, {})
+                ref = grow_gradient_reference(prob, x, omega, sigma, cfg, ref_rng, {})
+                for name in ("g", "g_idx", "h_idx", "s"):
+                    got_array, ref_array = getattr(got, name), getattr(ref, name)
+                    assert got_array.dtype == ref_array.dtype
+                    assert got_array.tobytes() == ref_array.tobytes()
+                assert repr(got.delta_t) == repr(ref.delta_t)
+                assert (got.hvp_props, got.passes, got.hessian) == (0, ref.passes, None)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestStepMeasures:
@@ -703,7 +726,7 @@ class TestStepMeasures:
         and every solve's diagnostics."""
         built, solved, outside, reports = [], [], [], []
         build = prob.hessian_action
-        solve, grow = solver_module.cubic_step, solver_module._grow_model_and_step
+        solve, grow = solver_module.cubic_step, solver_module._grow_and_step
 
         def counted_build(indices, x, base=None):
             built.append(build(indices, x, base))
@@ -727,7 +750,7 @@ class TestStepMeasures:
 
         monkeypatch.setattr(prob, "hessian_action", counted_build)
         monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
-        monkeypatch.setattr(solver_module, "_grow_model_and_step", counted_grow)
+        monkeypatch.setattr(solver_module, "_grow_and_step", counted_grow)
         res = minimize(prob, cfg)
         assert len(outside) == len(res.trace)
         return outside, reports
@@ -770,7 +793,7 @@ class TestBaseGradient:
         for point in points:
             for omega, sigma, cfg in growth_configs(q):
                 seen.clear()
-                got = _grow_model_and_step(
+                got = _grow_and_step(
                     prob, point, omega, sigma, cfg, np.random.default_rng(3), {}
                 )
                 g_idx, h_idx = got.g_idx, got.h_idx
