@@ -152,6 +152,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.dataset is None:
         print("train: --dataset is required (directly or via --config)", file=sys.stderr)
         return 2
+    solver = SolverConfig(**{f.name: getattr(args, f.name) for f in _SOLVER_FIELDS})
+    try:
+        solver.validate()
+    except ValueError as exc:
+        print(f"train: {exc}", file=sys.stderr)
+        return 2
     train_set = load_dataset(args.dataset, args.format, args.label_col, args.dim)
     test_set = None
     if args.test_dataset is not None:
@@ -165,7 +171,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         train=train_set,
         network=spec,
-        solver=SolverConfig(**{f.name: getattr(args, f.name) for f in _SOLVER_FIELDS}),
+        solver=solver,
         test=test_set,
         runs=args.runs,
         out_dir=Path(args.out) if args.out else None,

@@ -8,11 +8,14 @@ largest decrease of the quadratic model over the unit ball,
 computed by safeguarded root-finding on the Lagrange multiplier of the
 boundary-constrained problem, with the classic hard case (gradient
 orthogonal to the leftmost eigenspace) handled by completing the boundary
-solution along a leftmost eigenvector.
+solution along a leftmost eigenvector.  Up to ``DENSE_MAX_N`` unknowns the
+Hessian is materialised, numpy's ``eigh`` decomposes it and safeguarded
+Newton steps find the multiplier (More and Sorensen, 1983).
 
-SciPy serves only these eigensolvers and phi2, which only the cubic model
-(p = 2) calls, so it is imported on first use: importing ``subreg`` or
-running the quadratic variant (p = 1) loads no SciPy submodule.
+SciPy serves only the iterative path (n > DENSE_MAX_N: ``eigsh`` and
+``cg``), so it is imported on first use there: importing ``subreg``, the
+quadratic variant (p = 1) and the cubic one on n <= DENSE_MAX_N load no
+SciPy submodule.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ __all__ = [
 
 _EIGSH_SEED = 1423  # deterministic start-vector stream for the eigensolver
 DENSE_MAX_N = 200  # largest order whose Hessian the eigensolvers materialise
+# Step tolerances of the dense multiplier search: brentq's, which the dense
+# phi2 used before, so that the seeded traces keep their bits.
+_MULTIPLIER_XTOL, _MULTIPLIER_RTOL = 1e-14, 8.9e-16
+_MULTIPLIER_MAX_ITERATIONS = 100
 
 
 def phi_1(g) -> float:
@@ -88,10 +95,8 @@ def leftmost_eigenpair(h_action, n: int):
     The dense path symmetrises the materialised action without checking it.
     """
     if dense_path(n):
-        from scipy.linalg import eigh
-
         H = materialise_operator(h_action, n, check_symmetry=False)
-        lam, q = eigh(H)
+        lam, q = np.linalg.eigh(H)
         return float(lam[0]), q[:, 0]
     from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -105,13 +110,15 @@ def leftmost_eigenpair(h_action, n: int):
 def phi_2(g, h_action, n: int) -> TrustRegionResult:
     """Largest unit-ball decrease of the quadratic model (g, H).
 
-    Dense path (n <= DENSE_MAX_N): materialise H through its action and
-    root-find on the multiplier over the eigendecomposition; accurate to
-    about 1e-6 in the value.  Iterative path: leftmost eigenpair plus
-    conjugate-gradient solves inside a bisection on the multiplier,
-    accurate to about 1e-3.  Either path first checks that the action is
-    symmetric to 1e-3: the dense one on the whole matrix, the iterative
-    one on two random pairs of vectors.
+    Dense path (n <= DENSE_MAX_N): materialise H through its action,
+    decompose it with numpy's ``eigh`` and find the multiplier by
+    safeguarded Newton steps over the eigendecomposition; the value is
+    accurate to about 1e-12 of itself plus machine precision times ||H||.
+    Iterative path, the only one that uses SciPy: leftmost eigenpair
+    (``eigsh``) plus conjugate-gradient solves inside a bisection on the
+    multiplier, accurate to about 1e-3.  Either path first checks that the
+    action is symmetric to 1e-3: the dense one on the whole matrix, the
+    iterative one on two random pairs of vectors.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
@@ -139,10 +146,7 @@ def _result(g, H_apply, d, mu, boundary) -> TrustRegionResult:
 
 
 def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
-    from scipy.linalg import eigh
-    from scipy.optimize import brentq
-
-    lam, Q = eigh(H)
+    lam, Q = np.linalg.eigh(H)
     w = Q.T @ g
     lam1 = float(lam[0])
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
@@ -185,18 +189,49 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
         tau = float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f))))
         if float(g @ q1) > 0.0:
             tau = -tau
-        return _result(g, apply_H, d_f + tau * q1, mu_lo, boundary=True)
+        d = d_f + tau * q1
+        d /= max(1.0, np.linalg.norm(d))  # keep feasible against round-off
+        return _result(g, apply_H, d, mu_lo, boundary=True)
 
-    mu_hi = mu_lo + float(np.linalg.norm(g)) + 1.0
-    secular = lambda mu: 1.0 / norm_at(mu) - 1.0
-    while secular(mu_hi) < 0.0:
-        mu_hi = mu_lo + 2.0 * (mu_hi - mu_lo)
-    mu_star = brentq(secular, probe, mu_hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
-    d = direction(mu_star)
-    nd = np.linalg.norm(d)
-    if nd > 0.0:
-        d = d / max(1.0, nd)  # keep strictly feasible against round-off
-    return _result(g, apply_H, d, mu_star, boundary=True)
+    # Boundary solution.  Every shift lam_i + mu is positive above mu_lo, so
+    # the search and the direction divide by all of them; at mu_lo + ||g|| + 1
+    # each is above ||w||, so ||d|| < 1 there.
+    def norm_and_slope(mu: float):
+        """||d(mu)|| and sum r_i^2 / (lam_i + mu), with r = w / (lam + mu)."""
+        shifted = lam + mu
+        r = w / shifted
+        return float(np.linalg.norm(r)), float(r @ (r / shifted))
+
+    mu_star = _boundary_multiplier(norm_and_slope, probe, mu_lo + float(np.linalg.norm(g)) + 1.0)
+    d = -(Q @ (w / (lam + mu_star)))
+    return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)
+
+
+def _boundary_multiplier(norm_and_slope, lo: float, hi: float) -> float:
+    """The root of 1/||d(mu)|| - 1 in [lo, hi] by safeguarded Newton steps.
+
+    The secular function is increasing and concave in mu, so Newton's
+    method (More and Sorensen, 1983) climbs to the root from the left; its
+    derivative is sum r_i^2 / (lam_i + mu) / ||d||^3, where
+    ``norm_and_slope`` returns ||d|| and that sum.  ||d(lo)|| >= 1 >
+    ||d(hi)||; a step that leaves the bracket is replaced by bisection.
+    """
+    mu = lo
+    for _ in range(_MULTIPLIER_MAX_ITERATIONS):
+        nd, slope = norm_and_slope(mu)
+        if nd >= 1.0:
+            lo = mu
+        else:
+            hi = mu
+        step = (nd - 1.0) * nd * nd / slope
+        if abs(step) <= _MULTIPLIER_XTOL + _MULTIPLIER_RTOL * abs(mu):
+            return mu + step
+        mu += step
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * (_MULTIPLIER_XTOL + _MULTIPLIER_RTOL * abs(mu)):
+                return mu
+    raise RuntimeError("the multiplier search did not converge")
 
 
 def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:

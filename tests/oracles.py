@@ -6,13 +6,16 @@ it checks.  The exceptions are the two growth-loop references:
 ``grow_gradient_reference``, the order-one loop as it stood on its own,
 and ``grow_model_and_step_rebuild``, a reference for the order-two
 loop's bookkeeping.  They call the same building blocks, and the second
-redoes every one of them on every pass.
+redoes every one of them on every pass.  ``phi2_dense_brentq`` is the
+dense order-two measure as it stood on SciPy's ``eigh`` and ``brentq``.
 """
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.linalg import eigh
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from subreg.model import RegularisedModel, accuracy_quantities
+from subreg.optimality import TrustRegionResult
 from subreg.sampling import (
     bernstein_size,
     draw_subsample,
@@ -83,6 +86,107 @@ def phi2_disc_oracle(g, H, grid=20001):
         options={"xatol": 1e-14},
     )
     return max(best, -float(r.fun))
+
+
+def phi2_dense_brentq(g, H):
+    """The dense unit-ball measure phi2 by SciPy's ``eigh`` (dsyevr) and
+    ``brentq`` on 1/||d(mu)|| - 1, with a doubling search for the upper end
+    of the bracket."""
+    lam, Q = eigh(H)
+    w = Q.T @ g
+    lam1 = float(lam[0])
+    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    zero_shift = 1e-12 * scale
+    mu_lo = max(0.0, -lam1)
+
+    def direction(mu):
+        shifted = lam + mu
+        coef = np.zeros_like(w)
+        active = shifted > zero_shift
+        coef[active] = w[active] / shifted[active]
+        return -(Q @ coef)
+
+    def norm_at(mu):
+        shifted = lam + mu
+        active = shifted > zero_shift
+        if np.abs(w[~active]).max(initial=0.0) > 1e-13 * (1.0 + np.linalg.norm(w)):
+            return np.inf
+        return float(np.linalg.norm(w[active] / shifted[active]))
+
+    def result(d, mu, boundary):
+        value = float(-(g @ d) - 0.5 * (d @ H @ d))
+        return TrustRegionResult(direction=d, value=value, multiplier=float(mu), boundary=boundary)
+
+    if lam1 > zero_shift:
+        d0 = direction(0.0)
+        if np.linalg.norm(d0) <= 1.0:
+            return result(d0, 0.0, False)
+    probe = mu_lo + max(1e-14, 1e-14 * mu_lo)
+    if norm_at(probe) < 1.0:
+        d_f = direction(mu_lo)
+        if mu_lo <= zero_shift:
+            return result(d_f, 0.0, False)
+        q1 = Q[:, 0]
+        tau = float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f))))
+        if float(g @ q1) > 0.0:
+            tau = -tau
+        return result(d_f + tau * q1, mu_lo, True)
+    mu_hi = mu_lo + float(np.linalg.norm(g)) + 1.0
+    secular = lambda mu: 1.0 / norm_at(mu) - 1.0
+    while secular(mu_hi) < 0.0:
+        mu_hi = mu_lo + 2.0 * (mu_hi - mu_lo)
+    mu_star = brentq(secular, probe, mu_hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
+    d = direction(mu_star)
+    nd = np.linalg.norm(d)
+    if nd > 0.0:
+        d = d / max(1.0, nd)
+    return result(d, mu_star, True)
+
+
+def phi2_spectral(lam, w):
+    """phi2 of H = Q diag(lam) Q^T and g = Q w from the spectral data alone.
+
+    Works in the leftmost shift t = min(lam) + mu, so that each lam_i + mu =
+    (lam_i - min(lam)) + t keeps its relative accuracy next to the pole,
+    bisects ||w / (lam + mu)|| = 1 to the last bit, and sums nonnegative
+    terms: with r = w / (lam + mu) the value is 0.5 * sum r_i^2 (lam_i + 2 mu)
+    plus 0.5 * mu * tau^2 for the completion tau along a leftmost
+    eigenvector in the hard case.
+    """
+    lam = np.asarray(lam, dtype=float)
+    w = np.asarray(w, dtype=float)
+    lam1 = float(lam.min())
+    gaps = lam - lam1
+    mu_lo = max(0.0, -lam1)
+    t_lo = lam1 + mu_lo
+    on = w != 0.0
+
+    def coefficients(t):
+        r = np.zeros_like(w)
+        r[on] = w[on] / (gaps[on] + t)
+        return r
+
+    tau2 = 0.0
+    if (gaps[on] + t_lo > 0.0).all() and np.linalg.norm(coefficients(t_lo)) <= 1.0:
+        # Interior solution, or the hard case at mu_lo.
+        t = t_lo
+        r = coefficients(t)
+        tau2 = max(0.0, 1.0 - float(r @ r))
+    else:
+        lo, hi = t_lo, t_lo + float(np.linalg.norm(w)) + 1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if np.linalg.norm(coefficients(mid)) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        t = hi
+        r = coefficients(t)
+        r /= np.linalg.norm(r)
+    mu = t - lam1
+    return float(0.5 * np.sum(r * r * (gaps + t + mu)) + 0.5 * mu * tau2)
 
 
 def cubic_model_oracle(g, H, sigma, grid=25):

@@ -444,6 +444,8 @@ SOLVER_VALUES = {
     "budget_cm": "7", "max_iters": "9", "seed": "4",
 }
 INT_SETTINGS = {"q", "p", "max_iters", "seed"}
+# Settings that train refuses alone, with the ones that make them valid.
+COMPANIONS = {"q": ("p", "eps2")}
 
 
 def flags_in_help(capsys, command):
@@ -493,10 +495,14 @@ class TestDerivedCommandLine:
     @pytest.mark.parametrize("name", sorted(SOLVER_VALUES))
     def test_setting_reaches_config_with_its_type(self, tmp_path, monkeypatch, name, source):
         raw = SOLVER_VALUES[name]
+        names = (name, *COMPANIONS.get(name, ()))
         if source == "flag":
-            solver = train_solver(tmp_path, monkeypatch, ["--" + name.replace("_", "-"), raw])
+            argv = [tok for key in names
+                    for tok in ("--" + key.replace("_", "-"), SOLVER_VALUES[key])]
+            solver = train_solver(tmp_path, monkeypatch, argv)
         else:
-            solver = train_solver(tmp_path, monkeypatch, [], f"{name}={raw}\n")
+            text = "".join(f"{key}={SOLVER_VALUES[key]}\n" for key in names)
+            solver = train_solver(tmp_path, monkeypatch, [], text)
         kind = int if name in INT_SETTINGS else float
         value = getattr(solver, name)
         assert type(value) is kind and value == kind(raw)
@@ -571,6 +577,24 @@ class TestCli:
 
     def test_train_requires_dataset(self, capsys):
         assert main(["train"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "2", "--q", "2"], "q = 2 needs a nonnegative eps2"),
+        (["--sigma0", "-1"], "need 0 < sigma_min < sigma0"),
+    ])
+    def test_invalid_solver_setting_refused_before_loading(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        # Used to load the dataset, create --out and die with a traceback.
+        def no_load(*args):
+            raise AssertionError("loaded the dataset")
+
+        monkeypatch.setattr("subreg.cli.load_dataset", no_load)
+        out = tmp_path / "results"
+        code = main(["train", "--dataset", str(tmp_path / "d.csv"), "--out", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"train: {message}\n"
+        assert not out.exists()
 
     def test_config_file_and_override(self, tmp_path):
         data = tmp_path / "train.csv"

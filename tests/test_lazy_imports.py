@@ -1,4 +1,5 @@
-"""SciPy serves only the cubic model, so the quadratic variant never loads it.
+"""SciPy serves only the iterative eigensolvers (n > DENSE_MAX_N), so the
+quadratic variant and the cubic one on small n never load it.
 
 Each check runs in a fresh interpreter: this test process has imported
 SciPy already (``oracles`` uses ``scipy.optimize``).
@@ -32,12 +33,26 @@ assert code == 0
 
 P2_RUN = """
 import subreg
+from subreg import subproblem
 
+calls = []
+phi_2 = subproblem.phi_2
+subproblem.phi_2 = lambda *args: calls.append(args[-1]) or phi_2(*args)
 ds = subreg.synthesize_dataset(0, 300, 4, 2.0)
 problem = subreg.SquaredLossProblem(ds, subreg.NetworkSpec(4))
 config = subreg.SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=40.0, seed=1)
 result = subreg.minimize(problem, config)
 assert result.stop_reason in ("budget", "converged"), result.stop_reason
+assert calls and set(calls) == {4}, calls
+"""
+
+ITERATIVE_PHI2 = """
+import numpy as np
+from subreg.optimality import DENSE_MAX_N, phi_2
+
+n = DENSE_MAX_N + 1
+result = phi_2(np.ones(n), lambda v: 2.0 * v, n)
+assert result.value > 0.0
 """
 
 
@@ -59,6 +74,10 @@ def test_quadratic_variant_imports_no_scipy_subpackage(tmp_path):
     assert [m for m in modules if m.startswith(SCIPY_SUBPACKAGES)] == []
 
 
-def test_cubic_variant_loads_the_eigensolvers_on_first_use():
+def test_cubic_variant_on_the_dense_path_imports_no_scipy_subpackage():
     modules = scipy_modules_after(P2_RUN)
-    assert {"scipy.linalg", "scipy.optimize"} <= set(modules)
+    assert [m for m in modules if m.startswith(SCIPY_SUBPACKAGES)] == []
+
+
+def test_iterative_phi2_loads_the_sparse_eigensolvers_on_first_use():
+    assert "scipy.sparse.linalg" in scipy_modules_after(ITERATIVE_PHI2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subreg import optimality
 from subreg.optimality import (
     DENSE_MAX_N,
     _phi2_dense,
@@ -13,7 +14,7 @@ from subreg.optimality import (
     phi_2,
 )
 
-from oracles import phi2_disc_oracle, sphere_scan_max
+from oracles import phi2_dense_brentq, phi2_disc_oracle, phi2_spectral, sphere_scan_max
 
 
 def action_of(H):
@@ -98,6 +99,113 @@ class TestPhi2Dense:
         H = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             phi_2(np.ones(2), action_of(H), 2)
+
+
+EPS = np.finfo(float).eps
+SPECTRAL_KINDS = ("indefinite", "psd_singular", "near_hard")
+GRADIENT_NORMS = (1e-12, 1.0, 1e8)
+ORDERS = (2, 6, 50, DENSE_MAX_N)
+
+
+def spectral_case(kind, n, gnorm, seed):
+    """g, H and the spectral data (lam, w) they are built from, H = Q diag(lam) Q^T, g = Q w.
+
+    ``indefinite``: a third of the eigenvalues negative.  ``psd_singular``:
+    a quarter of them zero, with the gradient off that null space on odd
+    seeds.  ``near_hard``: leftmost eigenvalue -1 with a gradient component
+    of 1e-10 ||g|| on its eigenvector, the rest too short to reach the
+    sphere at mu = 1 when ||g|| = 1.
+    """
+    rng = np.random.default_rng([seed, n])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.5, 2.0, n)
+    w = rng.standard_normal(n)
+    if kind == "indefinite":
+        lam[: max(1, n // 3)] *= -1.0
+    elif kind == "psd_singular":
+        lam[: max(1, n // 4)] = 0.0
+        if seed % 2:
+            w[: max(1, n // 4)] = 0.0
+    else:
+        lam[0] = -1.0
+    w *= gnorm / np.linalg.norm(w)
+    if kind == "near_hard":
+        w[0] = 1e-10 * gnorm
+    H = (Q * lam) @ Q.T
+    return Q @ w, 0.5 * (H + H.T), lam, w
+
+
+@pytest.fixture
+def multiplier_searches(monkeypatch):
+    """Evaluations of the secular function per multiplier search."""
+    counts = []
+    search = optimality._boundary_multiplier
+
+    def counting(norm_and_slope, lo, hi):
+        counts.append(0)
+
+        def counted(mu):
+            counts[-1] += 1
+            return norm_and_slope(mu)
+
+        return search(counted, lo, hi)
+
+    monkeypatch.setattr(optimality, "_boundary_multiplier", counting)
+    return counts
+
+
+class TestPhi2DenseNewtonSearch:
+    """numpy's eigh and the Newton multiplier search against SciPy's eigh
+    and brentq (the reference) and against the value from the spectral data."""
+
+    @pytest.mark.parametrize("gnorm", GRADIENT_NORMS)
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("kind", SPECTRAL_KINDS)
+    def test_value_matches_the_spectral_data(self, kind, n, gnorm, multiplier_searches):
+        # H holds its spectral data only to about eps * ||H||, which moves
+        # the value by as much; beyond that the value is good to 1e-12.
+        # The reference misses here where ||g|| = 1e-12 (by up to the whole
+        # value on indefinite H) and in the near-hard case at ||g|| = 1.
+        for seed in range(3):
+            g, H, lam, w = spectral_case(kind, n, gnorm, seed)
+            r = _phi2_dense(g, H)
+            truth = phi2_spectral(lam, w)
+            assert abs(r.value - truth) <= 1e-12 * abs(truth) + EPS * np.abs(lam).max()
+            assert np.linalg.norm(r.direction) <= 1.0 + 4.0 * EPS
+        assert max(multiplier_searches, default=0) <= 20 < optimality._MULTIPLIER_MAX_ITERATIONS
+
+    @pytest.mark.parametrize(
+        "kind, gnorm",
+        [(k, gn) for k in SPECTRAL_KINDS for gn in GRADIENT_NORMS[1:]
+         if (k, gn) != ("near_hard", 1.0)],
+    )
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_value_matches_the_brentq_reference(self, kind, n, gnorm, multiplier_searches):
+        for seed in range(3):
+            g, H, _, _ = spectral_case(kind, n, gnorm, seed)
+            r = _phi2_dense(g, H)
+            ref = phi2_dense_brentq(g, H)
+            assert r.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+            assert r.boundary == ref.boundary
+            assert np.linalg.norm(r.direction) <= 1.0 + 4.0 * EPS
+        assert max(multiplier_searches, default=0) <= 20
+
+    def test_tiny_gradient_on_indefinite_hessian_keeps_the_curvature(self):
+        # A gradient component just above the 1e-13 zero threshold put the
+        # root inside the 1e-12 shift cut-off, where the brentq search
+        # dropped that component: it returned d = 0 and phi2 = 0 at a saddle
+        # whose curvature alone gives -0.5 * lam_min = 0.5.
+        H = np.diag([-1.0, 2.0])
+        g = np.array([5e-13, 0.0])
+        r = _phi2_dense(g, H)
+        assert r.value == pytest.approx(0.5 + 5e-13, rel=1e-12)
+        assert np.linalg.norm(r.direction) == pytest.approx(1.0, abs=4.0 * EPS)
+
+    def test_search_gives_up_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(optimality, "_MULTIPLIER_MAX_ITERATIONS", 1)
+        g, H, _, _ = spectral_case("indefinite", 6, 1.0, 0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _phi2_dense(g, H)
 
 
 class TestPhi2Iterative:
