@@ -158,6 +158,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"train: {exc}", file=sys.stderr)
         return 2
+    if args.runs < 1:
+        print("train: --runs must be at least 1", file=sys.stderr)
+        return 2
     train_set = load_dataset(args.dataset, args.format, args.label_col, args.dim)
     test_set = None
     if args.test_dataset is not None:

@@ -55,21 +55,20 @@ def by_columns(apply: Callable[[np.ndarray], np.ndarray]):
     return action
 
 
-def symmetric_part(H, n: int, check_symmetry: bool = True) -> np.ndarray:
+def symmetric_part(H, n: int) -> np.ndarray:
     """Validate an ``(n, n)`` Hessian matrix and return its symmetric part.
 
-    With ``check_symmetry`` it raises if the matrix is asymmetric beyond
-    1e-3 relative to its scale, which violates the Hessian-operator
-    contract.  The tolerance accommodates actions built by differencing
-    gradients, whose asymmetry is bounded by the differencing error.
+    It raises if the matrix is asymmetric beyond 1e-3 relative to its
+    scale, which violates the Hessian-operator contract.  The tolerance
+    accommodates actions built by differencing gradients, whose asymmetry
+    is bounded by the differencing error.
     """
     H = np.asarray(H, dtype=float)
     if H.shape != (n, n):
         raise ValueError(f"Hessian action returned shape {H.shape} for an ({n}, {n}) block")
-    if check_symmetry:
-        scale = 1.0 + float(np.abs(H).max(initial=0.0))
-        if float(np.abs(H - H.T).max(initial=0.0)) > 1e-3 * scale:
-            raise ValueError("Hessian action is not symmetric")
+    scale = 1.0 + float(np.abs(H).max(initial=0.0))
+    if float(np.abs(H - H.T).max(initial=0.0)) > 1e-3 * scale:
+        raise ValueError("Hessian action is not symmetric")
     return 0.5 * (H + H.T)
 
 

@@ -5,12 +5,13 @@ largest decrease of the quadratic model over the unit ball,
 
     phi2 = max_{||d|| <= 1} ( -g @ d - 0.5 * d @ H d ),
 
-computed by safeguarded root-finding on the Lagrange multiplier of the
-boundary-constrained problem, with the classic hard case (gradient
-orthogonal to the leftmost eigenspace) handled by completing the boundary
-solution along a leftmost eigenvector.  Up to ``DENSE_MAX_N`` unknowns the
-Hessian is materialised, numpy's ``eigh`` decomposes it and safeguarded
-Newton steps find the multiplier (More and Sorensen, 1983).
+computed by safeguarded Newton steps on the Lagrange multiplier of the
+boundary-constrained problem (More and Sorensen, 1983), with the classic
+hard case (gradient orthogonal to the leftmost eigenspace) handled by
+completing the boundary solution along a leftmost eigenvector.  Up to
+``DENSE_MAX_N`` unknowns numpy's ``eigh`` of the materialised Hessian
+serves that search; above, ``eigsh`` and conjugate-gradient solves to a
+relative residual of 1e-10 serve the same search.
 
 SciPy serves only the iterative path (n > DENSE_MAX_N: ``eigsh`` and
 ``cg``), so it is imported on first use there: importing ``subreg``, the
@@ -78,47 +79,51 @@ def dense_path(n: int) -> bool:
     return n <= DENSE_MAX_N or n < 3
 
 
-def materialise_operator(h_action, n: int, check_symmetry: bool = True):
+def materialise_operator(h_action, n: int):
     """Apply the action to the identity block and return a dense matrix.
 
     The action receives all n identity columns in one ``(n, n)`` call; a
     ``SampleHessian`` whose dense matrix is built answers it from that
-    matrix.  With ``check_symmetry`` it raises if the result is asymmetric
-    beyond 1e-3 relative to its scale (see ``finite_sum.symmetric_part``).
+    matrix.  It raises if the result is asymmetric beyond 1e-3 relative to
+    its scale (see ``finite_sum.symmetric_part``).
     """
-    return symmetric_part(h_action(np.eye(n)), n, check_symmetry)
+    return symmetric_part(h_action(np.eye(n)), n)
 
 
 def leftmost_eigenpair(h_action, n: int):
     """Smallest eigenvalue and a unit eigenvector of a symmetric action.
 
-    The dense path symmetrises the materialised action without checking it.
+    Only the dense path checks symmetry, on the materialised action.
     """
     if dense_path(n):
-        H = materialise_operator(h_action, n, check_symmetry=False)
+        H = materialise_operator(h_action, n)
         lam, q = np.linalg.eigh(H)
         return float(lam[0]), q[:, 0]
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float))
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
+    # ARPACK's tolerance is relative to the eigenvalue, which no residual
+    # meets at a zero eigenvalue: shift by -2 ||H v0|| / ||v0||, at least
+    # twice the leftmost eigenvalue of a positive definite H.
+    shift = 2.0 * float(np.linalg.norm(h_action(v0))) / float(np.linalg.norm(v0))
+    op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float) - shift * v)
     lam, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=50 * n, tol=1e-9)
     v = vec[:, 0]
-    return float(lam[0]), v / np.linalg.norm(v)
+    return float(lam[0]) + shift, v / np.linalg.norm(v)
 
 
 def phi_2(g, h_action, n: int) -> TrustRegionResult:
     """Largest unit-ball decrease of the quadratic model (g, H).
 
-    Dense path (n <= DENSE_MAX_N): materialise H through its action,
-    decompose it with numpy's ``eigh`` and find the multiplier by
-    safeguarded Newton steps over the eigendecomposition; the value is
-    accurate to about 1e-12 of itself plus machine precision times ||H||.
-    Iterative path, the only one that uses SciPy: leftmost eigenpair
-    (``eigsh``) plus conjugate-gradient solves inside a bisection on the
-    multiplier, accurate to about 1e-3.  Either path first checks that the
-    action is symmetric to 1e-3: the dense one on the whole matrix, the
-    iterative one on two random pairs of vectors.
+    Both paths find the multiplier by the same safeguarded Newton steps
+    and treat the hard case alike.  Dense path (n <= DENSE_MAX_N):
+    materialise H through its action and decompose it with numpy's
+    ``eigh``; the value is accurate to about 1e-12 of itself plus machine
+    precision times ||H||.  Iterative path, the only one that uses SciPy:
+    leftmost eigenpair (``eigsh``) plus conjugate-gradient solves to a
+    relative residual of 1e-10, each Newton step taking two.  Either path
+    first checks that the action is symmetric to 1e-3: the dense one on the
+    whole matrix, the iterative one on two random pairs of vectors.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
@@ -179,19 +184,7 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
 
     probe = mu_lo + max(1e-14, 1e-14 * mu_lo)
     if norm_at(probe) < 1.0:
-        d_f = direction(mu_lo)
-        if mu_lo <= zero_shift:
-            # Positive semidefinite with the pseudo-solution inside the ball.
-            return _result(g, apply_H, d_f, 0.0, boundary=False)
-        # Hard case: complete the boundary solution along the leftmost
-        # eigenvector, signed to not fight the linear term.
-        q1 = Q[:, 0]
-        tau = float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f))))
-        if float(g @ q1) > 0.0:
-            tau = -tau
-        d = d_f + tau * q1
-        d /= max(1.0, np.linalg.norm(d))  # keep feasible against round-off
-        return _result(g, apply_H, d, mu_lo, boundary=True)
+        return _inside_or_hard_case(g, apply_H, direction(mu_lo), Q[:, 0], mu_lo, zero_shift)
 
     # Boundary solution.  Every shift lam_i + mu is positive above mu_lo, so
     # the search and the direction divide by all of them; at mu_lo + ||g|| + 1
@@ -212,9 +205,9 @@ def _boundary_multiplier(norm_and_slope, lo: float, hi: float) -> float:
 
     The secular function is increasing and concave in mu, so Newton's
     method (More and Sorensen, 1983) climbs to the root from the left; its
-    derivative is sum r_i^2 / (lam_i + mu) / ||d||^3, where
-    ``norm_and_slope`` returns ||d|| and that sum.  ||d(lo)|| >= 1 >
-    ||d(hi)||; a step that leaves the bracket is replaced by bisection.
+    derivative is d @ (H + mu I)^-1 d / ||d||^3, where ``norm_and_slope``
+    returns ||d|| and that product.  ||d(lo)|| >= 1 > ||d(hi)||; a step
+    that leaves the bracket is replaced by bisection.
     """
     mu = lo
     for _ in range(_MULTIPLIER_MAX_ITERATIONS):
@@ -234,6 +227,24 @@ def _boundary_multiplier(norm_and_slope, lo: float, hi: float) -> float:
     raise RuntimeError("the multiplier search did not converge")
 
 
+def _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo: float, zero_shift: float):
+    """The solution when ||d(mu)|| < 1 just above the leftmost shift mu_lo.
+
+    ``d_f`` is d(mu_lo) without its component along the leftmost
+    eigenvector ``q1``.  For a positive semidefinite H (mu_lo <= ``zero_shift``)
+    it is the solution; otherwise (hard case) it is completed to the
+    boundary along q1, signed to not fight the linear term.
+    """
+    if mu_lo <= zero_shift:
+        return _result(g, apply_H, d_f, 0.0, boundary=False)
+    tau = float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f))))
+    if float(g @ q1) > 0.0:
+        tau = -tau
+    d = d_f + tau * q1
+    d /= max(1.0, np.linalg.norm(d))  # keep feasible against round-off
+    return _result(g, apply_H, d, mu_lo, boundary=True)
+
+
 def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:
     from scipy.sparse.linalg import LinearOperator, cg
 
@@ -241,51 +252,33 @@ def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:
     lam1, q1 = leftmost_eigenpair(h_action, n)
     gnorm = float(np.linalg.norm(g))
     scale = max(1.0, abs(lam1), gnorm)
+    zero_shift = 1e-12 * scale
     mu_lo = max(0.0, -lam1)
 
-    def solve(mu: float) -> np.ndarray:
+    def solve(mu: float, rhs: np.ndarray) -> np.ndarray:
         op = LinearOperator((n, n), matvec=lambda v: apply_H(v) + mu * v)
-        d, info = cg(op, -g, rtol=1e-10, atol=0.0, maxiter=40 * n)
+        x, info = cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=40 * n)
         if info < 0:
             raise RuntimeError("conjugate gradient failed in the multiplier search")
-        return d
+        return x
 
-    if gnorm == 0.0 and lam1 >= -1e-12 * scale:
-        return _result(g, apply_H, np.zeros(n), 0.0, boundary=False)
-
-    if lam1 > 1e-12 * scale:
-        d0 = solve(0.0)
+    if lam1 > zero_shift:
+        d0 = solve(0.0, -g)
         if np.linalg.norm(d0) <= 1.0:
             return _result(g, apply_H, d0, 0.0, boundary=False)
 
-    probe = mu_lo + max(1e-8, 1e-8 * scale)
-    d_probe = solve(probe)
+    # CG cannot solve at mu_lo itself, where H + mu I is singular.
+    probe = mu_lo + 1e-8 * scale
+    d_probe = solve(probe, -g)
     if np.linalg.norm(d_probe) < 1.0:
-        tau = float(np.sqrt(max(0.0, 1.0 - float(d_probe @ d_probe))))
-        if float(g @ q1) > 0.0:
-            tau = -tau
-        return _result(g, apply_H, d_probe + tau * q1, mu_lo, boundary=True)
+        d_f = d_probe - float(q1 @ d_probe) * q1
+        return _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo, zero_shift)
 
-    lo, hi = probe, mu_lo + gnorm + 1.0
-    while np.linalg.norm(solve(hi)) > 1.0:
-        hi = mu_lo + 2.0 * (hi - mu_lo)
-    d = d_probe
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        d = solve(mid)
-        nd = float(np.linalg.norm(d))
-        if abs(nd - 1.0) <= 1e-6:
-            lo = hi = mid
-            break
-        if nd > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    mu_star = 0.5 * (lo + hi)
-    d = solve(mu_star)
-    nd = float(np.linalg.norm(d))
-    if nd > 1.0:
-        d = d / nd
-    return _result(g, apply_H, d, mu_star, boundary=True)
+    def norm_and_slope(mu: float):
+        """||d(mu)|| and d @ (H + mu I)^-1 d."""
+        d = d_probe if mu == probe else solve(mu, -g)
+        return float(np.linalg.norm(d)), float(d @ solve(mu, d))
+
+    mu_star = _boundary_multiplier(norm_and_slope, probe, mu_lo + gnorm + 1.0)
+    d = solve(mu_star, -g)
+    return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)

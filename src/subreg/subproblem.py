@@ -120,6 +120,10 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         lam1, d1 = leftmost_eigenpair(model_hessian_action(model, s), n)
         if lam1 >= -1e-12:
             return False
+        # The eigensolver fixes no sign: orient d1 downhill, or by its largest entry.
+        slope = float(grad @ d1)
+        if slope > 0.0 or (slope == 0.0 and d1[np.argmax(np.abs(d1))] < 0.0):
+            d1 = -d1
         # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.
         t = 2.0 * abs(lam1) / model.sigma
         for cand in (s + t * d1, s - t * d1):

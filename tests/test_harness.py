@@ -581,6 +581,8 @@ class TestCli:
     @pytest.mark.parametrize("flags, message", [
         (["--p", "2", "--q", "2"], "q = 2 needs a nonnegative eps2"),
         (["--sigma0", "-1"], "need 0 < sigma_min < sigma0"),
+        # Used to load the dataset and die with ExperimentConfig's ValueError.
+        (["--runs", "0"], "--runs must be at least 1"),
     ])
     def test_invalid_solver_setting_refused_before_loading(
         self, tmp_path, monkeypatch, capsys, flags, message

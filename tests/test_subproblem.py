@@ -4,7 +4,7 @@ import pytest
 from subreg import subproblem
 from subreg.finite_sum import SampleHessian
 from subreg.model import RegularisedModel, model_hessian_action
-from subreg.optimality import phi_2
+from subreg.optimality import DENSE_MAX_N, leftmost_eigenpair, phi_2
 from subreg.subproblem import bb_step_length, cubic_step, quadratic_step
 
 from oracles import cubic_model_oracle
@@ -192,16 +192,37 @@ class TestCubicStep:
         # for it.
         assert diag1["hvp_evals"] == 85
 
-    def test_first_order_escape_symmetrises_without_a_check(self):
-        # Without eps2 nothing builds the dense matrix: the escape's
-        # eigenpair symmetrises the identity-block action unchecked, so an
-        # action asymmetric beyond the dense build's tolerance still escapes.
+    def test_first_order_escape_refuses_an_asymmetric_action(self):
+        # Without eps2 nothing builds the dense matrix, but the escape's
+        # eigenpair checks the identity-block action as the dense build does.
         m = cubic_model([0.0, 0.0], [[-2.0, 0.5], [-0.5, 1.0]], 3.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             SampleHessian(2, m.hessian_action).dense()
-        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
-        assert diag["escapes"] >= 1
-        assert m.value(s) < 0.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            cubic_step(m, eps1=1e-8, theta=0.5)
+
+    @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 1])
+    def test_escape_does_not_depend_on_the_eigenvector_sign(self, n, monkeypatch):
+        # The model is even in the negative-curvature coordinate, so both
+        # escape candidates decrease it alike and only the orientation of
+        # d1 picks one.  n = 6 takes numpy's eigh, whose d1 the gradient is
+        # exactly orthogonal to, and n > DENSE_MAX_N takes eigsh.
+        H = np.diag(np.linspace(-2.0, 5.0, n))
+        g = np.r_[0.0, np.full(n - 1, (n - 1) ** -0.5)]
+        solves = []
+        for sign in (1.0, -1.0):
+            monkeypatch.setattr(
+                subproblem,
+                "leftmost_eigenpair",
+                lambda action, n, sign=sign: (lambda lam, d1: (lam, sign * d1))(
+                    *leftmost_eigenpair(action, n)
+                ),
+            )
+            solves.append(cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=1e-6))
+        (s_plus, diag_plus), (s_minus, diag_minus) = solves
+        assert diag_plus["escapes"] >= 1
+        assert s_plus.tobytes() == s_minus.tobytes()
+        assert diag_plus == diag_minus
 
     def test_reports_phi2_at_the_returned_step(self):
         m = cubic_model([0.0, 0.5], np.diag([-1.0, 2.0]), 1.0)
