@@ -17,7 +17,7 @@ from .harness import (
     run_experiment,
     synthesize_dataset,
 )
-from .model import AccuracyQuantities, RegularisedModel, accuracy_quantities
+from .model import RegularisedModel, accuracy_quantities
 from .optimality import TrustRegionResult, check_termination, phi_1, phi_2
 from .problems import (
     Dataset,

@@ -161,6 +161,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.runs < 1:
         print("train: --runs must be at least 1", file=sys.stderr)
         return 2
+    try:
+        hidden = tuple(int(tok) for tok in args.net.split(",") if tok.strip())
+        NetworkSpec(1, hidden)  # checks the widths before any data is read
+    except ValueError:
+        message = f"--net must list positive hidden-layer widths, not {args.net!r}"
+        print(f"train: {message}", file=sys.stderr)
+        return 2
     train_set = load_dataset(args.dataset, args.format, args.label_col, args.dim)
     test_set = None
     if args.test_dataset is not None:
@@ -169,7 +176,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
         test_set = _scaled(args, test_set, reference=train_set)
     train_set = _scaled(args, train_set)
-    hidden = tuple(int(tok) for tok in args.net.split(",") if tok.strip())
     spec = NetworkSpec(input_dim=train_set.d, hidden_sizes=hidden)
     config = ExperimentConfig(
         train=train_set,

@@ -55,23 +55,6 @@ def by_columns(apply: Callable[[np.ndarray], np.ndarray]):
     return action
 
 
-def symmetric_part(H, n: int) -> np.ndarray:
-    """Validate an ``(n, n)`` Hessian matrix and return its symmetric part.
-
-    It raises if the matrix is asymmetric beyond 1e-3 relative to its
-    scale, which violates the Hessian-operator contract.  The tolerance
-    accommodates actions built by differencing gradients, whose asymmetry
-    is bounded by the differencing error.
-    """
-    H = np.asarray(H, dtype=float)
-    if H.shape != (n, n):
-        raise ValueError(f"Hessian action returned shape {H.shape} for an ({n}, {n}) block")
-    scale = 1.0 + float(np.abs(H).max(initial=0.0))
-    if float(np.abs(H - H.T).max(initial=0.0)) > 1e-3 * scale:
-        raise ValueError("Hessian action is not symmetric")
-    return 0.5 * (H + H.T)
-
-
 class SampleHessian:
     """Mean Hessian over a frozen index sample, answered as actions.
 
@@ -79,13 +62,15 @@ class SampleHessian:
     action with the same shape, and ``columns`` counts every column asked
     for, however it is answered.  ``dense()`` builds the symmetrised
     n x n matrix once, with ``build`` when given and otherwise with one
-    call of the action on the identity block, checks its symmetry like
-    ``optimality.materialise_operator`` and keeps it; from then on every
-    call is a product with that matrix and reads no data.  The build is
-    not counted.  The counter and the cache make an instance stateful, so
-    it belongs to one solve at a time.  A non-finite estimate raises
-    ``FloatingPointError``: the matrix is checked once when it is built,
-    and every action computed without it is checked.
+    call of the action on the identity block, checks that it is finite and
+    symmetric and keeps it; from then on every call is a product with
+    that matrix and reads no data.  It is the only builder of a dense
+    Hessian: the eigensolvers wrap any action in a ``SampleHessian`` to
+    materialise it.  The build is not counted.  The counter and the cache
+    make an instance stateful, so it belongs to one solve at a time.  A
+    non-finite estimate raises ``FloatingPointError``: the matrix is
+    checked once when it is built, and every action computed without it
+    is checked.
     """
 
     def __init__(self, n: int, apply: Callable[[np.ndarray], np.ndarray], build=None):
@@ -103,10 +88,22 @@ class SampleHessian:
         return _finite(np.asarray(self._apply(v), dtype=float))
 
     def dense(self) -> np.ndarray:
-        """The symmetrised matrix, built on the first call."""
+        """The symmetrised matrix, built on the first call.
+
+        It raises if the matrix is asymmetric beyond 1e-3 relative to its
+        scale, which violates the Hessian-operator contract.  The tolerance
+        accommodates actions built by differencing gradients, whose
+        asymmetry is bounded by the differencing error.
+        """
         if self._dense is None:
             H = self._build() if self._build is not None else self._apply(np.eye(self.n))
-            self._dense = symmetric_part(_finite(np.asarray(H, dtype=float)), self.n)
+            H, n = _finite(np.asarray(H, dtype=float)), self.n
+            if H.shape != (n, n):
+                raise ValueError(f"Hessian action returned shape {H.shape} for an ({n}, {n}) block")
+            scale = 1.0 + float(np.abs(H).max(initial=0.0))
+            if float(np.abs(H - H.T).max(initial=0.0)) > 1e-3 * scale:
+                raise ValueError("Hessian action is not symmetric")
+            self._dense = 0.5 * (H + H.T)
         return self._dense
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .finite_sum import SampleHessian
 
-__all__ = ["RegularisedModel", "AccuracyQuantities", "accuracy_quantities", "model_hessian_action"]
+__all__ = ["RegularisedModel", "accuracy_quantities", "model_hessian_action"]
 
 
 @dataclass(frozen=True)
@@ -46,31 +46,13 @@ class RegularisedModel:
     def n(self) -> int:
         return self.grad.shape[0]
 
-    def _hs(self, s: np.ndarray) -> np.ndarray:
-        if not s.any():
-            return np.zeros(self.n)
-        return self.hessian_action(s)
-
-    def value(self, s) -> float:
-        s = np.asarray(s, dtype=float)
-        return self._value_with_hs(s, self._hs(s))
-
-    def _value_with_hs(self, s: np.ndarray, hs: np.ndarray) -> float:
-        norm_s = float(np.linalg.norm(s))
-        return float(self.grad @ s) + 0.5 * float(s @ hs) + self.sigma * norm_s**3 / 6.0
-
-    def gradient(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return self._gradient_with_hs(s, self._hs(s))
-
-    def _gradient_with_hs(self, s: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        return self.grad + hs + 0.5 * self.sigma * float(np.linalg.norm(s)) * s
-
     def value_and_gradient(self, s):
         """Value, gradient and the Hessian action H s they share: one action."""
         s = np.asarray(s, dtype=float)
-        hs = self._hs(s)
-        return self._value_with_hs(s, hs), self._gradient_with_hs(s, hs), hs
+        hs = self.hessian_action(s) if s.any() else np.zeros(self.n)
+        norm_s = float(np.linalg.norm(s))
+        value = float(self.grad @ s) + 0.5 * float(s @ hs) + self.sigma * norm_s**3 / 6.0
+        return value, self.grad + hs + 0.5 * self.sigma * norm_s * s, hs
 
 
 def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], np.ndarray]:
@@ -89,45 +71,29 @@ def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], n
         hv = base(v)
         if norm_s == 0.0:
             return hv
-        if v.ndim == 1:
-            return hv + 0.5 * sigma * (norm_s * v + (float(s @ v) / norm_s) * s)
-        return hv + 0.5 * sigma * (norm_s * v + np.outer(s, (s @ v) / norm_s))
+        return hv + 0.5 * sigma * (norm_s * v + np.multiply.outer(s, (s @ v) / norm_s))
 
     return action
 
 
-@dataclass
-class AccuracyQuantities:
-    """Step-dependent inputs to the adaptive derivative-accuracy targets.
-
-    ``tau`` mixes the step norm with the unit-sphere maximiser norms of the
-    model measures; ``delta_t_min`` is the smallest of the Taylor decrease
-    at the step and the model measures themselves.
-    """
-
-    tau: float
-    delta_t_min: float
-
-    def targets(self, omega: float) -> tuple:
-        """Gradient and Hessian accuracy targets: omega * dt_min / (6 tau^l)."""
-        if self.tau <= 0.0:
-            return 0.0, 0.0
-        return tuple(omega * self.delta_t_min / (6.0 * self.tau**ell) for ell in (1, 2))
-
-
-def accuracy_quantities(s, diag: dict) -> AccuracyQuantities:
-    """Evaluate tau and the minimum decrease of the accuracy test at the
-    step s that ``cubic_step`` returned with diagnostics ``diag``.
+def accuracy_quantities(s, diag: dict, omega: float) -> tuple:
+    """Gradient and Hessian accuracy targets omega * dt_min / (6 tau^l),
+    l = 1, 2, at the step s that ``cubic_step`` returned with diagnostics
+    ``diag``.
 
     The solve reports the Taylor decrease, the model gradient norm and,
     when it was given ``eps2``, the order-two model measure at its step;
-    this is arithmetic on that report.  Maximisers of the model measures
-    lie on the unit sphere whenever a measure is nonzero, so their norm is
-    one; when every measure is zero tau falls back to the step norm.
+    this is arithmetic on that report.  ``dt_min`` is the smallest of the
+    Taylor decrease and the measures.  ``tau`` mixes the step norm with the
+    norms of the measures' maximisers, which lie on the unit sphere
+    whenever a measure is nonzero, so it is max(||s||, 1); when every
+    measure is zero it falls back to ||s||, and a zero tau gives zero
+    targets.
     """
     measures = [m for m in (diag["grad_norm"], diag["phi2"]) if m is not None]
     norm_s = float(np.linalg.norm(s))
-    return AccuracyQuantities(
-        tau=max(norm_s, 1.0) if any(measures) else norm_s,
-        delta_t_min=min(diag["taylor_decrease"], *measures),
-    )
+    tau = max(norm_s, 1.0) if any(measures) else norm_s
+    if tau <= 0.0:
+        return 0.0, 0.0
+    delta_t_min = min(diag["taylor_decrease"], *measures)
+    return tuple(omega * delta_t_min / (6.0 * tau**ell) for ell in (1, 2))

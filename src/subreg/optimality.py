@@ -9,7 +9,7 @@ computed by safeguarded Newton steps on the Lagrange multiplier of the
 boundary-constrained problem (More and Sorensen, 1983), with the classic
 hard case (gradient orthogonal to the leftmost eigenspace) handled by
 completing the boundary solution along a leftmost eigenvector.  Up to
-``DENSE_MAX_N`` unknowns numpy's ``eigh`` of the materialised Hessian
+``DENSE_MAX_N`` unknowns numpy's ``eigh`` of ``SampleHessian.dense()``
 serves that search; above, ``eigsh`` and conjugate-gradient solves to a
 relative residual of 1e-10 serve the same search.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_sum import symmetric_part
+from .finite_sum import SampleHessian
 
 __all__ = [
     "phi_1",
@@ -35,7 +35,6 @@ __all__ = [
     "DENSE_MAX_N",
     "dense_path",
     "leftmost_eigenpair",
-    "materialise_operator",
 ]
 
 _EIGSH_SEED = 1423  # deterministic start-vector stream for the eigensolver
@@ -79,33 +78,23 @@ def dense_path(n: int) -> bool:
     return n <= DENSE_MAX_N or n < 3
 
 
-def materialise_operator(h_action, n: int):
-    """Apply the action to the identity block and return a dense matrix.
-
-    The action receives all n identity columns in one ``(n, n)`` call; a
-    ``SampleHessian`` whose dense matrix is built answers it from that
-    matrix.  It raises if the result is asymmetric beyond 1e-3 relative to
-    its scale (see ``finite_sum.symmetric_part``).
-    """
-    return symmetric_part(h_action(np.eye(n)), n)
-
-
 def leftmost_eigenpair(h_action, n: int):
     """Smallest eigenvalue and a unit eigenvector of a symmetric action.
 
-    Only the dense path checks symmetry, on the materialised action.
+    Only the dense path checks the action, on the matrix that
+    ``SampleHessian.dense`` builds from it: one call on the identity block.
     """
     if dense_path(n):
-        H = materialise_operator(h_action, n)
-        lam, q = np.linalg.eigh(H)
+        lam, q = np.linalg.eigh(SampleHessian(n, h_action).dense())
         return float(lam[0]), q[:, 0]
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     # ARPACK's tolerance is relative to the eigenvalue, which no residual
     # meets at a zero eigenvalue: shift by -2 ||H v0|| / ||v0||, at least
-    # twice the leftmost eigenvalue of a positive definite H.
-    shift = 2.0 * float(np.linalg.norm(h_action(v0))) / float(np.linalg.norm(v0))
+    # twice the leftmost eigenvalue of a positive definite H.  H v0 = 0
+    # (H = 0 on a random v0) would give ARPACK a zero start: shift by 1.
+    shift = 2.0 * float(np.linalg.norm(h_action(v0))) / float(np.linalg.norm(v0)) or 1.0
     op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float) - shift * v)
     lam, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=50 * n, tol=1e-9)
     v = vec[:, 0]
@@ -116,20 +105,21 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
     """Largest unit-ball decrease of the quadratic model (g, H).
 
     Both paths find the multiplier by the same safeguarded Newton steps
-    and treat the hard case alike.  Dense path (n <= DENSE_MAX_N):
-    materialise H through its action and decompose it with numpy's
-    ``eigh``; the value is accurate to about 1e-12 of itself plus machine
-    precision times ||H||.  Iterative path, the only one that uses SciPy:
-    leftmost eigenpair (``eigsh``) plus conjugate-gradient solves to a
-    relative residual of 1e-10, each Newton step taking two.  Either path
-    first checks that the action is symmetric to 1e-3: the dense one on the
-    whole matrix, the iterative one on two random pairs of vectors.
+    and treat the hard case alike.  Dense path (n <= DENSE_MAX_N): build H
+    with ``SampleHessian.dense`` and decompose it with numpy's ``eigh``;
+    the value is accurate to about 1e-12 of itself plus machine precision
+    times ||H||.  Iterative path, the only one that uses SciPy: leftmost
+    eigenpair (``eigsh``) plus conjugate-gradient solves to a relative
+    residual of 1e-10, each Newton step taking two.  Either path first
+    checks that the action is symmetric to 1e-3: the dense one on the
+    whole matrix, which must also be finite, the iterative one on two
+    random pairs of vectors.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
     if dense_path(n):
-        return _phi2_dense(g, materialise_operator(h_action, n))
+        return _phi2_dense(g, SampleHessian(n, h_action).dense())
     _check_symmetry_probabilistic(h_action, n)
     return _phi2_iterative(g, h_action, n)
 

@@ -375,7 +375,7 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
                     hessian = problem.hessian_action(samples[1].idx, x, base=samples[1])
                 s, diag = cubic_step(RegularisedModel(g, sigma, hessian), cfg.eps1, cfg.theta, eps2)
                 delta_t, columns = diag["taylor_decrease"], diag["hvp_evals"] * samples[1].idx.size
-                targets = accuracy_quantities(s, diag).targets(omega)
+                targets = accuracy_quantities(s, diag, omega)
 
         passes += 1
         hvp_props += columns
@@ -419,13 +419,17 @@ def minimize(
     ``test_loss`` must be a pure function of ``x`` (as must the problem's
     ``value_mean`` and ``gradient_mean``): a rejected step records the
     values already measured, and a full first gradient draw at the
-    unchanged ``x`` reads the gradient already computed there.
+    unchanged ``x`` reads the gradient already computed there.  An ``x0``
+    of the wrong shape or with a NaN or infinite entry raises
+    ``ValueError``.
     """
     config.validate()
     N, n = problem.N, problem.n
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
 
     sigma = config.sigma0
     rng = np.random.default_rng(config.seed)

@@ -299,7 +299,7 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         hvp_props += diag["hvp_evals"] * h_idx.size
 
         full = g_idx.size == N and h_idx.size == N
-        targets = accuracy_quantities(s, diag).targets(omega)
+        targets = accuracy_quantities(s, diag, omega)
         if full or (eps_g <= targets[0] and eps_h <= targets[1]):
             delta_t = diag["taylor_decrease"]
             return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)

@@ -112,7 +112,8 @@ def test_criterion_3_cubic_subproblem_stationarity():
         sigma = float(rng.uniform(0.3, 3.0))
         model = RegularisedModel(g, sigma, (lambda M: (lambda v: M @ v))(H))
         step, _ = sr.cubic_step(model, eps1=1e-9, theta=0.5)
-        worst = max(worst, abs(model.value(step) - cubic_model_oracle(g, H, sigma)))
+        value, _, _ = model.value_and_gradient(step)
+        worst = max(worst, abs(value - cubic_model_oracle(g, H, sigma)))
     elapsed = time.time() - start
     ok = frozen_err <= 1e-4 and worst <= 1e-6
     _report(3, ok, f"frozen-root err {frozen_err:.2e} (<=1e-4), "
@@ -363,3 +364,59 @@ def test_criterion_10_cost_accounting():
     ok = exact and audited == 6 + 6 + 20
     _report(10, ok, f"{audited} runs audited, meter reproduced exactly: {exact}, "
                     f"{elapsed:.1f}s")
+
+
+def _second_order_point(prob, x, eps1, eps2):
+    """Whether x is an (eps1, eps2) second-order point of the full objective,
+    with the smallest eigenvalue of the full Hessian."""
+    everything = np.arange(prob.N)
+    lam_min = float(np.linalg.eigvalsh(prob.hessian_action(everything, x).dense())[0])
+    grad_norm = float(np.linalg.norm(sr.full_gradient(prob, x)))
+    return grad_norm <= eps1 and lam_min >= -eps2, lam_min
+
+
+def test_criterion_11_second_order_points():
+    """The q = 2 method from the saddle x0 = 0 of a 10-5-1 tanh net: exact
+    mode reaches (eps1, eps2) second-order points of the full objective
+    within a factor 10 of the paper's O(max[eps1^-1.5, eps2^-3]) order
+    against the eps2 = 0.1 anchor, at least ceil((1 - t) 10) of 10 default
+    sampled runs reach one, and the q = 1 method stops at the saddle."""
+    start = time.time()
+    train = sr.synthesize_dataset(3, 600, 10, 2.0)
+    prob = sr.SquaredLossProblem(train, sr.NetworkSpec(10, (5,)))
+    x0 = np.zeros(prob.n)
+    eps1 = 1e-3
+    budget = dict(eps1=eps1, budget_cm=30_000.0)
+    details = []
+
+    exact_ok, iterations = True, {}
+    for eps2 in (1e-1, 3e-2, 1e-2):
+        cfg = sr.SolverConfig(p=2, q=2, eps2=eps2, kappa=1e9, **budget)
+        result = sr.minimize(prob, cfg, x0=x0)
+        reached, lam_min = _second_order_point(prob, result.x, eps1, eps2)
+        exact_ok &= result.stop_reason == "converged" and reached
+        iterations[eps2] = result.iterations
+        details.append(f"exact eps2={eps2:g}: {result.iterations} its, lam_min {lam_min:.1e}")
+    order = {eps2: max(eps1**-1.5, eps2**-3.0) for eps2 in iterations}
+    anchor = iterations[1e-1] / order[1e-1]
+    worst_ratio = max(iterations[e] / order[e] / anchor for e in (3e-2, 1e-2))
+    details.append(f"worst scaled ratio {worst_ratio:.2f} (<=10)")
+
+    hits = 0
+    for seed in range(10):
+        cfg = sr.SolverConfig(p=2, q=2, eps2=1e-2, seed=seed, **budget)
+        result = sr.minimize(prob, cfg, x0=x0)
+        hits += result.stop_reason == "converged" and _second_order_point(
+            prob, result.x, eps1, 1e-2
+        )[0]
+    needed = int(np.ceil((1.0 - cfg.t) * 10))
+    details.append(f"sampled: {hits}/10 seeds at a second-order point (>={needed})")
+
+    first_order = sr.minimize(prob, sr.SolverConfig(p=2, q=1, kappa=1e9, **budget), x0=x0)
+    _, lam_q1 = _second_order_point(prob, first_order.x, eps1, 1e-2)
+    details.append(f"q=1 stops with lam_min {lam_q1:.2f} (< -1e-2)")
+
+    elapsed = time.time() - start
+    ok = exact_ok and worst_ratio <= 10.0 and hits >= needed and lam_q1 < -1e-2
+    ok &= elapsed < 60.0
+    _report(11, ok, "; ".join(details) + f", {elapsed:.1f}s (<1min)")

@@ -583,6 +583,10 @@ class TestCli:
         (["--sigma0", "-1"], "need 0 < sigma_min < sigma0"),
         # Used to load the dataset and die with ExperimentConfig's ValueError.
         (["--runs", "0"], "--runs must be at least 1"),
+        # Used to load the dataset and die with int()'s or NetworkSpec's ValueError.
+        (["--net", "abc"], "--net must list positive hidden-layer widths, not 'abc'"),
+        (["--net", "0"], "--net must list positive hidden-layer widths, not '0'"),
+        (["--net", "5,-1"], "--net must list positive hidden-layer widths, not '5,-1'"),
     ])
     def test_invalid_solver_setting_refused_before_loading(
         self, tmp_path, monkeypatch, capsys, flags, message

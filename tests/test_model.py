@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from subreg.finite_sum import CustomProblem
-from subreg.model import (
-    AccuracyQuantities,
-    RegularisedModel,
-    accuracy_quantities,
-    model_hessian_action,
-)
+from subreg.model import RegularisedModel, accuracy_quantities, model_hessian_action
 from subreg import subproblem
 from subreg.subproblem import cubic_step, quadratic_step
 
@@ -18,17 +13,30 @@ def cubic_model(g, H, sigma):
     return RegularisedModel(np.asarray(g, dtype=float), sigma, lambda v: H @ v)
 
 
+def value(m, s):
+    return m.value_and_gradient(s)[0]
+
+
+def gradient(m, s):
+    return m.value_and_gradient(s)[1]
+
+
+def targets(tau, delta_t_min, omega):
+    """The accuracy targets omega * dt_min / (6 tau^l), l = 1, 2."""
+    return tuple(omega * delta_t_min / (6.0 * tau**ell) for ell in (1, 2))
+
+
 class TestModelValue:
     def test_zero_step_is_zero(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
-        assert m.value(np.zeros(2)) == 0.0
+        assert value(m, np.zeros(2)) == 0.0
 
     def test_cubic_stationary_value(self):
         # scalar arithmetic: -t + t^2/2 + t^3/6 at t = sqrt(3) - 1
         t = np.sqrt(3.0) - 1.0
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
         expected = -t + t**2 / 2.0 + t**3 / 6.0
-        assert m.value(np.array([-t, 0.0])) == pytest.approx(expected, rel=1e-14)
+        assert value(m, np.array([-t, 0.0])) == pytest.approx(expected, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,7 +49,7 @@ class TestModelGradient:
     def test_at_zero_returns_estimate(self):
         g = np.array([0.3, -0.7])
         m = cubic_model(g, np.diag([2.0, -1.0]), 0.5)
-        np.testing.assert_array_equal(m.gradient(np.zeros(2)), g)
+        np.testing.assert_array_equal(gradient(m, np.zeros(2)), g)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -52,18 +60,21 @@ class TestModelGradient:
             g = rng.standard_normal(n)
             m = cubic_model(g, H, float(rng.uniform(0.2, 3.0)))
             s = rng.standard_normal(n)
-            fd = central_diff_gradient(m.value, s)
-            assert np.max(np.abs(m.gradient(s) - fd) / (1.0 + np.abs(fd))) <= 1e-6
+            fd = central_diff_gradient(lambda z: value(m, z), s)
+            assert np.max(np.abs(gradient(m, s) - fd) / (1.0 + np.abs(fd))) <= 1e-6
 
     def test_value_and_gradient_consistent(self):
+        # value and gradient of the model formula, from the one action H s
         rng = np.random.default_rng(1)
         H = np.diag([1.0, -2.0, 0.5])
         m = cubic_model(rng.standard_normal(3), H, 1.3)
         s = rng.standard_normal(3)
         v, g, hs = m.value_and_gradient(s)
-        assert v == m.value(s)
-        np.testing.assert_array_equal(g, m.gradient(s))
+        norm_s = np.linalg.norm(s)
+        assert v == pytest.approx(m.grad @ s + 0.5 * s @ H @ s + 1.3 * norm_s**3 / 6.0, rel=1e-14)
+        np.testing.assert_allclose(g, m.grad + H @ s + 0.65 * norm_s * s, rtol=1e-14)
         np.testing.assert_array_equal(hs, H @ s)
+        assert m.hessian_action.columns == 1
 
 
 def measured(m, s, phi2=None):
@@ -99,7 +110,7 @@ class TestTaylorDecrease:
         m = cubic_model(rng.standard_normal(3), H, 0.9)
         s, diag = cubic_step(m, eps1=1e-6, theta=0.5)
         reg = 0.9 * np.linalg.norm(s) ** 3 / 6.0
-        assert diag["taylor_decrease"] == pytest.approx(reg - m.value(s), rel=1e-12)
+        assert diag["taylor_decrease"] == pytest.approx(reg - value(m, s), rel=1e-12)
 
     def test_descent_implies_decrease_dominates_regulariser(self):
         # the p = 1 step: decrease >= (sigma/2) ||s||^2
@@ -146,7 +157,7 @@ class TestStationarityMeasure:
         rng = np.random.default_rng(4)
         m = cubic_model(rng.standard_normal(3), np.diag([1.0, -0.5, 2.0]), 1.1)
         s, diag = cubic_step(m, eps1=1e-12, theta=0.5)
-        grad = m.gradient(s)
+        grad = gradient(m, s)
         scan = sphere_scan_max(lambda d: float(-grad @ d), 3, samples=10_000, seed=5)
         assert diag["grad_norm"] > 0.0
         assert abs(diag["grad_norm"] - scan) <= 1e-2 * diag["grad_norm"]
@@ -157,34 +168,35 @@ class TestAccuracyQuantities:
         # zero gradient and positive definite H: s = 0 is a second-order point
         m = cubic_model([0.0, 0.0], np.diag([1.0, 2.0]), 2.0)
         s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
-        q = accuracy_quantities(s, diag)
         assert diag["grad_norm"] == 0.0 and diag["phi2"] == 0.0
-        assert q.delta_t_min == 0.0  # targets collapse; the relative test takes over
-        assert q.targets(0.2) == (0.0, 0.0)
+        # targets collapse; the relative test takes over
+        assert accuracy_quantities(s, diag, 0.2) == (0.0, 0.0)
 
     def test_tau_uses_unit_sphere_maximisers(self):
         m = cubic_model([0.4, 0.0], np.eye(2), 1.0)
         for phi2 in (None, 0.3):  # the report of a q = 1 and of a q = 2 solve
-            s = np.array([0.5, 0.0])
-            assert accuracy_quantities(s, measured(m, s, phi2)).tau == 1.0
-            s = np.array([2.5, 0.0])
-            assert accuracy_quantities(s, measured(m, s, phi2)).tau == 2.5
+            for s, tau in ((np.array([0.5, 0.0]), 1.0), (np.array([2.5, 0.0]), 2.5)):
+                nu1, nu2 = accuracy_quantities(s, measured(m, s, phi2), 0.2)
+                assert nu1 / nu2 == pytest.approx(tau, rel=1e-15)  # nu_l ~ 1 / tau^l
 
     def test_one_definition_for_both_orders(self):
         m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
         s = np.array([-0.1, 0.05])
         diag = measured(m, s)
-        first = accuracy_quantities(s, diag)
-        second = accuracy_quantities(s, measured(m, s, phi2=1e-9))
-        assert first.delta_t_min == min(diag["taylor_decrease"], diag["grad_norm"])
-        assert second.delta_t_min == 1e-9
-        # a zero step with a zero measure: tau falls back to ||s|| = 0
+        first = accuracy_quantities(s, diag, 0.2)
+        second = accuracy_quantities(s, measured(m, s, phi2=1e-9), 0.2)
+        assert first == targets(1.0, min(diag["taylor_decrease"], diag["grad_norm"]), 0.2)
+        assert second == targets(1.0, 1e-9, 0.2)
+        # a zero step with a zero measure: tau falls back to ||s|| = 0, whose
+        # targets are zero, although the Taylor decrease is not
         zero = cubic_model([0.0, 0.0], np.eye(2), 1.0)
-        assert accuracy_quantities(np.zeros(2), measured(zero, np.zeros(2))).tau == 0.0
+        diag = dict(measured(zero, np.zeros(2)), taylor_decrease=1.0)
+        assert accuracy_quantities(np.zeros(2), diag, 0.2) == (0.0, 0.0)
 
     def test_frozen_target_values(self):
-        q = AccuracyQuantities(tau=2.0, delta_t_min=0.6)
-        nu1, nu2 = q.targets(0.2)
+        # tau = ||s|| = 2 and dt_min = 0.6
+        diag = {"taylor_decrease": 0.6, "grad_norm": 1.0, "phi2": None}
+        nu1, nu2 = accuracy_quantities(np.array([2.0, 0.0]), diag, 0.2)
         assert nu1 == pytest.approx(0.01, rel=1e-15)
         assert nu2 == pytest.approx(0.005, rel=1e-15)
 
@@ -199,7 +211,7 @@ class TestAccuracyQuantities:
         np.testing.assert_array_equal(s, np.zeros(2))
         assert diag["phi2"] == pytest.approx(1.0, abs=1e-8)
         assert diag["hvp_evals"] == m.hessian_action.columns == 2
-        assert accuracy_quantities(s, diag).delta_t_min == 0.0
+        assert accuracy_quantities(s, diag, 0.2) == (0.0, 0.0)
 
     def test_supplied_phi2_skips_the_solve(self):
         # The quantities are arithmetic on the solve's report: they ask no
@@ -207,9 +219,10 @@ class TestAccuracyQuantities:
         m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
         s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
         before = m.hessian_action.columns
-        q = accuracy_quantities(s, diag)
-        assert q.delta_t_min == min(diag["taylor_decrease"], diag["grad_norm"], diag["phi2"])
-        assert accuracy_quantities(s, dict(diag, phi2=0.0)).delta_t_min == 0.0
+        tau = max(1.0, float(np.linalg.norm(s)))
+        dt_min = min(diag["taylor_decrease"], diag["grad_norm"], diag["phi2"])
+        assert accuracy_quantities(s, diag, 0.2) == targets(tau, dt_min, 0.2)
+        assert accuracy_quantities(s, dict(diag, phi2=0.0), 0.2) == (0.0, 0.0)
         assert m.hessian_action.columns == before
 
 
@@ -223,8 +236,20 @@ class TestModelHessian:
         h = 1e-7
         for _ in range(3):
             v = rng.standard_normal(3)
-            fd = (m.gradient(s + h * v) - m.gradient(s - h * v)) / (2.0 * h)
+            fd = (gradient(m, s + h * v) - gradient(m, s - h * v)) / (2.0 * h)
             np.testing.assert_allclose(action(v), fd, rtol=1e-5, atol=1e-7)
+
+    def test_vector_action_is_the_rank_one_update_bit_for_bit(self):
+        # H v + (sigma / 2) (||s|| v + (s @ v / ||s||) s), as written out
+        rng = np.random.default_rng(8)
+        H = np.diag([2.0, -1.0, 0.3])
+        m = cubic_model(rng.standard_normal(3), H, 0.8)
+        s = rng.standard_normal(3)
+        norm_s = float(np.linalg.norm(s))
+        action = model_hessian_action(m, s)
+        for v in rng.standard_normal((4, 3)):
+            expected = H @ v + 0.5 * 0.8 * (norm_s * v + (float(s @ v) / norm_s) * s)
+            np.testing.assert_array_equal(action(v), expected)
 
     @pytest.mark.parametrize("zero_step", [False, True])
     def test_identity_block_equals_stacked_vectors(self, zero_step):

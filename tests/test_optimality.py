@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subreg import optimality
+from subreg.finite_sum import SampleHessian
 from subreg.optimality import (
     DENSE_MAX_N,
     _phi2_dense,
@@ -9,7 +10,6 @@ from subreg.optimality import (
     check_termination,
     dense_path,
     leftmost_eigenpair,
-    materialise_operator,
     phi_1,
     phi_2,
 )
@@ -297,6 +297,26 @@ class TestLeftmost:
         assert abs(lam1) <= 1e-9
         assert np.linalg.norm(H @ vec) <= 1e-9
 
+    def test_iterative_on_a_zero_hessian(self):
+        # H v0 = 0 made the relative shift zero, and ARPACK refused the zero
+        # start vector (ArpackError: Starting vector is zero).
+        n = DENSE_MAX_N + 1
+        zero = lambda v: 0.0 * v  # noqa: E731
+        lam1, vec = leftmost_eigenpair(zero, n)
+        assert lam1 == 0.0
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+        # phi2 is then the linear term's unit-ball maximum, ||g||.
+        assert phi_2(np.ones(n), zero, n).value == pytest.approx(np.sqrt(n), rel=1e-12)
+
+    def test_iterative_keeps_the_relative_shift_at_a_tiny_scale(self):
+        # Only an exactly zero shift is replaced: a unit shift would swamp
+        # a Hessian of scale 1e-20.
+        n = DENSE_MAX_N + 1
+        lam = 1e-20 * np.concatenate([[-1.0], np.linspace(1.0, 2.0, n - 1)])
+        lam1, vec = leftmost_eigenpair(lambda v: lam * v, n)
+        assert lam1 == pytest.approx(-1e-20, rel=1e-6)
+        assert abs(vec[0]) == pytest.approx(1.0, rel=1e-6)
+
     def test_dense_matches_numpy(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 6))
@@ -318,14 +338,16 @@ class TestLeftmost:
 
 
 class TestMaterialise:
+    """``SampleHessian.dense()``, the one builder of the eigensolvers' matrices."""
+
     def test_reconstructs_matrix(self):
         H = np.array([[2.0, -1.0], [-1.0, 3.0]])
-        np.testing.assert_allclose(materialise_operator(action_of(H), 2), H)
+        np.testing.assert_allclose(SampleHessian(2, action_of(H)).dense(), H)
 
     def test_asymmetry_detected(self):
         H = np.array([[1.0, 5.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            materialise_operator(action_of(H), 2)
+            SampleHessian(2, action_of(H)).dense()
 
     def test_one_call_with_the_identity_block(self):
         H = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
@@ -335,13 +357,36 @@ class TestMaterialise:
             calls.append(np.array(v))
             return H @ v
 
-        np.testing.assert_array_equal(materialise_operator(action, 3), H)
+        np.testing.assert_array_equal(SampleHessian(3, action).dense(), H)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.eye(3))
 
     def test_vector_only_action_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            materialise_operator(lambda v: np.ones(2), 2)
+            SampleHessian(2, lambda v: np.ones(2)).dense()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dense_eigensolvers_refuse_a_non_finite_action(self, bad):
+        # They used to build the matrix themselves and then die in eigh
+        # ("Eigenvalues did not converge"), after a RuntimeWarning from the
+        # symmetrisation when the action was infinite.
+        action = lambda v: np.full(v.shape, bad)  # noqa: E731
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            leftmost_eigenpair(action, 3)
+        with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
+            phi_2(np.ones(3), action, 3)
+
+    def test_dense_eigensolvers_call_the_action_once_on_the_identity(self):
+        H = np.diag([-1.0, 0.5, 2.0])
+        calls = []
+
+        def action(v):
+            calls.append(v.shape)
+            return H @ v
+
+        leftmost_eigenpair(action, 3)
+        phi_2(np.ones(3), action, 3)
+        assert calls == [(3, 3), (3, 3)]
 
 
 class TestTermination:

@@ -14,8 +14,7 @@ import pytest
 
 import subreg
 from subreg import problems
-from subreg.finite_sum import FiniteSumProblem, full_value
-from subreg.optimality import materialise_operator
+from subreg.finite_sum import FiniteSumProblem, SampleHessian, full_value
 from subreg.problems import (
     Dataset,
     NetworkSpec,
@@ -357,11 +356,11 @@ class TestExactSigmoidAction:
         )
 
     def test_dense_is_the_identity_block_action_bit_for_bit(self, case):
-        # The Gram build equals today's materialisation through the row
-        # passes, symmetrised, bit for bit.
+        # The Gram build equals the materialisation through the row passes
+        # (the action on the identity block, symmetrised), bit for bit.
         prob, x, sets, _ = case
         for idx in sets.values():
-            row_passes = materialise_operator(prob.hessian_action(idx, x), prob.n)
+            row_passes = SampleHessian(prob.n, prob.hessian_action(idx, x)).dense()
             np.testing.assert_array_equal(prob.hessian_action(idx, x).dense(), row_passes)
 
     def test_actions_after_dense_are_products_with_it(self, case):

@@ -316,6 +316,21 @@ class TestNonFinite:
         with pytest.raises(FloatingPointError, match=expected):
             minimize(poisoned_problem(what), cfg)
 
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["first", "all"])
+    def test_non_finite_x0_refused(self, p, q, bad, where):
+        # x0 = [inf, 0, 0, 0, 0] saturated the sigmoid, whose gradient is 0
+        # there: the run returned "converged" after 0 iterations with x[0] =
+        # inf.  An all-inf x0 warned in the row product and then raised
+        # FloatingPointError.
+        prob = sigmoid_problem(seed=1, N=300, d=5, separation=2.0)
+        x0 = np.zeros(5)
+        x0[:1 if where == "first" else None] = bad
+        cfg = SolverConfig(p=p, q=q, eps2=1e-3 if q == 2 else None, budget_cm=5.0, seed=1)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            minimize(prob, cfg, x0=x0)
+
 
 class TestHugeRegulariser:
     @pytest.mark.parametrize("q", [1, 2])

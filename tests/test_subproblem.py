@@ -90,7 +90,7 @@ class TestCubicStep:
             A = rng.standard_normal((n, n))
             m = cubic_model(rng.standard_normal(n), 0.5 * (A + A.T), float(rng.uniform(0.2, 4.0)))
             s, diag = cubic_step(m, eps1=1e-6, theta=0.5)
-            assert m.value(s) <= 0.0
+            assert m.value_and_gradient(s)[0] <= 0.0
 
     def test_matches_global_oracle_on_convex_instances(self):
         rng = np.random.default_rng(2)
@@ -102,7 +102,7 @@ class TestCubicStep:
             sigma = float(rng.uniform(0.3, 3.0))
             m = cubic_model(g, H, sigma)
             s, _ = cubic_step(m, eps1=1e-9, theta=0.5)
-            assert abs(m.value(s) - cubic_model_oracle(g, H, sigma)) <= 1e-6
+            assert abs(m.value_and_gradient(s)[0] - cubic_model_oracle(g, H, sigma)) <= 1e-6
 
     def test_second_order_tolerance_escapes_model_saddle(self):
         # gradient points along the positive-curvature axis; the first-order
@@ -110,7 +110,7 @@ class TestCubicStep:
         m = cubic_model([0.0, 0.5], np.diag([-1.0, 2.0]), 1.0)
         s1, _ = cubic_step(m, eps1=1e-8, theta=0.5)
         s2, diag2 = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
-        assert m.value(s2) <= m.value(s1) + 1e-12
+        assert m.value_and_gradient(s2)[0] <= m.value_and_gradient(s1)[0] + 1e-12
         assert abs(s2[0]) > 1e-3  # moved off the negative-curvature axis
 
     def test_budget_exhaustion_keeps_descent(self, monkeypatch):
@@ -118,7 +118,7 @@ class TestCubicStep:
         m = cubic_model(np.ones(6), np.diag(np.linspace(-2.0, 5.0, 6)), 0.4)
         s, diag = cubic_step(m, eps1=1e-12, theta=0.5)
         assert not diag["converged"]
-        assert m.value(s) <= 0.0
+        assert m.value_and_gradient(s)[0] <= 0.0
 
     def test_counts_hessian_work(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
@@ -228,7 +228,8 @@ class TestCubicStep:
         m = cubic_model([0.0, 0.5], np.diag([-1.0, 2.0]), 1.0)
         s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
         assert diag["converged"]
-        assert diag["phi2"] == phi_2(m.gradient(s), model_hessian_action(m, s), 2).value
+        _, grad, _ = m.value_and_gradient(s)
+        assert diag["phi2"] == phi_2(grad, model_hessian_action(m, s), 2).value
         _, diag = cubic_step(m, eps1=1e-8, theta=0.5)
         assert diag["phi2"] is None
 
