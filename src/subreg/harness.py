@@ -8,6 +8,7 @@ produce byte-identical files on every platform.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -71,61 +72,83 @@ def load_dataset(path, fmt: str = "csv", label_col: int = 0, dim: Optional[int] 
     Sparse indices are 1-based; ``dim`` caps the feature dimension and is
     inferred from the largest index seen when omitted.  Features are
     returned as read; ``minmax_scale`` rescales them.
+
+    A file is read twice: once to count its rows (and, for the sparse
+    format, its entries), then to parse each row with one numpy conversion
+    straight into arrays of that size.  Every token goes through Python's
+    ``float`` (``int`` for sparse indices), so the values have its bits.
+    Besides the features the call holds one row's tokens, the labels and,
+    for the sparse format, the flat index and value arrays that one scatter
+    copies into the features.  A path that is not a regular file, such as
+    a pipe, can be read only once, so its lines are held for both passes.
     """
     path = Path(path)
     if fmt not in ("csv", "sparse"):
         raise ValueError(f"unknown dataset format {fmt!r}")
-    raw_labels: List[float] = []
+    if path.is_file():
+        counted, parsed = _lines(path), _lines(path)
+    else:
+        counted = parsed = list(_lines(path))
+    rows, entries = 0, 0
+    for _, line in counted:
+        rows += 1
+        if fmt == "sparse":
+            entries += len(line.split()) - 1
+    if not rows:
+        raise ValueError(f"{path}: empty dataset")
+    labels = np.empty(rows)
     if fmt == "csv":
-        rows: List[List[float]] = []
-        width = None
-        for lineno, line in _lines(path):
+        features = None
+        for row, (lineno, line) in enumerate(parsed):
             try:
-                values = [float(tok) for tok in line.split(",")]
+                values = np.array(line.split(","), dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if width is None:
-                width = len(values)
+            if features is None:
+                width = values.size
                 if not 0 <= label_col < width:
                     raise ValueError(f"label column {label_col} outside row of width {width}")
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} columns, found {len(values)}"
-                )
-            raw_labels.append(_finite_label(values.pop(label_col), path, lineno))
-            rows.append(values)
-        if not rows:
-            raise ValueError(f"{path}: empty dataset")
-        features = np.asarray(rows, dtype=float)
+                features = np.empty((rows, width - 1))
+            elif values.size != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, found {values.size}")
+            labels[row] = _finite_label(float(values[label_col]), path, lineno)
+            features[row, :label_col] = values[:label_col]
+            features[row, label_col:] = values[label_col + 1 :]
     else:
-        entries: List[List[tuple]] = []
-        max_index = 0
-        for lineno, line in _lines(path):
+        index = np.empty(entries, dtype=np.int64)
+        value = np.empty(entries)
+        starts = np.empty(rows + 1, dtype=np.int64)
+        starts[0] = 0
+        for row, (lineno, line) in enumerate(parsed):
             tokens = line.split()
+            lo, hi = starts[row], starts[row] + len(tokens) - 1
             try:
                 label = float(tokens[0])
-                pairs = []
+                index_tokens, value_tokens = [], []
                 for tok in tokens[1:]:
                     index_str, value_str = tok.split(":", 1)
-                    index = int(index_str)
-                    if index < 1:
-                        raise ValueError(f"index {index} is not 1-based")
-                    pairs.append((index, float(value_str)))
-                    max_index = max(max_index, index)
-            except (ValueError, IndexError) as exc:
+                    index_tokens.append(index_str)
+                    value_tokens.append(value_str)
+                index[lo:hi] = np.array(index_tokens, dtype=np.int64)
+                value[lo:hi] = np.array(value_tokens, dtype=float)
+                low = int(index[lo:hi].min(initial=1))
+                if low < 1:
+                    raise ValueError(f"index {low} is not 1-based")
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            raw_labels.append(_finite_label(label, path, lineno))
-            entries.append(pairs)
-        if not entries:
-            raise ValueError(f"{path}: empty dataset")
+            labels[row] = _finite_label(label, path, lineno)
+            starts[row + 1] = hi
+        max_index = int(index.max(initial=0))
         d = dim if dim is not None else max_index
         if max_index > d:
             raise ValueError(f"{path}: feature index {max_index} exceeds dimension {d}")
-        features = np.zeros((len(entries), d))
-        for row, pairs in enumerate(entries):
-            for index, value in pairs:
-                features[row, index - 1] = value
-    labels = (np.asarray(raw_labels) > 0.0).astype(float)
+        features = np.zeros((rows, d))
+        # Entry (row, i) lands at flat position row * d + i - 1, in file
+        # order, so a repeated index keeps the row's last value.
+        index -= 1
+        index += np.repeat(np.arange(rows, dtype=np.int64) * d, np.diff(starts))
+        features.reshape(-1)[index] = value
+    np.greater(labels, 0.0, out=labels)
     return Dataset(features=features, labels=labels)
 
 
@@ -160,8 +183,11 @@ def synthesize_dataset(seed: int, N: int, d: int, separation: float) -> Dataset:
     Labels follow the blob; separation 0 collapses both blobs so no
     predictor can beat chance.  Feature (i, j) is ``z + (separation *
     sign_i) * u_j`` for a standard normal z; each blob's shift is one
-    d-vector added in place, so the call holds the noise and its permuted
-    copy and no other N x d array.
+    d-vector added in place.  The rows are then shuffled in place, as one
+    array of N d-float items, and the labels with a copy of the generator
+    taken before that shuffle, so both get the swaps of
+    ``rng.permutation(N)``.  The call holds the noise and no other N x d
+    array.
     """
     if N < 1 or d < 1:
         raise ValueError("N and d must be positive")
@@ -176,8 +202,11 @@ def synthesize_dataset(seed: int, N: int, d: int, separation: float) -> Dataset:
     features = rng.standard_normal((N, d))
     features[:half] += separation * u
     features[half:] += -separation * u
-    order = rng.permutation(N)  # prefix splits stay label-balanced
-    return Dataset(features=features.take(order, axis=0), labels=labels[order])
+    # Prefix splits stay label-balanced.  Shuffling a 1-d array swaps its
+    # items in C; a 2-d one would be swapped row by row in Python.
+    copy.deepcopy(rng).shuffle(labels)
+    rng.shuffle(features.view(np.dtype((np.void, d * features.itemsize))).reshape(N))
+    return Dataset(features=features, labels=labels)
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

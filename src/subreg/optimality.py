@@ -94,11 +94,15 @@ def leftmost_eigenpair(h_action, n: int):
     # meets at a zero eigenvalue: shift by -2 ||H v0|| / ||v0||, at least
     # twice the leftmost eigenvalue of a positive definite H.  H v0 = 0
     # (H = 0 on a random v0) would give ARPACK a zero start: shift by 1.
+    # ARPACK's test floors |lambda| at about eps^(2/3) (1e-11), below which
+    # it stopped early, with the wrong sign on a spectrum of scale 1e-20:
+    # dividing by the shift runs it at unit scale, and the eigenvalue is
+    # scaled back.
     shift = 2.0 * float(np.linalg.norm(h_action(v0))) / float(np.linalg.norm(v0)) or 1.0
-    op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float) - shift * v)
+    op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float) / shift - v)
     lam, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=50 * n, tol=1e-9)
     v = vec[:, 0]
-    return float(lam[0]) + shift, v / np.linalg.norm(v)
+    return (float(lam[0]) + 1.0) * shift, v / np.linalg.norm(v)
 
 
 def phi_2(g, h_action, n: int) -> TrustRegionResult:

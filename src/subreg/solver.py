@@ -264,6 +264,30 @@ def _first_gradient(problem, idx, x, known):
     return known["grad"]
 
 
+def _sample_hessian(problem, sample, x, known):
+    """``SampleHessian`` over a Hessian sample, with ``sample`` as its base.
+
+    The full set's Hessian at ``x`` is kept in ``known`` (with the dense
+    matrix it may cache) and read back while ``x`` does not move, but only
+    one whose construction asked for no base: such an action is a function
+    of the set and ``x`` alone.  A differenced action keeps its base's bits,
+    which depend on how the sample grew to the full set, so it is rebuilt.
+    """
+    full = sample.idx.size == problem.N
+    if full and "hess" in known:
+        return known["hess"]
+    asked = []
+
+    def base():
+        asked.append(True)
+        return sample()
+
+    hessian = problem.hessian_action(sample.idx, x, base=base)
+    if full and not asked:
+        known["hess"] = hessian
+    return hessian
+
+
 @dataclass
 class StepRecord:
     """What the growth loop hands ``minimize``: the gradient estimate and its
@@ -336,9 +360,11 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The step is solved again
     only when a sample grew, and the ``SampleHessian`` (with the dense
-    matrix it caches) is built only when H was drawn or grew.  A pass
-    that grows neither sample keeps the previous step and its
-    diagnostics, and is charged the Hessian columns of that solve again.
+    matrix it caches) is built only when H was drawn or grew; a full H
+    sample reads back an exact Hessian already built at ``x`` in an
+    earlier iteration (``_sample_hessian``).  A pass that grows neither
+    sample keeps the previous step and its diagnostics, and is charged
+    the Hessian columns of that solve again.
     """
     N, n = problem.N, problem.n
     eps = cfg.kappa_eps
@@ -372,7 +398,7 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
                 targets, columns = [omega * grad_norm], 0
             else:
                 if grew[1]:
-                    hessian = problem.hessian_action(samples[1].idx, x, base=samples[1])
+                    hessian = _sample_hessian(problem, samples[1], x, known)
                 s, diag = cubic_step(RegularisedModel(g, sigma, hessian), cfg.eps1, cfg.theta, eps2)
                 delta_t, columns = diag["taylor_decrease"], diag["hvp_evals"] * samples[1].idx.size
                 targets = accuracy_quantities(s, diag, omega)
@@ -417,9 +443,10 @@ def minimize(
     charged to the meter.  They are computed once per distinct iterate, and
     a full-sample function estimate doubles as the exact training loss, so
     ``test_loss`` must be a pure function of ``x`` (as must the problem's
-    ``value_mean`` and ``gradient_mean``): a rejected step records the
-    values already measured, and a full first gradient draw at the
-    unchanged ``x`` reads the gradient already computed there.  An ``x0``
+    ``value_mean``, ``gradient_mean`` and ``hessian_action``): a rejected
+    step records the values already measured, and a full first gradient
+    draw or full Hessian sample at the unchanged ``x`` reads the gradient
+    or exact Hessian already computed there.  An ``x0``
     of the wrong shape or with a NaN or infinite entry raises
     ``ValueError``.
     """
@@ -441,13 +468,14 @@ def minimize(
     stall = 0
     stop_reason = "iteration_cap"
 
-    # Full-sample objective ("train"), test loss and full-sample gradient
-    # ("grad") at x, each computed at most once per iterate; emptied
-    # whenever x moves.  A full-sample estimate is exact, so it doubles as
-    # the measurement and vice versa: every full-set value is value_mean
-    # over 0..N-1 at the same x, bit for bit, and a full first gradient
-    # draw after a rejected step is the gradient already computed.  The
-    # meter still charges every estimate.
+    # Full-sample objective ("train"), test loss, full-sample gradient
+    # ("grad") and exact full-sample Hessian ("hess") at x, each computed
+    # at most once per iterate; emptied whenever x moves.  A full-sample
+    # estimate is exact, so it doubles as the measurement and vice versa:
+    # every full-set value is value_mean over 0..N-1 at the same x, bit for
+    # bit, and a full first gradient draw or full Hessian sample after a
+    # rejected step is the one already computed.  The meter still charges
+    # every estimate.
     known = {}
 
     def exact_losses():

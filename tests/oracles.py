@@ -7,7 +7,9 @@ it checks.  The exceptions are the two growth-loop references:
 and ``grow_model_and_step_rebuild``, a reference for the order-two
 loop's bookkeeping.  They call the same building blocks, and the second
 redoes every one of them on every pass.  ``phi2_dense_brentq`` is the
-dense order-two measure as it stood on SciPy's ``eigh`` and ``brentq``.
+dense order-two measure as it stood on SciPy's ``eigh`` and ``brentq``,
+and ``load_dataset_reference`` the dataset loader as it stood on lists
+of Python floats.
 """
 
 import numpy as np
@@ -351,3 +353,30 @@ def gathered_sigmoid(problem, indices, x):
         return 0.5 * (H + H.T)
 
     return float(np.sum(r * r) / idx.size), action, dense
+
+
+def load_dataset_reference(path, fmt="csv", label_col=0, dim=None):
+    """``(features, labels)`` of a well-formed dataset file, parsed one
+    Python ``float`` at a time into lists, as ``harness.load_dataset`` did
+    before it parsed rows with numpy."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    labels, rows = [], []
+    if fmt == "csv":
+        for line in lines:
+            values = [float(tok) for tok in line.split(",")]
+            labels.append(values.pop(label_col))
+            rows.append(values)
+        features = np.array(rows, dtype=float)
+    else:
+        entries = []
+        for line in lines:
+            tokens = line.split()
+            labels.append(float(tokens[0]))
+            entries.append([(int(i), float(v)) for i, v in (tok.split(":", 1) for tok in tokens[1:])])
+        width = dim if dim is not None else max((i for pairs in entries for i, _ in pairs), default=0)
+        features = np.zeros((len(entries), width))
+        for row, pairs in enumerate(entries):
+            for i, v in pairs:
+                features[row, i - 1] = v
+    return features, (np.array(labels) > 0.0).astype(float)

@@ -317,6 +317,23 @@ class TestLeftmost:
         assert lam1 == pytest.approx(-1e-20, rel=1e-6)
         assert abs(vec[0]) == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "diagonal, leftmost",
+        [
+            (np.linspace(-1.0, 1.0, 201), -1.0),
+            (np.arange(-1.0, 200.0) / 200.0, -0.005),
+        ],
+    )
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e8])
+    def test_iterative_at_any_scale(self, diagonal, leftmost, scale):
+        # ARPACK's test floors |lambda| at about 1e-11: at scale 1e-20 the
+        # unscaled operator gave -9.83e-21 for -1e-20, and +3.8e-23 (the
+        # wrong sign) for -5e-23.
+        d = scale * diagonal
+        lam1, vec = leftmost_eigenpair(lambda v: d * v, d.size)
+        assert lam1 == pytest.approx(scale * leftmost, rel=1e-12)
+        assert abs(vec[np.argmin(d)]) == pytest.approx(1.0, rel=1e-6)
+
     def test_dense_matches_numpy(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 6))

@@ -588,6 +588,67 @@ class TestOneGradientPerIterate:
         assert len(points) == len(set(points)) and set(points) == started
 
 
+def count_full_builds(prob, monkeypatch):
+    """The full-set ``SampleHessian``s whose dense matrix was asked for,
+    one entry each however often it was asked: one Gram build each."""
+    built = []
+    build = prob.hessian_action
+
+    def counted(indices, x, base=None):
+        hessian = build(indices, x, base)
+        if len(indices) == prob.N:
+            dense = hessian.dense
+
+            def counted_dense():
+                if all(h is not hessian for h in built):
+                    built.append(hessian)
+                return dense()
+
+            hessian.dense = counted_dense
+        return hessian
+
+    monkeypatch.setattr(prob, "hessian_action", counted)
+    return built
+
+
+def full_hessian_starts(res, N):
+    """For each iteration whose Hessian sample is the full set, the number
+    of accepted steps before it: iterations with equal numbers start at
+    the same x."""
+    starts, successes = [], 0
+    for e in res.trace:
+        if e.h_size == N:
+            starts.append(successes)
+        successes += e.success
+    return starts
+
+
+class TestOneHessianPerIterate:
+    """An exact full-sample Hessian is built once per iterate; a rejected
+    step reads it back.  A differenced one is rebuilt, since its base
+    gradient's bits depend on how the sample grew."""
+
+    def test_rejected_step_reuses_the_full_gram(self, monkeypatch):
+        # The q2_sigmoid benchmark workload's problem and settings.
+        N, d = 20_000, 50
+        prob = SquaredLossProblem(synthesize_dataset(3, N, d, 1.0), NetworkSpec(d))
+        built = count_full_builds(prob, monkeypatch)
+        res = minimize(prob, SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=1200.0, seed=5))
+        starts = full_hessian_starts(res, N)
+        assert len(starts) > len(set(starts))  # a rejected step kept H at N
+        assert len(built) == len(set(starts))
+
+    @pytest.mark.parametrize("with_hvp", [True, False])
+    def test_custom_problem(self, with_hvp, monkeypatch):
+        prob = weighted_double_well(with_hvp)
+        built = count_full_builds(prob, monkeypatch)
+        cfg = SolverConfig(p=2, q=2, eps1=1e-4, eps2=1e-3, budget_cm=1e4, **EXACT)
+        res = minimize(prob, cfg, x0=np.full(3, 0.1))
+        starts = full_hessian_starts(res, prob.N)
+        assert len(starts) > len(set(starts))
+        assert len(built) == (len(set(starts)) if with_hvp else len(starts))
+
+
 def weighted_double_well(with_hvp):
     """20 double wells of random weight and tilt in 3 dimensions."""
     rng = np.random.default_rng(11)
