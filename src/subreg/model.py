@@ -77,23 +77,20 @@ def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], n
 
 
 def accuracy_quantities(s, diag: dict, omega: float) -> tuple:
-    """Gradient and Hessian accuracy targets omega * dt_min / (6 tau^l),
+    """Gradient and Hessian accuracy targets nu_l = omega * dT / (6 tau^l),
     l = 1, 2, at the step s that ``cubic_step`` returned with diagnostics
-    ``diag``.
+    ``diag``, where dT is the Taylor decrease it reports there and
+    tau = max(||s||, 1).
 
-    The solve reports the Taylor decrease, the model gradient norm and,
-    when it was given ``eps2``, the order-two model measure at its step;
-    this is arithmetic on that report.  ``dt_min`` is the smallest of the
-    Taylor decrease and the measures.  ``tau`` mixes the step norm with the
-    norms of the measures' maximisers, which lie on the unit sphere
-    whenever a measure is nonzero, so it is max(||s||, 1); when every
-    measure is zero it falls back to ||s||, and a zero tau gives zero
-    targets.
+    The framework the method builds on asks each derivative estimate to be
+    accurate relative to the predicted decrease at the step: the Taylor
+    decrease of the estimated derivatives may differ from the true one by
+    at most omega * dT.  That difference is at most
+    ||g - grad f|| ||s|| + ||H - hess f|| ||s||^2 / 2, so gradient and
+    Hessian errors within nu_1 and nu_2 bound it by
+    (omega * dT / 6) (||s|| / tau + ||s||^2 / (2 tau^2)) <= omega * dT / 4.
+    The targets are arithmetic on the report and ask no Hessian action.  A
+    zero decrease gives zero targets, which only the full sums meet.
     """
-    measures = [m for m in (diag["grad_norm"], diag["phi2"]) if m is not None]
-    norm_s = float(np.linalg.norm(s))
-    tau = max(norm_s, 1.0) if any(measures) else norm_s
-    if tau <= 0.0:
-        return 0.0, 0.0
-    delta_t_min = min(diag["taylor_decrease"], *measures)
-    return tuple(omega * delta_t_min / (6.0 * tau**ell) for ell in (1, 2))
+    tau = max(float(np.linalg.norm(s)), 1.0)
+    return tuple(omega * diag["taylor_decrease"] / (6.0 * tau**ell) for ell in (1, 2))

@@ -367,13 +367,14 @@ class SquaredLossProblem(FiniteSumProblem):
 
     The dataset arrays are read and never written.  The full set is
     evaluated on them in place.  A partial set's rows are gathered, at once
-    for gradients and in blocks otherwise, except that the bias-free
-    sigmoid's row products over most of N are read in place
-    (``_margins``).  Those in-place products, and the bias-free forward
-    pass of a gradient, are split across cores when large, BLAS runs one
-    thread and splitting is measured to pay, with the bits of one product
-    (``_row_product``).  An instance holds no mutable state of its own, so
-    several threads may evaluate it at once.
+    for a network's gradient and a sigmoid gradient over at most N/8 rows,
+    and in blocks otherwise, except that the bias-free sigmoid's row
+    products over most of N are read in place (``_margins``).  Those
+    in-place products, and the bias-free forward pass of a gradient, are
+    split across cores when large, BLAS runs one thread and splitting is
+    measured to pay, with the bits of one product (``_row_product``).  An
+    instance holds no mutable state of its own, so several threads may
+    evaluate it at once.
     """
 
     def __init__(self, dataset: Dataset, spec: NetworkSpec):
@@ -512,12 +513,23 @@ class SquaredLossProblem(FiniteSumProblem):
     def gradient_mean(self, indices, x) -> np.ndarray:
         idx = as_index_set(indices, self.N)
         x = as_vector(x, self.n)
+        if not self.spec.hidden_sizes:
+            if 8 * idx.size <= self.N or self._is_full(idx):
+                parts = [self._rows(idx)]
+            else:
+                # More than N/8 rows are gathered and summed block by
+                # block, so no copy of all of them is made.  Fewer keep
+                # one gather and the bits of its one product.
+                a, y = self.dataset.features, self.dataset.labels
+                parts = ((_take(a, take), _take(y, take)) for _, take in self._row_blocks(idx))
+            total = None
+            for a_b, y_b in parts:
+                part = a_b.T @ _output_slope(y_b, _forward(self.spec, x, a_b)[0])
+                total = part if total is None else total + part
+            return total / idx.size
         a, y = self._rows(idx)
         p, acts = _forward(self.spec, x, a)
-        # d(y - p)^2 / dz_out = -2 (y - p) p (1 - p)
-        dz = -2.0 * (y - p) * p * (1.0 - p)
-        if not self.spec.hidden_sizes:
-            return (a.T @ dz) / idx.size
+        dz = _output_slope(y, p)
         layers = _unpack(self.spec, x)
         delta = dz[:, None]
         grads = [None] * len(layers)
@@ -581,6 +593,11 @@ def _take(arr: np.ndarray, take) -> np.ndarray:
     index array.  ``ndarray.take`` copies the same rows as fancy indexing
     with less overhead per row."""
     return arr[take] if isinstance(take, slice) else arr.take(take, axis=0)
+
+
+def _output_slope(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d(y - p)^2 / dz at the output unit, -2 (y - p) p (1 - p)."""
+    return -2.0 * (y - p) * p * (1.0 - p)
 
 
 def _mean_square_residual(y: np.ndarray, p: np.ndarray) -> float:

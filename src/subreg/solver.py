@@ -26,20 +26,20 @@ that matrix is not a request and is not charged, so CM stays the cost of
 the method.
 
 Both model orders share one sample-growth loop.  Each pass checks one
-accuracy level against the targets of the current step and shrinks it
+accuracy level against the targets of the current step and lowers it
 until every target holds or every sample is the full sum.  For p = 1 the
-only sample is the gradient's and the target is the relative test
-omega * ||g||; for p = 2 a Hessian sample follows it and the targets
-are the adaptive ones of the cubic step.  A growth pass redoes only what
-grew.  While the Hessian sample is not extended, the next pass keeps its
-``SampleHessian`` and dense matrix; a pass that extends neither sample
-reuses the previous pass's whole solve (step and diagnostics).  Every
-pass is still charged the Hessian columns of the solve it uses, so CM
-and traces are those of a loop that rebuilds and re-solves on every pass.
+only sample is the gradient's, the target is the relative test
+omega * ||g|| and the level shrinks geometrically; for p = 2 a Hessian
+sample follows it, the targets are those of the predicted decrease at the
+cubic step (``accuracy_quantities``), and the level jumps straight to the
+smallest of them.  A growth pass redoes only what grew.  While the
+Hessian sample is not extended, the next pass keeps its ``SampleHessian``
+and dense matrix; a pass that extends neither sample keeps the previous
+pass's step and is charged nothing, so CM and traces are those of a loop
+that rebuilds and re-solves on every pass that grew a sample.
 
 The subproblem solver reports the Taylor decrease and the model gradient
-norm at its step, from the Hessian action it took there, and for q = 2
-the order-two model measure there, counted in its columns; the accuracy
+norm at its step, from the Hessian action it took there; the accuracy
 test of a growth pass reads them and takes no action of its own.
 """
 
@@ -99,8 +99,8 @@ class SolverConfig:
     also makes the inner tolerance ``theta * eps1`` zero, so the subproblem
     solver runs to its iteration cap on every growth pass that solves, and
     ``budget_cm`` is checked only between outer iterations: one iteration
-    can overrun the budget by orders of magnitude (a 20 CM budget on a
-    20000 x 50 sigmoid problem charged 4862 CM at q = 1 and 5519 CM at
+    can overrun the budget many times over (a 20 CM budget on a
+    20000 x 50 sigmoid problem charged 636 CM at q = 1 and 53 CM at
     q = 2 in its first iteration).  ``_STALL_LIMIT`` (a constant, 60)
     full-sample iterations in a row without predicted decrease raise
     ``SolverStallError``.
@@ -348,14 +348,14 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     Each pass checks one accuracy level ``eps`` against the targets of the
     current step and accepts once it meets every one of them, or once
     every sample is the full sum, whose estimates are exact.  Otherwise it
-    shrinks ``eps`` by ``gamma_eps`` and extends each sample to the size
-    that ``eps`` asks.  For p = 1 the one sample is the gradient's, the
-    step is ``quadratic_step``'s and the target is omega * ||g||: that
-    step zeroes the model gradient exactly, so the adaptive targets would
-    be zero and every sample would grow to the full sum.  For p = 2 a
-    Hessian sample follows it, and the step and its two targets come from
-    ``cubic_step`` and ``accuracy_quantities``.  Returns the last pass's
-    ``StepRecord``.
+    lowers ``eps`` and extends each sample to the size that ``eps`` asks.
+    For p = 1 the one sample is the gradient's, the step is
+    ``quadratic_step``'s, the target is omega * ||g|| and ``eps`` shrinks
+    by ``gamma_eps``.  For p = 2 a Hessian sample follows it, the step
+    comes from ``cubic_step`` and its two targets from
+    ``accuracy_quantities``, and ``eps`` becomes the smallest of
+    ``gamma_eps * eps`` and the targets, the size the current step asks
+    for in one pass.  Returns the last pass's ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The step is solved again
@@ -363,8 +363,8 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     matrix it caches) is built only when H was drawn or grew; a full H
     sample reads back an exact Hessian already built at ``x`` in an
     earlier iteration (``_sample_hessian``).  A pass that grows neither
-    sample keeps the previous step and its diagnostics, and is charged
-    the Hessian columns of that solve again.
+    sample keeps the previous step and its targets and is charged nothing;
+    at p = 2 its ``eps`` already meets those targets, so it is the last.
     """
     N, n = problem.N, problem.n
     eps = cfg.kappa_eps
@@ -395,20 +395,20 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
             _require_finite("gradient", grad_norm)
             if cfg.p == 1:
                 s, delta_t = quadratic_step(g, sigma)
-                targets, columns = [omega * grad_norm], 0
+                targets = [omega * grad_norm]
             else:
                 if grew[1]:
                     hessian = _sample_hessian(problem, samples[1], x, known)
                 s, diag = cubic_step(RegularisedModel(g, sigma, hessian), cfg.eps1, cfg.theta, eps2)
-                delta_t, columns = diag["taylor_decrease"], diag["hvp_evals"] * samples[1].idx.size
+                delta_t = diag["taylor_decrease"]
+                hvp_props += diag["hvp_evals"] * samples[1].idx.size
                 targets = accuracy_quantities(s, diag, omega)
 
         passes += 1
-        hvp_props += columns
         if all(sample.idx.size == N for sample in samples) or all(eps <= e for e in targets):
             h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
             return StepRecord(g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian)
-        eps *= cfg.gamma_eps
+        eps = cfg.gamma_eps * eps if cfg.p == 1 else min(cfg.gamma_eps * eps, *targets)
         grew = [sample.grow(rng, size(log)) for sample, log in zip(samples, logs)]
 
 

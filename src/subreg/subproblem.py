@@ -68,16 +68,13 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     curvature.  The diagnostics carry the model gradient norm
     ``grad_norm`` and the Taylor decrease ``taylor_decrease = -g @ s -
     0.5 s @ H s`` at the returned step, from the action H s the solve took
-    there, and with ``eps2`` given the order-two measure ``phi2`` there
-    (otherwise None): the last second-order test's value, or one
-    measurement taken before returning when no test ran at that step.
-    ``hvp_evals`` counts the Hessian-action columns this solve asks the
-    model's ``SampleHessian`` for, however they are answered, so it
-    includes that measurement.  Where the eigensolvers take the dense path
-    (``optimality.dense_path``) and ``eps2`` is given, the dense matrix is
-    built first, uncounted, and every later action is a product with it.
-    When the iterations run out or the line search stalls, the best
-    iterate found is returned with ``converged`` False.
+    there.  ``hvp_evals`` counts the Hessian-action columns this solve asks
+    the model's ``SampleHessian`` for, however they are answered.  Where
+    the eigensolvers take the dense path (``optimality.dense_path``) and
+    ``eps2`` is given, the dense matrix is built first, uncounted, and
+    every later action is a product with it.  When the iterations run out
+    or the line search stalls, the best iterate found is returned with
+    ``converged`` False.
     """
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
@@ -86,7 +83,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     start = H.columns
     n = model.n
     if eps2 is not None and dense_path(n):
-        # Measuring phi2 at the returned step materialises H.
+        # The second-order test and the escapes materialise H.
         H.dense()
     tol = theta * eps1
 
@@ -98,7 +95,6 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     iterations = 0
     escapes = 0
     converged = False
-    phi2_value, phi2_at = None, None
 
     def diagnostics():
         return {
@@ -109,7 +105,6 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
             "taylor_decrease": -float(model.grad @ s) - 0.5 * float(s @ hs),
             "model_value": value,
             "escapes": escapes,
-            "phi2": phi2_value,
         }
 
     def try_escape():
@@ -136,12 +131,6 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
                 return True
         return False
 
-    def measure_phi2():
-        """The order-two model measure at s, from the model gradient held there."""
-        nonlocal phi2_value, phi2_at
-        phi2_value, phi2_at = phi_2(grad, model_hessian_action(model, s), n).value, s
-        return phi2_value
-
     while iterations < _MAX_INNER_ITERATIONS:
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
@@ -149,7 +138,8 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
             # pure gradient descent; probe curvature before accepting it.
             if value == 0.0 and try_escape():
                 continue
-            if eps2 is None or measure_phi2() <= theta * eps2:
+            # The order-two model measure at s, from the model gradient held there.
+            if eps2 is None or phi_2(grad, model_hessian_action(model, s), n).value <= theta * eps2:
                 converged = True
                 break
             if not try_escape():
@@ -191,6 +181,4 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         _, grad, hs = model.value_and_gradient(s)
     if value > 0.0:
         raise RuntimeError(f"cubic subproblem returned a non-descent step: {diagnostics()}")
-    if eps2 is not None and phi2_at is not s:
-        measure_phi2()
     return s, diagnostics()

@@ -277,20 +277,24 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
 
     Same contract and return value as ``solver._grow_and_step`` at p = 2, but
     each pass builds a new ``SampleHessian`` and solves the cubic model
-    again, whether or not a sample grew.
+    again, whether or not a sample grew.  A pass is charged its solve's
+    columns only when it is the first or a sample grew; after each pass the
+    accuracy level drops to the smallest of ``gamma_eps`` times itself and
+    the step's targets.
     """
     N, n = problem.N, problem.n
     glog = gradient_log_argument(n, cfg.t)
     hlog = hessian_log_argument(n, cfg.t)
-    eps_g = eps_h = cfg.kappa_eps
+    eps = cfg.kappa_eps
 
-    g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N))
+    g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps, cfg.t, glog, N))
     g = _first_gradient(problem, g_idx, x, known)
-    h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N))
+    h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps, cfg.t, hlog, N))
     h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
 
     hvp_props = 0
     passes = 0
+    grew = True
     while True:
         passes += 1
         _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
@@ -298,26 +302,29 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         model = RegularisedModel(g, sigma, hessian)
         eps2 = cfg.eps2 if cfg.q == 2 else None
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
-        hvp_props += diag["hvp_evals"] * h_idx.size
+        if grew:
+            hvp_props += diag["hvp_evals"] * h_idx.size
 
         full = g_idx.size == N and h_idx.size == N
         targets = accuracy_quantities(s, diag, omega)
-        if full or (eps_g <= targets[0] and eps_h <= targets[1]):
+        if full or all(eps <= e for e in targets):
             delta_t = diag["taylor_decrease"]
             return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)
 
-        eps_g *= cfg.gamma_eps
-        eps_h *= cfg.gamma_eps
-        new_g = bernstein_size(cfg.kappa, eps_g, cfg.t, glog, N)
+        eps = min(cfg.gamma_eps * eps, *targets)
+        grew = False
+        new_g = bernstein_size(cfg.kappa, eps, cfg.t, glog, N)
         if new_g > g_idx.size:
             old = g_idx.size
             g_idx, ext = extend_subsample(rng, N, g_idx, new_g)
             g = merged_mean(g, old, problem.gradient_mean(ext, x), ext.size)
-        new_h = bernstein_size(cfg.kappa, eps_h, cfg.t, hlog, N)
+            grew = True
+        new_h = bernstein_size(cfg.kappa, eps, cfg.t, hlog, N)
         if new_h > h_idx.size:
             old = h_idx.size
             h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
             h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)
+            grew = True
 
 
 def gathered_sigmoid(problem, indices, x):

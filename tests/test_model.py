@@ -21,9 +21,9 @@ def gradient(m, s):
     return m.value_and_gradient(s)[1]
 
 
-def targets(tau, delta_t_min, omega):
-    """The accuracy targets omega * dt_min / (6 tau^l), l = 1, 2."""
-    return tuple(omega * delta_t_min / (6.0 * tau**ell) for ell in (1, 2))
+def targets(tau, delta_t, omega):
+    """The accuracy targets omega * dt / (6 tau^l), l = 1, 2."""
+    return tuple(omega * delta_t / (6.0 * tau**ell) for ell in (1, 2))
 
 
 class TestModelValue:
@@ -77,13 +77,12 @@ class TestModelGradient:
         assert m.hessian_action.columns == 1
 
 
-def measured(m, s, phi2=None):
+def measured(m, s):
     """The diagnostics ``cubic_step`` reports at its step s, computed at s."""
     _, grad, hs = m.value_and_gradient(s)
     return {
         "taylor_decrease": -float(m.grad @ s) - 0.5 * float(s @ hs),
         "grad_norm": float(np.linalg.norm(grad)),
-        "phi2": phi2,
     }
 
 
@@ -165,64 +164,59 @@ class TestStationarityMeasure:
 
 class TestAccuracyQuantities:
     def test_degenerate_exact_minimiser(self):
-        # zero gradient and positive definite H: s = 0 is a second-order point
+        # zero gradient and positive definite H: s = 0 predicts no decrease
         m = cubic_model([0.0, 0.0], np.diag([1.0, 2.0]), 2.0)
         s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
-        assert diag["grad_norm"] == 0.0 and diag["phi2"] == 0.0
-        # targets collapse; the relative test takes over
+        assert diag["grad_norm"] == 0.0 and diag["taylor_decrease"] == 0.0
+        # zero targets, which only the full sums meet
         assert accuracy_quantities(s, diag, 0.2) == (0.0, 0.0)
 
-    def test_tau_uses_unit_sphere_maximisers(self):
+    def test_tau_is_the_step_norm_at_least_one(self):
         m = cubic_model([0.4, 0.0], np.eye(2), 1.0)
-        for phi2 in (None, 0.3):  # the report of a q = 1 and of a q = 2 solve
-            for s, tau in ((np.array([0.5, 0.0]), 1.0), (np.array([2.5, 0.0]), 2.5)):
-                nu1, nu2 = accuracy_quantities(s, measured(m, s, phi2), 0.2)
-                assert nu1 / nu2 == pytest.approx(tau, rel=1e-15)  # nu_l ~ 1 / tau^l
+        for s, tau in ((np.array([0.5, 0.0]), 1.0), (np.array([2.5, 0.0]), 2.5)):
+            nu1, nu2 = accuracy_quantities(s, measured(m, s), 0.2)
+            assert nu1 / nu2 == pytest.approx(tau, rel=1e-15)  # nu_l ~ 1 / tau^l
 
-    def test_one_definition_for_both_orders(self):
+    def test_targets_follow_the_taylor_decrease_alone(self):
+        # The model gradient norm at the step does not enter the targets,
+        # however small a tight solve has made it.
         m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
         s = np.array([-0.1, 0.05])
         diag = measured(m, s)
-        first = accuracy_quantities(s, diag, 0.2)
-        second = accuracy_quantities(s, measured(m, s, phi2=1e-9), 0.2)
-        assert first == targets(1.0, min(diag["taylor_decrease"], diag["grad_norm"]), 0.2)
-        assert second == targets(1.0, 1e-9, 0.2)
-        # a zero step with a zero measure: tau falls back to ||s|| = 0, whose
-        # targets are zero, although the Taylor decrease is not
-        zero = cubic_model([0.0, 0.0], np.eye(2), 1.0)
-        diag = dict(measured(zero, np.zeros(2)), taylor_decrease=1.0)
-        assert accuracy_quantities(np.zeros(2), diag, 0.2) == (0.0, 0.0)
+        assert diag["taylor_decrease"] > 0.0
+        expected = targets(1.0, diag["taylor_decrease"], 0.2)
+        for grad_norm in (0.0, 1e-12, diag["grad_norm"], 5.0):
+            assert accuracy_quantities(s, dict(diag, grad_norm=grad_norm), 0.2) == expected
+        # a zero step keeps tau = 1
+        diag = dict(measured(m, np.zeros(2)), taylor_decrease=1.0)
+        assert accuracy_quantities(np.zeros(2), diag, 0.2) == targets(1.0, 1.0, 0.2)
 
     def test_frozen_target_values(self):
-        # tau = ||s|| = 2 and dt_min = 0.6
-        diag = {"taylor_decrease": 0.6, "grad_norm": 1.0, "phi2": None}
+        # tau = ||s|| = 2 and dt = 0.6
+        diag = {"taylor_decrease": 0.6, "grad_norm": 1.0}
         nu1, nu2 = accuracy_quantities(np.array([2.0, 0.0]), diag, 0.2)
         assert nu1 == pytest.approx(0.01, rel=1e-15)
         assert nu2 == pytest.approx(0.005, rel=1e-15)
 
-    def test_q2_includes_curvature_measure(self, monkeypatch):
-        # A solve that ends at its iteration cap at s = 0 still reports the
-        # curvature measure there, 1 (leftmost eigenvalue -2), and counts
-        # the n columns that measured it.
+    def test_capped_solve_measures_no_curvature(self, monkeypatch):
+        # A solve that ends at its iteration cap at s = 0 runs no
+        # second-order test and takes no measure for the targets: it asks
+        # no column, and its zero decrease gives zero targets.
         m = cubic_model([0.0, 0.0], np.diag([-2.0, 1.0]), 3.0)
         monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 0)
         s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
         assert not diag["converged"]
         np.testing.assert_array_equal(s, np.zeros(2))
-        assert diag["phi2"] == pytest.approx(1.0, abs=1e-8)
-        assert diag["hvp_evals"] == m.hessian_action.columns == 2
+        assert diag["hvp_evals"] == m.hessian_action.columns == 0
         assert accuracy_quantities(s, diag, 0.2) == (0.0, 0.0)
 
-    def test_supplied_phi2_skips_the_solve(self):
-        # The quantities are arithmetic on the solve's report: they ask no
-        # Hessian action and use the reported measure as is.
+    def test_targets_are_arithmetic_on_the_report(self):
+        # The quantities ask no Hessian action of a q = 2 solve's model.
         m = cubic_model([0.3, -0.1], np.diag([-2.0, 1.0]), 3.0)
         s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
         before = m.hessian_action.columns
         tau = max(1.0, float(np.linalg.norm(s)))
-        dt_min = min(diag["taylor_decrease"], diag["grad_norm"], diag["phi2"])
-        assert accuracy_quantities(s, diag, 0.2) == targets(tau, dt_min, 0.2)
-        assert accuracy_quantities(s, dict(diag, phi2=0.0), 0.2) == (0.0, 0.0)
+        assert accuracy_quantities(s, diag, 0.2) == targets(tau, diag["taylor_decrease"], 0.2)
         assert m.hessian_action.columns == before
 
 

@@ -498,6 +498,82 @@ def in_child(call):
     return proc.stdout.strip()
 
 
+def gradient_mismatches():
+    """Cases where a gradient over a partial or full set differs from its
+    reference: for the sigmoid, one gather of all the set's rows (the full
+    set and sets of at most N/8 rows) or the sum over the gathered row
+    blocks of ``_row_blocks`` (larger partial sets); for a network, one
+    gather at every size.
+
+    Partial sets are drawn with repeats, so even a size-N set is partial.
+    Each returned entry names the case.
+    """
+
+    def row_sum(prob, idx, x):
+        a, y = prob.dataset.features[idx], prob.dataset.labels[idx]
+        p, _ = _forward(prob.spec, x, a)
+        return a.T @ (-2.0 * (y - p) * p * (1.0 - p))
+
+    def one_gather(prob, idx, x):
+        return row_sum(prob, idx, x) / idx.size
+
+    def gathered_blocks(prob, idx, x):
+        total = None
+        for _, take in prob._row_blocks(idx):
+            part = row_sum(prob, take, x)
+            total = part if total is None else total + part
+        return total / idx.size
+
+    mismatches = []
+    for prob, x, rng in sigmoid_cases():
+        N, B = prob.N, prob._block
+        sizes = {1, 2, 63, 64, 65, N // 8, N // 8 + 1, B + 1, 2 * B + 1, N}
+        sets = [np.sort(rng.integers(0, N, m)) for m in sorted(sizes) if m <= N]
+        for idx in sets + [np.arange(N)]:
+            partial = not np.array_equal(idx, np.arange(N))
+            ref = gathered_blocks if partial and 8 * idx.size > N else one_gather
+            if prob.gradient_mean(idx, x).tobytes() != ref(prob, idx, x).tobytes():
+                mismatches.append((ref.__name__, prob.dataset.d, N, idx.size))
+        if prob.dataset.d == 20:
+            spec = NetworkSpec(20, (6,))
+            net = SquaredLossProblem(prob.dataset, spec)
+            w = initial_point(spec, rng)
+            for idx in sets:
+                got = net.gradient_mean(idx, w)
+                a, y = prob.dataset.features[idx], prob.dataset.labels[idx]
+                p, acts = _forward(spec, w, a)
+                layers = problems._unpack(spec, w)
+                delta = (-2.0 * (y - p) * p * (1.0 - p))[:, None]
+                grads = []
+                for ell in range(len(layers) - 1, -1, -1):
+                    grads.insert(0, np.concatenate([(delta.T @ acts[ell]).ravel(), delta.sum(axis=0)]))
+                    if ell > 0:
+                        delta = (delta @ layers[ell][0]) * (1.0 - acts[ell] ** 2)
+                if got.tobytes() != (np.concatenate(grads) / idx.size).tobytes():
+                    mismatches.append(("net", 20, N, idx.size))
+    return mismatches
+
+
+def peak_bytes(m, evaluate):
+    """Peak traced allocation of ``evaluate`` ("value_mean" or
+    "gradient_mean") over m of 20000 rows at d = 50, and whether the set
+    reads the dataset in place."""
+    rng = np.random.default_rng(21)
+    prob = SquaredLossProblem(
+        Dataset(rng.standard_normal((20000, 50)), (rng.random(20000) > 0.5).astype(float)),
+        NetworkSpec(50),
+    )
+    idx = np.sort(rng.choice(20000, m, replace=False))
+    x = rng.standard_normal(50) / np.sqrt(50)
+    tracemalloc.start()
+    try:
+        getattr(prob, evaluate)(idx, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, prob._streams(m)
+
+
 class TestPartialValueMean:
     def test_bit_identical_to_one_shot_gather(self):
         assert in_child("t.one_shot_mismatches()") == "[]"
@@ -544,36 +620,31 @@ class TestPartialValueMean:
             for rows, take in blocks:
                 np.testing.assert_array_equal(idx[rows], np.arange(200)[take])
 
-    def peak_bytes(self, m):
-        """Peak traced allocation of a value over m of 20000 rows at d = 50,
-        and whether the set reads the dataset in place."""
-        rng = np.random.default_rng(21)
-        prob = SquaredLossProblem(
-            Dataset(rng.standard_normal((20000, 50)), (rng.random(20000) > 0.5).astype(float)),
-            NetworkSpec(50),
-        )
-        idx = np.sort(rng.choice(20000, m, replace=False))
-        x = rng.standard_normal(50) / np.sqrt(50)
-        tracemalloc.start()
-        try:
-            prob.value_mean(idx, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak, prob._streams(m)
-
     def test_peak_memory_stays_below_a_gather(self):
         # Gathering 18000 of 20000 rows at d = 50 would take about 7 MB; the
         # set reads the dataset in place.
-        peak, streams = self.peak_bytes(18000)
+        peak, streams = peak_bytes(18000, "value_mean")
         assert streams
         assert peak < 2 * 2**20
 
     def test_peak_memory_of_gathered_blocks(self):
         # 6000 rows would gather 2.4 MB at once; they are gathered by block.
-        peak, streams = self.peak_bytes(6000)
+        peak, streams = peak_bytes(6000, "value_mean")
         assert not streams
         assert peak < 2 * 2**20
+
+
+class TestPartialGradientMean:
+    def test_bits_of_one_gather_and_of_gathered_blocks(self):
+        # At most N/8 rows keep the one gather, and its bits, at every
+        # block size; d = 2000 puts 80 rows of N = 640 in two blocks.
+        assert in_child("t.gradient_mismatches()") == "[]"
+
+    def test_peak_memory_of_gathered_blocks(self):
+        # 15000 of 20000 rows at d = 50 would gather 6 MB at once; they are
+        # gathered by block.
+        peak, _ = peak_bytes(15000, "gradient_mean")
+        assert peak < 2.5 * 2**20
 
 
 class CountingExecutor(ThreadPoolExecutor):

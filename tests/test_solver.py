@@ -5,9 +5,11 @@ import pytest
 from oracles import grow_gradient_reference, grow_model_and_step_rebuild
 
 import subreg.solver as solver_module
+import subreg.subproblem as subproblem_module
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
 from subreg.harness import synthesize_dataset, write_trace
 from subreg.problems import NetworkSpec, SquaredLossProblem, initial_point
+from subreg.sampling import bernstein_size, gradient_log_argument, hessian_log_argument
 from subreg.solver import (
     CostMeter,
     SolverConfig,
@@ -629,11 +631,14 @@ class TestOneHessianPerIterate:
     gradient's bits depend on how the sample grew."""
 
     def test_rejected_step_reuses_the_full_gram(self, monkeypatch):
-        # The q2_sigmoid benchmark workload's problem and settings.
+        # The q2_sigmoid benchmark workload's problem and settings, with
+        # exact samples, so that H is the full set at every step, from a
+        # start where some steps are rejected.
         N, d = 20_000, 50
         prob = SquaredLossProblem(synthesize_dataset(3, N, d, 1.0), NetworkSpec(d))
         built = count_full_builds(prob, monkeypatch)
-        res = minimize(prob, SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=1200.0, seed=5))
+        cfg = SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=1200.0, seed=5, **EXACT)
+        res = minimize(prob, cfg, x0=np.ones(d))
         starts = full_hessian_starts(res, N)
         assert len(starts) > len(set(starts))  # a rejected step kept H at N
         assert len(built) == len(set(starts))
@@ -679,16 +684,31 @@ GROWTH_GRID = [
 ]
 
 
-def growth_configs(q):
+def full_hessian_first_kappa(prob, t=0.2, eps=0.5):
+    """A kappa whose first draws at accuracy ``eps`` are the full set for
+    H and a partial set for G: the Hessian's Bernstein size has the larger
+    log argument, 2n/t against (n+1)/t."""
+    glog, hlog = gradient_log_argument(prob.n, t), hessian_log_argument(prob.n, t)
+    return next(
+        kappa for kappa in np.geomspace(1e-3, 1e2, 4000)
+        if bernstein_size(kappa, eps, t, glog, prob.N) < prob.N
+        and bernstein_size(kappa, eps, t, hlog, prob.N) == prob.N
+    )
+
+
+def growth_configs(q, prob):
     """(omega, sigma, config) triples for the growth-loop grid.
 
-    With kappa = 3e-3 every case grows both samples to N, and H reaches N
-    one pass before G, so a solve keeps the previous Hessian.  With the
-    loose inner tolerance eps1 = 1 the loop accepts partial samples.
+    With the first config the first H draw is the full set and the first
+    G draw is not; the step's targets then ask for more, so G grows to N
+    and its solve keeps the previous Hessian.  With the loose inner
+    tolerance eps1 = 1 the loop accepts partial samples after a pass that
+    grew neither.
     """
     eps2 = 1e-2 if q == 2 else None
+    kappa = full_hessian_first_kappa(prob)
     return [
-        (0.4, 0.1, SolverConfig(p=2, q=q, eps2=eps2, kappa=3e-3)),
+        (0.4, 0.1, SolverConfig(p=2, q=q, eps2=eps2, kappa=kappa)),
         (0.4, 1.0, SolverConfig(p=2, q=q, eps2=eps2, kappa=1e-3, eps1=1.0)),
     ]
 
@@ -701,7 +721,7 @@ class TestGrowthLoopReuse:
     def test_matches_the_rebuilding_loop(self, kind, q):
         prob, points = growth_case(kind)
         for x in points:
-            for omega, sigma, cfg in growth_configs(q):
+            for omega, sigma, cfg in growth_configs(q, prob):
                 rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
                 got = _grow_and_step(prob, x, omega, sigma, cfg, rng, {})
                 ref = grow_model_and_step_rebuild(prob, x, omega, sigma, cfg, ref_rng, {})
@@ -734,7 +754,7 @@ class TestGrowthLoopReuse:
         monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
         repeated = kept = False
         for x in points:
-            for omega, sigma, cfg in growth_configs(q):
+            for omega, sigma, cfg in growth_configs(q, prob):
                 builds.clear()
                 solves.clear()
                 passes = _grow_and_step(
@@ -767,6 +787,40 @@ class TestGrowthLoopReuse:
         write_trace(tmp_path / "got.csv", res.trace)
         write_trace(tmp_path / "ref.csv", ref.trace)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def q2_sigmoid_problem():
+    """The q2_sigmoid benchmark workload's first problem: 20000 x 50."""
+    return SquaredLossProblem(synthesize_dataset(1000, 20_000, 50, 1.0), NetworkSpec(50))
+
+
+class TestOrderTwoTargets:
+    """p = 2 samples are sized from the predicted decrease at the step."""
+
+    def test_budget_overrun_at_eps1_zero(self, q2_sigmoid_problem):
+        # At eps1 = 0 every solve runs to its iteration cap, and the budget
+        # is checked between iterations only.  Targets from model measures
+        # at the step drove the first iteration through every growth pass
+        # to the full sums, and charged a median of 5338 CM over these
+        # seeds against the 20 CM budget.
+        cfg = dict(p=2, q=2, eps1=0.0, eps2=1e-3, budget_cm=20.0)
+        charged = [
+            minimize(q2_sigmoid_problem, SolverConfig(seed=seed, **cfg)).total_cm
+            for seed in range(1000, 1010)
+        ]
+        assert np.median(charged) <= 100.0
+
+    def test_accepted_steps_on_partial_hessian_samples(self, q2_sigmoid_problem):
+        spec = NetworkSpec(10, (5,))
+        net = SquaredLossProblem(synthesize_dataset(3, 600, 10, 2.0), spec)
+        runs = [
+            (q2_sigmoid_problem, None, dict(q=2, eps2=1e-3, budget_cm=1200.0, seed=1000)),
+            (net, initial_point(spec, np.random.default_rng(0)), dict(budget_cm=500.0, seed=0)),
+        ]
+        for prob, x0, cfg in runs:
+            res = minimize(prob, SolverConfig(p=2, **cfg), x0=x0)
+            assert any(e.success and e.h_size < prob.N for e in res.trace)
 
 
 class TestOrderOneGrowth:
@@ -838,16 +892,21 @@ class TestStepMeasures:
         assert len(outside) > 1
         assert outside == [0] * len(outside)
 
-    def test_unconverged_solves_charge_their_curvature_measure(self, monkeypatch):
-        # At eps1 = 0 the solves run to their iteration cap and end without
-        # a passing second-order test; each still measures phi2 at its step
-        # itself, so every column stays inside the charged count.
+    def test_unconverged_solves_measure_no_curvature(self, monkeypatch):
+        # At eps1 = 0 the solves run to their iteration cap without a
+        # second-order test.  Nothing reads the order-two measure at their
+        # steps, so none is taken, and no column is asked outside them.
+        measured = []
+        phi_2 = subproblem_module.phi_2
+        monkeypatch.setattr(
+            subproblem_module, "phi_2", lambda *args: (measured.append(1), phi_2(*args))[1]
+        )
         prob = sigmoid_problem(seed=7, N=300, d=6)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
         assert len(outside) == 2 and not any(diag["converged"] for diag in reports)
         assert outside == [0, 0]
-        assert all(diag["phi2"] is not None for diag in reports)
+        assert measured == []
 
 
 class TestBaseGradient:
@@ -867,7 +926,7 @@ class TestBaseGradient:
 
         monkeypatch.setattr(prob, "gradient_mean", counted)
         for point in points:
-            for omega, sigma, cfg in growth_configs(q):
+            for omega, sigma, cfg in growth_configs(q, prob):
                 seen.clear()
                 got = _grow_and_step(
                     prob, point, omega, sigma, cfg, np.random.default_rng(3), {}
