@@ -66,11 +66,13 @@ class SampleHessian:
     symmetric and keeps it; from then on every call is a product with
     that matrix and reads no data.  It is the only builder of a dense
     Hessian: the eigensolvers wrap any action in a ``SampleHessian`` to
-    materialise it.  The build is not counted.  The counter and the cache
-    make an instance stateful, so it belongs to one solve at a time.  A
-    non-finite estimate raises ``FloatingPointError``: the matrix is
-    checked once when it is built, and every action computed without it
-    is checked.
+    materialise it.  ``eigh()`` decomposes that matrix once and keeps the
+    decomposition beside it, so every solve and measure on one sample
+    shares one ``np.linalg.eigh``.  Neither the build nor the
+    decomposition is counted.  The counter and the caches make an
+    instance stateful, so it belongs to one solve at a time.  A non-finite
+    estimate raises ``FloatingPointError``: the matrix is checked once
+    when it is built, and every action computed without it is checked.
     """
 
     def __init__(self, n: int, apply: Callable[[np.ndarray], np.ndarray], build=None):
@@ -79,6 +81,7 @@ class SampleHessian:
         self._apply = apply
         self._build = build
         self._dense = None
+        self._eigh = None
 
     def __call__(self, v) -> np.ndarray:
         v = as_operand(v, self.n)
@@ -105,6 +108,14 @@ class SampleHessian:
                 raise ValueError("Hessian action is not symmetric")
             self._dense = 0.5 * (H + H.T)
         return self._dense
+
+    def eigh(self):
+        """Ascending eigenvalues and orthonormal eigenvectors of ``dense()``,
+        from one ``np.linalg.eigh`` on the first call.  Callers must not
+        modify the arrays."""
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self.dense())
+        return self._eigh
 
 
 def _finite(H: np.ndarray) -> np.ndarray:

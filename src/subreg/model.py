@@ -46,10 +46,12 @@ class RegularisedModel:
     def n(self) -> int:
         return self.grad.shape[0]
 
-    def value_and_gradient(self, s):
-        """Value, gradient and the Hessian action H s they share: one action."""
+    def value_and_gradient(self, s, hs=None):
+        """Value, gradient and the Hessian action H s they share: one
+        action, none when the caller passes ``hs = H s``."""
         s = np.asarray(s, dtype=float)
-        hs = self.hessian_action(s) if s.any() else np.zeros(self.n)
+        if hs is None:
+            hs = self.hessian_action(s) if s.any() else np.zeros(self.n)
         norm_s = float(np.linalg.norm(s))
         value = float(self.grad @ s) + 0.5 * float(s @ hs) + self.sigma * norm_s**3 / 6.0
         return value, self.grad + hs + 0.5 * self.sigma * norm_s * s, hs

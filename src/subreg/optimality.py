@@ -13,6 +13,12 @@ completing the boundary solution along a leftmost eigenvector.  Up to
 serves that search; above, ``eigsh`` and conjugate-gradient solves to a
 relative residual of 1e-10 serve the same search.
 
+On the dense path the same search and hard-case rule also give the
+global minimiser of the cubic model (``cubic_minimiser``), whose
+multiplier is that of a ball of radius 2 mu / sigma.  The sample's
+``SampleHessian`` keeps its one decomposition, which the cubic solves
+and the order-two measure on that sample share.
+
 SciPy serves only the iterative path (n > DENSE_MAX_N: ``eigsh`` and
 ``cg``), so it is imported on first use there: importing ``subreg``, the
 quadratic variant (p = 1) and the cubic one on n <= DENSE_MAX_N load no
@@ -34,7 +40,9 @@ __all__ = [
     "check_termination",
     "DENSE_MAX_N",
     "dense_path",
+    "downhill",
     "leftmost_eigenpair",
+    "cubic_minimiser",
 ]
 
 _EIGSH_SEED = 1423  # deterministic start-vector stream for the eigensolver
@@ -78,15 +86,37 @@ def dense_path(n: int) -> bool:
     return n <= DENSE_MAX_N or n < 3
 
 
+def _sample_hessian(h_action, n: int) -> SampleHessian:
+    """``h_action`` itself when it is an order-n ``SampleHessian``, whose
+    matrix and decomposition are then reused; otherwise a new one."""
+    if isinstance(h_action, SampleHessian) and h_action.n == n:
+        return h_action
+    return SampleHessian(n, h_action)
+
+
+def downhill(g, v) -> np.ndarray:
+    """``v`` or ``-v``, whichever has g @ v <= 0; where g @ v = 0, the one
+    whose largest-magnitude entry is positive.
+
+    Eigensolvers fix no sign, so a step along an eigenvector takes this
+    orientation and does not depend on the one the eigensolver returned.
+    """
+    slope = float(g @ v)
+    if slope > 0.0 or (slope == 0.0 and v[np.argmax(np.abs(v))] < 0.0):
+        return -v
+    return v
+
+
 def leftmost_eigenpair(h_action, n: int):
     """Smallest eigenvalue and a unit eigenvector of a symmetric action.
 
     Only the dense path checks the action, on the matrix that
-    ``SampleHessian.dense`` builds from it: one call on the identity block.
+    ``SampleHessian.dense`` builds from it: one call on the identity block,
+    none for a ``SampleHessian`` that holds its matrix already.
     """
     if dense_path(n):
-        lam, q = np.linalg.eigh(SampleHessian(n, h_action).dense())
-        return float(lam[0]), q[:, 0]
+        lam, q = _sample_hessian(h_action, n).eigh()
+        return float(lam[0]), q[:, 0].copy()
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
@@ -110,9 +140,10 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
 
     Both paths find the multiplier by the same safeguarded Newton steps
     and treat the hard case alike.  Dense path (n <= DENSE_MAX_N): build H
-    with ``SampleHessian.dense`` and decompose it with numpy's ``eigh``;
-    the value is accurate to about 1e-12 of itself plus machine precision
-    times ||H||.  Iterative path, the only one that uses SciPy: leftmost
+    with ``SampleHessian.dense`` and decompose it with numpy's ``eigh``,
+    both read back from ``h_action`` when it is a ``SampleHessian`` that
+    holds them; the value is accurate to about 1e-12 of itself plus
+    machine precision times ||H||.  Iterative path, the only one that uses SciPy: leftmost
     eigenpair (``eigsh``) plus conjugate-gradient solves to a relative
     residual of 1e-10, each Newton step taking two.  Either path first
     checks that the action is symmetric to 1e-3: the dense one on the
@@ -123,7 +154,7 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
     if dense_path(n):
-        return _phi2_dense(g, SampleHessian(n, h_action).dense())
+        return _phi2_dense(g, _sample_hessian(h_action, n))
     _check_symmetry_probabilistic(h_action, n)
     return _phi2_iterative(g, h_action, n)
 
@@ -144,13 +175,12 @@ def _result(g, H_apply, d, mu, boundary) -> TrustRegionResult:
     return TrustRegionResult(direction=d, value=value, multiplier=float(mu), boundary=boundary)
 
 
-def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
-    lam, Q = np.linalg.eigh(H)
-    w = Q.T @ g
-    lam1 = float(lam[0])
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    zero_shift = 1e-12 * scale
-    mu_lo = max(0.0, -lam1)
+def _shifted_solves(lam, Q, w):
+    """The dense searches' pieces for H = Q diag(lam) Q^T and w = Q^T g:
+    the threshold below which a shift lam_i + mu counts as zero, the
+    direction d(mu) = -(H + mu I)^+ g over the shifts above it, and its
+    norm, infinite when g has a component on a zero shift."""
+    zero_shift = 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0)))
 
     def direction(mu: float) -> np.ndarray:
         shifted = lam + mu
@@ -168,6 +198,16 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
             return np.inf
         return float(np.linalg.norm(w[active] / shifted[active]))
 
+    return zero_shift, direction, norm_at
+
+
+def _phi2_dense(g: np.ndarray, hessian: SampleHessian) -> TrustRegionResult:
+    lam, Q = hessian.eigh()
+    H = hessian.dense()
+    w = Q.T @ g
+    lam1 = float(lam[0])
+    zero_shift, direction, norm_at = _shifted_solves(lam, Q, w)
+    mu_lo = max(0.0, -lam1)
     apply_H = lambda d: H @ d
 
     # Interior solution: positive definite Hessian with a short Newton step.
@@ -189,28 +229,104 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray) -> TrustRegionResult:
         r = w / shifted
         return float(np.linalg.norm(r)), float(r @ (r / shifted))
 
-    mu_star = _boundary_multiplier(norm_and_slope, probe, mu_lo + float(np.linalg.norm(g)) + 1.0)
+    hi = mu_lo + float(np.linalg.norm(g)) + 1.0
+    mu_star = _boundary_multiplier(_unit_ball(norm_and_slope), probe, hi)
     d = -(Q @ (w / (lam + mu_star)))
     return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)
 
 
-def _boundary_multiplier(norm_and_slope, lo: float, hi: float) -> float:
-    """The root of 1/||d(mu)|| - 1 in [lo, hi] by safeguarded Newton steps.
+def cubic_minimiser(g, hessian: SampleHessian, sigma: float) -> np.ndarray:
+    """Global minimiser of the cubic model g @ s + 0.5 s @ H s +
+    (sigma/6) ||s||^3, from the decomposition ``hessian.eigh()`` keeps.
 
-    The secular function is increasing and concave in mu, so Newton's
-    method (More and Sorensen, 1983) climbs to the root from the left; its
-    derivative is d @ (H + mu I)^-1 d / ||d||^3, where ``norm_and_slope``
-    returns ||d|| and that product.  ||d(lo)|| >= 1 > ||d(hi)||; a step
-    that leaves the bracket is replaced by bisection.
+    The minimiser solves (H + mu I) s = -g with mu = sigma ||s|| / 2 and
+    H + mu I positive semidefinite (Cartis, Gould and Toint 2011, Part I,
+    section 6.1; Nesterov and Polyak 2006): it solves phi_2's problem on
+    the ball of radius 2 mu / sigma.  So it takes phi_2's Newton search, on
+    the secular function 1/||s(mu)|| - sigma / (2 mu), which is increasing
+    and concave as well, and phi_2's hard-case rule at that radius.  No
+    Hessian action is asked.
+    """
+    g = np.asarray(g, dtype=float)
+    lam, Q = hessian.eigh()
+    H = hessian.dense()
+    w = Q.T @ g
+    zero_shift, direction, norm_at = _shifted_solves(lam, Q, w)
+    mu_lo = max(0.0, -float(lam[0]))
+
+    def radius(mu: float) -> float:
+        return 2.0 * mu / sigma
+
+    probe = mu_lo + max(1e-14, 1e-14 * mu_lo)
+    if norm_at(probe) < radius(probe):
+        return _inside_or_hard_case(
+            g, lambda d: H @ d, direction(mu_lo), Q[:, 0], mu_lo, zero_shift, radius(mu_lo)
+        ).direction
+
+    # Easy case: the root lies above the probe, where every shift is
+    # positive.  ||s(mu)|| >= |w_i| / (lam_i + mu) puts it above the
+    # positive root of 2 mu (lam_i + mu) = 2 sigma |w_i| for each i, and
+    # ||s(mu)|| <= ||w|| / (lam_1 + mu) below that of
+    # 2 mu (lam_1 + mu) = 2 sigma ||w||.
+    sqrt_sigma = float(np.sqrt(sigma))
+    lower = _multiplier_bound(lam, np.sqrt(2.0 * np.abs(w)) * sqrt_sigma)
+    upper = _multiplier_bound(lam[:1], np.array([np.sqrt(2.0 * np.linalg.norm(w)) * sqrt_sigma]))
+
+    def newton(mu: float):
+        """Whether the secular function is nonpositive at mu, and its
+        Newton step, both scaled by radius * ||s|| so that neither
+        overflows: (||s|| - r) / (r u @ (H + mu I)^-1 u + ||s|| / mu), with
+        u = s / ||s||."""
+        shifted = lam + mu
+        r = w / shifted
+        nd = float(np.linalg.norm(r))
+        u = r / nd
+        rad = radius(mu)
+        return nd >= rad, (nd - rad) / (rad * float(u @ (u / shifted)) + nd / mu)
+
+    mu_star = _boundary_multiplier(newton, max(probe, float(lower.max())), 2.0 * float(upper[0]))
+    return -(Q @ (w / (lam + mu_star)))
+
+
+def _multiplier_bound(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The positive root mu of 2 mu (lam + mu) = t^2, elementwise, each
+    from the form that does not cancel."""
+    root = np.hypot(lam, t)
+    bound = 0.5 * (root - lam)
+    pos = lam > 0.0
+    bound[pos] = t[pos] * (0.5 * t[pos] / (root[pos] + lam[pos]))
+    return bound
+
+
+def _unit_ball(norm_and_slope):
+    """Newton steps on 1/||d(mu)|| - 1, whose derivative is
+    d @ (H + mu I)^-1 d / ||d||^3, from ``norm_and_slope``'s ||d|| and
+    that product."""
+
+    def newton(mu: float):
+        nd, slope = norm_and_slope(mu)
+        return nd >= 1.0, (nd - 1.0) * nd * nd / slope
+
+    return newton
+
+
+def _boundary_multiplier(newton, lo: float, hi: float) -> float:
+    """The root in [lo, hi] of an increasing concave secular function by
+    safeguarded Newton steps.
+
+    ``newton(mu)`` returns whether the function is nonpositive at mu and
+    the Newton step from mu.  Newton's method then climbs to the root from
+    the left (More and Sorensen, 1983).  The function is nonpositive at lo
+    and positive at hi; a step that leaves the bracket is replaced by
+    bisection.
     """
     mu = lo
     for _ in range(_MULTIPLIER_MAX_ITERATIONS):
-        nd, slope = norm_and_slope(mu)
-        if nd >= 1.0:
+        left, step = newton(mu)
+        if left:
             lo = mu
         else:
             hi = mu
-        step = (nd - 1.0) * nd * nd / slope
         if abs(step) <= _MULTIPLIER_XTOL + _MULTIPLIER_RTOL * abs(mu):
             return mu + step
         mu += step
@@ -221,21 +337,23 @@ def _boundary_multiplier(norm_and_slope, lo: float, hi: float) -> float:
     raise RuntimeError("the multiplier search did not converge")
 
 
-def _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo: float, zero_shift: float):
-    """The solution when ||d(mu)|| < 1 just above the leftmost shift mu_lo.
+def _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo: float, zero_shift: float, radius=1.0):
+    """The solution when ||d(mu)|| < ``radius`` just above the leftmost
+    shift mu_lo.
 
     ``d_f`` is d(mu_lo) without its component along the leftmost
     eigenvector ``q1``.  For a positive semidefinite H (mu_lo <= ``zero_shift``)
     it is the solution; otherwise (hard case) it is completed to the
-    boundary along q1, signed to not fight the linear term.
+    boundary along q1, oriented by ``downhill``.
     """
     if mu_lo <= zero_shift:
         return _result(g, apply_H, d_f, 0.0, boundary=False)
-    tau = float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f))))
-    if float(g @ q1) > 0.0:
-        tau = -tau
-    d = d_f + tau * q1
-    d /= max(1.0, np.linalg.norm(d))  # keep feasible against round-off
+    # Scaled by the radius, which 2 mu_lo / sigma can make too small to square.
+    tau = radius * float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f) / radius / radius)))
+    d = d_f + tau * downhill(g, q1)
+    norm = float(np.linalg.norm(d))
+    if norm > radius:  # keep feasible against round-off
+        d /= norm / radius
     return _result(g, apply_H, d, mu_lo, boundary=True)
 
 
@@ -273,6 +391,6 @@ def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:
         d = d_probe if mu == probe else solve(mu, -g)
         return float(np.linalg.norm(d)), float(d @ solve(mu, d))
 
-    mu_star = _boundary_multiplier(norm_and_slope, probe, mu_lo + gnorm + 1.0)
+    mu_star = _boundary_multiplier(_unit_ball(norm_and_slope), probe, mu_lo + gnorm + 1.0)
     d = solve(mu_star, -g)
     return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)

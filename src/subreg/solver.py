@@ -23,7 +23,8 @@ Each column the subproblem solver asks of a Hessian action counts as one
 action, however it is answered: computed from the sample's rows, or read
 from the sample's cached dense matrix (``SampleHessian.dense``).  Building
 that matrix is not a request and is not charged, so CM stays the cost of
-the method.
+the method; an exact q = 2 solve on the dense path reads all n columns of
+the matrix and is charged n actions.
 
 Both model orders share one sample-growth loop.  Each pass checks one
 accuracy level against the targets of the current step and lowers it
@@ -33,10 +34,11 @@ omega * ||g|| and the level shrinks geometrically; for p = 2 a Hessian
 sample follows it, the targets are those of the predicted decrease at the
 cubic step (``accuracy_quantities``), and the level jumps straight to the
 smallest of them.  A growth pass redoes only what grew.  While the
-Hessian sample is not extended, the next pass keeps its ``SampleHessian``
-and dense matrix; a pass that extends neither sample keeps the previous
-pass's step and is charged nothing, so CM and traces are those of a loop
-that rebuilds and re-solves on every pass that grew a sample.
+Hessian sample is not extended, the next pass keeps its ``SampleHessian``,
+dense matrix and eigendecomposition; a pass that extends neither sample
+keeps the previous pass's step and is charged nothing, so CM and traces
+are those of a loop that rebuilds and re-solves on every pass that grew a
+sample.
 
 The subproblem solver reports the Taylor decrease and the model gradient
 norm at its step, from the Hessian action it took there; the accuracy
@@ -96,19 +98,22 @@ class SolverConfig:
     the Bernstein sample sizes; it is configuration, chosen to control how
     fast sample sizes grow.  Setting ``eps1`` (and ``eps2``) to zero
     disables the termination test for budget-only runs.  With ``p = 2`` it
-    also makes the inner tolerance ``theta * eps1`` zero, so the subproblem
-    solver runs to its iteration cap on every growth pass that solves, and
-    ``budget_cm`` is checked only between outer iterations: one iteration
-    can overrun the budget many times over (a 20 CM budget on a
-    20000 x 50 sigmoid problem charged 636 CM at q = 1 and 53 CM at
-    q = 2 in its first iteration).  ``_STALL_LIMIT`` (a constant, 60)
+    also makes the inner tolerance ``theta * eps1`` zero, so a
+    spectral-gradient solve (q = 1, or more than ``optimality.DENSE_MAX_N``
+    unknowns) runs to its iteration cap on every growth pass that solves,
+    and ``budget_cm`` is checked only between outer iterations: one
+    iteration can overrun the budget many times over (a 20 CM budget on a
+    20000 x 50 sigmoid problem charged 636 CM at q = 1 in its first
+    iteration).  The exact q = 2 solves of the dense path ignore the
+    tolerance; on that problem they charged a median of 55 CM (25-148)
+    over solver seeds 1000-1009.  ``_STALL_LIMIT`` (a constant, 60)
     full-sample iterations in a row without predicted decrease raise
     ``SolverStallError``.
 
-    How the cubic subproblem is solved to within ``theta * eps1`` is not
-    configuration: the spectral-gradient constants live in ``subproblem``,
-    and the order up to which the eigensolvers materialise the Hessian is
-    ``optimality.DENSE_MAX_N``.
+    How the cubic subproblem is solved is not configuration: the
+    spectral-gradient constants live in ``subproblem``, and the order up
+    to which q = 2 solves are exact and the eigensolvers materialise the
+    Hessian is ``optimality.DENSE_MAX_N``.
     """
 
     q: int = 1
@@ -498,7 +503,7 @@ def minimize(
         converged = config.eps1 > 0.0 and check_termination([grad_norm], [config.eps1])
         if converged and config.q == 2:
             # The last growth pass's Hessian: the same sample at the same x,
-            # with its dense matrix when cubic_step built one.
+            # with the dense matrix and decomposition its exact solve kept.
             phi2_val = phi_2(g, step.hessian, n).value
             converged = check_termination([grad_norm, phi2_val], [config.eps1, config.eps2])
 

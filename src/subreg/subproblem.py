@@ -1,8 +1,12 @@
 """Trial-step computation for the regularised models.
 
 The quadratic model has the closed-form global minimiser -g / sigma.  The
-cubic model is minimised matrix-free with a Barzilai-Borwein spectral
-gradient method under a nonmonotone Armijo line search; every point the
+cubic model is minimised exactly when the step targets second-order
+optimality and its Hessian is small enough to materialise
+(``optimality.dense_path``): one eigendecomposition of the sample's dense
+matrix gives the global minimiser (``optimality.cubic_minimiser``).
+Otherwise it is minimised matrix-free with a Barzilai-Borwein spectral
+gradient method under a nonmonotone Armijo line search.  Every point the
 solver returns satisfies m(s) <= m(0) = 0.
 """
 
@@ -13,7 +17,7 @@ from collections import deque
 import numpy as np
 
 from .model import RegularisedModel, model_hessian_action
-from .optimality import dense_path, leftmost_eigenpair, phi_2
+from .optimality import cubic_minimiser, dense_path, downhill, leftmost_eigenpair, phi_2
 
 __all__ = ["quadratic_step", "bb_step_length", "cubic_step"]
 
@@ -61,20 +65,21 @@ def bb_step_length(ds, dg) -> float:
 def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float | None = None):
     """Approximately minimise the cubic model.
 
-    Returns a step with m(s) <= 0 and, when the 500 spectral-gradient
-    iterations allow, model gradient norm at most theta * eps1.  With
-    ``eps2`` given the order-two model measure at the step is also pushed
-    below theta * eps2 by restarting along directions of negative
-    curvature.  The diagnostics carry the model gradient norm
-    ``grad_norm`` and the Taylor decrease ``taylor_decrease = -g @ s -
-    0.5 s @ H s`` at the returned step, from the action H s the solve took
-    there.  ``hvp_evals`` counts the Hessian-action columns this solve asks
-    the model's ``SampleHessian`` for, however they are answered.  Where
-    the eigensolvers take the dense path (``optimality.dense_path``) and
-    ``eps2`` is given, the dense matrix is built first, uncounted, and
-    every later action is a product with it.  When the iterations run out
-    or the line search stalls, the best iterate found is returned with
-    ``converged`` False.
+    Returns a step with m(s) <= 0.  With ``eps2`` given on the dense path
+    (``optimality.dense_path``) the step is the model's global minimiser,
+    from the eigendecomposition the model's ``SampleHessian`` keeps: it
+    meets every tolerance, takes no iteration and asks for the matrix's n
+    columns.  Otherwise 500 spectral-gradient iterations at most push the
+    model gradient norm to theta * eps1, and with ``eps2`` given (n >
+    ``DENSE_MAX_N``) the order-two model measure at the step below theta *
+    eps2, by restarting along directions of negative curvature.  The
+    diagnostics carry the model gradient norm ``grad_norm`` and the Taylor
+    decrease ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned
+    step, from the action H s the solve took there (a product with the
+    matrix for the exact solve).  ``hvp_evals`` counts the Hessian-action
+    columns this solve asks the model's ``SampleHessian`` for, however they
+    are answered.  When the iterations run out or the line search stalls,
+    the best iterate found is returned with ``converged`` False.
     """
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
@@ -83,8 +88,10 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     start = H.columns
     n = model.n
     if eps2 is not None and dense_path(n):
-        # The second-order test and the escapes materialise H.
-        H.dense()
+        s = cubic_minimiser(model.grad, H, model.sigma)
+        H.columns += n  # the solve reads every column of the matrix
+        value, grad, hs = model.value_and_gradient(s, H.dense() @ s)
+        return s, _report(model, s, value, grad, hs, 0, n, True, 0)
     tol = theta * eps1
 
     s = np.zeros(n)
@@ -97,15 +104,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     converged = False
 
     def diagnostics():
-        return {
-            "iterations": iterations,
-            "hvp_evals": H.columns - start,
-            "converged": converged,
-            "grad_norm": float(np.linalg.norm(grad)),
-            "taylor_decrease": -float(model.grad @ s) - 0.5 * float(s @ hs),
-            "model_value": value,
-            "escapes": escapes,
-        }
+        return _report(model, s, value, grad, hs, iterations, H.columns - start, converged, escapes)
 
     def try_escape():
         """Seed a move along estimated negative curvature; True on success."""
@@ -115,10 +114,7 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         lam1, d1 = leftmost_eigenpair(model_hessian_action(model, s), n)
         if lam1 >= -1e-12:
             return False
-        # The eigensolver fixes no sign: orient d1 downhill, or by its largest entry.
-        slope = float(grad @ d1)
-        if slope > 0.0 or (slope == 0.0 and d1[np.argmax(np.abs(d1))] < 0.0):
-            d1 = -d1
+        d1 = downhill(grad, d1)
         # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.
         t = 2.0 * abs(lam1) / model.sigma
         for cand in (s + t * d1, s - t * d1):
@@ -179,6 +175,22 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     if not converged and best_value < value:
         s, value = best_s, best_value
         _, grad, hs = model.value_and_gradient(s)
-    if value > 0.0:
-        raise RuntimeError(f"cubic subproblem returned a non-descent step: {diagnostics()}")
     return s, diagnostics()
+
+
+def _report(model, s, value, grad, hs, iterations, hvp_evals, converged, escapes):
+    """The diagnostics of a solve that returns ``s``, where the model has
+    ``value`` and gradient ``grad`` from the action ``hs = H s``; it raises
+    unless the step decreases the model."""
+    report = {
+        "iterations": iterations,
+        "hvp_evals": hvp_evals,
+        "converged": converged,
+        "grad_norm": float(np.linalg.norm(grad)),
+        "taylor_decrease": -float(model.grad @ s) - 0.5 * float(s @ hs),
+        "model_value": value,
+        "escapes": escapes,
+    }
+    if value > 0.0:
+        raise RuntimeError(f"cubic subproblem returned a non-descent step: {report}")
+    return report

@@ -24,8 +24,9 @@ RUNS = {
             "finite_sum.full_value",
         ),
     ),
+    # The run converges, so minimize's termination test takes phi_2.
     "p2_q2": (
-        dict(p=2, q=2, eps2=1e-3, budget_cm=20.0),
+        dict(p=2, q=2, eps2=1e-3, budget_cm=400.0),
         (
             "solver.minimize", "sampling.bernstein_size", "sampling.draw_subsample",
             "sampling.extend_subsample", "subproblem.cubic_step",

@@ -33,17 +33,21 @@ assert code == 0
 
 P2_RUN = """
 import subreg
-from subreg import subproblem
+from subreg import solver, subproblem
 
-calls = []
-phi_2 = subproblem.phi_2
-subproblem.phi_2 = lambda *args: calls.append(args[-1]) or phi_2(*args)
+# The dense path ran: exact cubic solves, and phi_2 in the termination
+# test of the converged run, each on 4 unknowns.
+solves, measures = [], []
+solve, phi_2 = subproblem.cubic_minimiser, solver.phi_2
+subproblem.cubic_minimiser = lambda g, *args: solves.append(g.size) or solve(g, *args)
+solver.phi_2 = lambda *args: measures.append(args[-1]) or phi_2(*args)
 ds = subreg.synthesize_dataset(0, 300, 4, 2.0)
 problem = subreg.SquaredLossProblem(ds, subreg.NetworkSpec(4))
-config = subreg.SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=40.0, seed=1)
+config = subreg.SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=400.0, seed=1)
 result = subreg.minimize(problem, config)
-assert result.stop_reason in ("budget", "converged"), result.stop_reason
-assert calls and set(calls) == {4}, calls
+assert result.stop_reason == "converged", result.stop_reason
+assert solves and set(solves) == {4}, solves
+assert measures and set(measures) == {4}, measures
 """
 
 ITERATIVE_PHI2 = """

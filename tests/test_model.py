@@ -3,6 +3,7 @@ import pytest
 
 from subreg.finite_sum import CustomProblem
 from subreg.model import RegularisedModel, accuracy_quantities, model_hessian_action
+from subreg.optimality import DENSE_MAX_N
 from subreg import subproblem
 from subreg.subproblem import cubic_step, quadratic_step
 
@@ -201,12 +202,14 @@ class TestAccuracyQuantities:
     def test_capped_solve_measures_no_curvature(self, monkeypatch):
         # A solve that ends at its iteration cap at s = 0 runs no
         # second-order test and takes no measure for the targets: it asks
-        # no column, and its zero decrease gives zero targets.
-        m = cubic_model([0.0, 0.0], np.diag([-2.0, 1.0]), 3.0)
+        # no column, and its zero decrease gives zero targets.  Above
+        # DENSE_MAX_N, where q = 2 solves iterate (below they are exact).
+        n = DENSE_MAX_N + 1
+        m = cubic_model(np.zeros(n), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0)
         monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 0)
         s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
         assert not diag["converged"]
-        np.testing.assert_array_equal(s, np.zeros(2))
+        np.testing.assert_array_equal(s, np.zeros(n))
         assert diag["hvp_evals"] == m.hessian_action.columns == 0
         assert accuracy_quantities(s, diag, 0.2) == (0.0, 0.0)
 

@@ -22,6 +22,11 @@ def action_of(H):
     return lambda v: H @ v
 
 
+def phi2_dense(g, H):
+    """The dense path's phi_2 of (g, H), whatever the order of H."""
+    return _phi2_dense(g, SampleHessian(g.size, action_of(H)))
+
+
 class TestPhi1:
     def test_closed_forms(self):
         assert phi_1(np.array([3.0, 4.0])) == 5.0
@@ -174,7 +179,7 @@ class TestPhi2DenseNewtonSearch:
         # value on indefinite H) and in the near-hard case at ||g|| = 1.
         for seed in range(3):
             g, H, lam, w = spectral_case(kind, n, gnorm, seed)
-            r = _phi2_dense(g, H)
+            r = phi2_dense(g, H)
             truth = phi2_spectral(lam, w)
             assert abs(r.value - truth) <= 1e-12 * abs(truth) + EPS * np.abs(lam).max()
             assert np.linalg.norm(r.direction) <= 1.0 + 4.0 * EPS
@@ -189,7 +194,7 @@ class TestPhi2DenseNewtonSearch:
     def test_value_matches_the_brentq_reference(self, kind, n, gnorm, multiplier_searches):
         for seed in range(3):
             g, H, _, _ = spectral_case(kind, n, gnorm, seed)
-            r = _phi2_dense(g, H)
+            r = phi2_dense(g, H)
             ref = phi2_dense_brentq(g, H)
             assert r.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
             assert r.boundary == ref.boundary
@@ -203,7 +208,7 @@ class TestPhi2DenseNewtonSearch:
         # whose curvature alone gives -0.5 * lam_min = 0.5.
         H = np.diag([-1.0, 2.0])
         g = np.array([5e-13, 0.0])
-        r = _phi2_dense(g, H)
+        r = phi2_dense(g, H)
         assert r.value == pytest.approx(0.5 + 5e-13, rel=1e-12)
         assert np.linalg.norm(r.direction) == pytest.approx(1.0, abs=4.0 * EPS)
 
@@ -211,7 +216,7 @@ class TestPhi2DenseNewtonSearch:
         monkeypatch.setattr(optimality, "_MULTIPLIER_MAX_ITERATIONS", 1)
         g, H, _, _ = spectral_case("indefinite", 6, 1.0, 0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            _phi2_dense(g, H)
+            phi2_dense(g, H)
 
 
 class TestPhi2Iterative:
@@ -225,7 +230,7 @@ class TestPhi2Iterative:
         for n in ITERATIVE_ORDERS:
             for seed in range(3):
                 g, H, lam, _ = spectral_case(kind, n, gnorm, seed)
-                dense = _phi2_dense(g, H)
+                dense = phi2_dense(g, H)
                 r = _phi2_iterative(g, action_of(H), n)
                 assert abs(r.value - dense.value) <= 1e-9 * abs(dense.value) + EPS * np.abs(lam).max()
                 assert np.linalg.norm(r.direction) <= 1.0 + 4.0 * EPS
@@ -257,7 +262,7 @@ class TestPhi2Iterative:
             if trial % 2 == 0:
                 H -= 0.5 * np.eye(n)  # force indefiniteness
             g = rng.standard_normal(n) / np.sqrt(n)
-            dense = _phi2_dense(g, H)
+            dense = phi2_dense(g, H)
             iterative = _phi2_iterative(g, action_of(H), n)
             assert abs(dense.value - iterative.value) <= 1e-9 * dense.value + EPS * np.linalg.norm(H, 2)
 
@@ -268,7 +273,7 @@ class TestPhi2Iterative:
         H = np.diag(lam)
         g = np.zeros(n)
         g[1:] = 0.01
-        dense = _phi2_dense(g, H)
+        dense = phi2_dense(g, H)
         iterative = _phi2_iterative(g, action_of(H), n)
         assert abs(dense.value - iterative.value) <= 1e-9 * dense.value + EPS * 2.0
 

@@ -8,6 +8,7 @@ import subreg.solver as solver_module
 import subreg.subproblem as subproblem_module
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
 from subreg.harness import synthesize_dataset, write_trace
+from subreg.optimality import DENSE_MAX_N
 from subreg.problems import NetworkSpec, SquaredLossProblem, initial_point
 from subreg.sampling import bernstein_size, gradient_log_argument, hessian_log_argument
 from subreg.solver import (
@@ -799,11 +800,12 @@ class TestOrderTwoTargets:
     """p = 2 samples are sized from the predicted decrease at the step."""
 
     def test_budget_overrun_at_eps1_zero(self, q2_sigmoid_problem):
-        # At eps1 = 0 every solve runs to its iteration cap, and the budget
-        # is checked between iterations only.  Targets from model measures
-        # at the step drove the first iteration through every growth pass
-        # to the full sums, and charged a median of 5338 CM over these
-        # seeds against the 20 CM budget.
+        # At eps1 = 0 the budget is checked between iterations only.
+        # Targets from model measures at the step drove the first iteration
+        # through every growth pass to the full sums, and charged a median
+        # of 5338 CM over these seeds against the 20 CM budget: 44.7 CM
+        # with targets from the predicted decrease and spectral-gradient
+        # solves run to their iteration cap, 55.0 CM with exact solves.
         cfg = dict(p=2, q=2, eps1=0.0, eps2=1e-3, budget_cm=20.0)
         charged = [
             minimize(q2_sigmoid_problem, SolverConfig(seed=seed, **cfg)).total_cm
@@ -892,21 +894,85 @@ class TestStepMeasures:
         assert len(outside) > 1
         assert outside == [0] * len(outside)
 
-    def test_unconverged_solves_measure_no_curvature(self, monkeypatch):
-        # At eps1 = 0 the solves run to their iteration cap without a
-        # second-order test.  Nothing reads the order-two measure at their
-        # steps, so none is taken, and no column is asked outside them.
+    @staticmethod
+    def measured_in_the_solve(monkeypatch):
+        """The order-two measures the cubic solves take."""
         measured = []
         phi_2 = subproblem_module.phi_2
         monkeypatch.setattr(
             subproblem_module, "phi_2", lambda *args: (measured.append(1), phi_2(*args))[1]
         )
-        prob = sigmoid_problem(seed=7, N=300, d=6)
+        return measured
+
+    def test_unconverged_solves_measure_no_curvature(self, monkeypatch):
+        # At eps1 = 0 the spectral-gradient solves (q = 2 above
+        # DENSE_MAX_N) run to their iteration cap, here lowered to 20,
+        # without a second-order test.  Nothing reads the order-two measure
+        # at their steps, so none is taken, and no column is asked outside
+        # them.
+        measured = self.measured_in_the_solve(monkeypatch)
+        monkeypatch.setattr(subproblem_module, "_MAX_INNER_ITERATIONS", 20)
+        prob = sigmoid_problem(seed=7, N=300, d=DENSE_MAX_N + 1)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
         assert len(outside) == 2 and not any(diag["converged"] for diag in reports)
         assert outside == [0, 0]
         assert measured == []
+
+    def test_exact_solves_measure_no_curvature(self, monkeypatch):
+        # On the dense path the q = 2 solves are exact whatever eps1: they
+        # converge at eps1 = 0, take no order-two measure and ask no column
+        # outside them.
+        measured = self.measured_in_the_solve(monkeypatch)
+        prob = sigmoid_problem(seed=7, N=300, d=6)
+        cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
+        outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
+        assert len(outside) == 2 and all(diag["converged"] for diag in reports)
+        assert all(diag["hvp_evals"] == 6 and diag["iterations"] == 0 for diag in reports)
+        assert outside == [0, 0]
+        assert measured == []
+
+
+def double_well_problem():
+    """40 tilted double wells in 3 unknowns, with an exact Hessian action.
+
+    From x0 = 0.1 (the wells' common maximum is 0) a full-sample run
+    rejects some of its steps."""
+    tilt = 0.1 * np.random.default_rng(0).standard_normal((40, 3))
+    return CustomProblem(
+        3, 40,
+        value=lambda i, x: float(np.sum((x * x - 1.0) ** 2) / 4.0 + tilt[i] @ x),
+        gradient=lambda i, x: x * (x * x - 1.0) + tilt[i],
+        hvp=lambda i, x, v: (3.0 * x * x - 1.0) * v,
+    )
+
+
+class TestOneDecompositionPerSample:
+    @pytest.mark.parametrize("case", ["sampled_sigmoid", "full_double_well"])
+    def test_solves_and_termination_share_each_decomposition(self, case, monkeypatch):
+        # Every SampleHessian of a dense q = 2 run is decomposed once, by
+        # its first exact solve.  Later solves on a kept sample (here the
+        # full one after a rejected step) and the termination test's phi_2
+        # read the decomposition back.
+        if case == "sampled_sigmoid":
+            prob, x0, kappa = sigmoid_problem(seed=7, N=300, d=6), None, 1e-2
+        else:
+            prob, x0, kappa = double_well_problem(), np.full(3, 0.1), 1e9
+        built, solves, decompositions = [], [], []
+        build, solve, eigh = prob.hessian_action, solver_module.cubic_step, np.linalg.eigh
+        monkeypatch.setattr(
+            prob, "hessian_action", lambda *args, **kw: (built.append(1), build(*args, **kw))[1]
+        )
+        monkeypatch.setattr(
+            solver_module, "cubic_step", lambda *args: (solves.append(1), solve(*args))[1]
+        )
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (decompositions.append(1), eigh(A))[1])
+        cfg = SolverConfig(p=2, q=2, eps2=1e-2, kappa=kappa, budget_cm=500.0, seed=3)
+        res = minimize(prob, cfg, x0=x0)
+        assert res.stop_reason == "converged"
+        assert len(decompositions) == len(built)
+        if case == "full_double_well":
+            assert res.successes < res.iterations and len(built) < len(solves)
 
 
 class TestBaseGradient:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from subreg import subproblem
+from subreg import optimality, subproblem
 from subreg.finite_sum import SampleHessian
 from subreg.model import RegularisedModel, model_hessian_action
-from subreg.optimality import DENSE_MAX_N, leftmost_eigenpair, phi_2
+from subreg.optimality import DENSE_MAX_N, dense_path, leftmost_eigenpair, phi_2
 from subreg.subproblem import bb_step_length, cubic_step, quadratic_step
 
 from oracles import cubic_model_oracle
@@ -132,15 +132,14 @@ class TestCubicStep:
         m = cubic_model(np.zeros(n), np.eye(n), 1.0)
         _, diag = cubic_step(m, eps1=1e-3, theta=0.5)
         assert diag["hvp_evals"] == n
-        # The second-order test materialises the model Hessian once more.
+        # The exact solve reads the n columns of the matrix, once.
         _, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
-        assert diag["hvp_evals"] == 2 * n
+        assert diag["hvp_evals"] == n
 
-    def saddle_instance(self, build=None, kind=SampleHessian):
-        """The gradient misses the negative-curvature axis, so the first
-        solve stops at a saddle of the model: the second-order test fails,
-        the solver escapes and tests again, materialising H each time.
-        Returns the model and the columns its callable was asked for."""
+    def saddle_instance(self, build=None):
+        """The gradient misses the negative-curvature axis, so a first-order
+        solve stops at a saddle of the model.  Returns the model and the
+        columns its callable was asked for."""
         n = 6
         H = np.diag(np.linspace(-2.0, 5.0, n))
         columns = []
@@ -149,23 +148,26 @@ class TestCubicStep:
             columns.append(1 if v.ndim == 1 else v.shape[1])
             return H @ v
 
-        hessian = kind(n, apply, None if build is None else lambda: build(H))
+        hessian = SampleHessian(n, apply, None if build is None else lambda: build(H))
         return RegularisedModel(np.r_[0.0, np.ones(n - 1)], 0.4, hessian), columns
 
-    def test_dense_matrix_built_once_per_model(self):
-        builds = []
+    def test_dense_matrix_built_once_per_model(self, monkeypatch):
+        builds, decompositions = [], []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: (decompositions.append(1), eigh(H))[1])
 
         def build(H):
             builds.append(H.shape)
             return H.copy()
 
         m, columns = self.saddle_instance(build)
-        _, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
-        assert diag["converged"] and diag["escapes"] == 1
-        assert builds == [(6, 6)]
-        assert columns == []  # every action was answered from the matrix
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert diag["converged"] and diag["escapes"] == diag["iterations"] == 0
+        assert abs(s[0]) > 1e-3  # the exact solve leaves the saddle
+        assert builds == [(6, 6)] and decompositions == [1]
+        assert columns == []  # the solve read the matrix
         cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
-        assert builds == [(6, 6)]
+        assert builds == [(6, 6)] and decompositions == [1]
 
     def test_default_build_is_one_identity_block_call(self):
         m, columns = self.saddle_instance()
@@ -173,24 +175,20 @@ class TestCubicStep:
         assert columns == [6]
 
     def test_hvp_evals_counts_requested_columns_however_answered(self):
-        # Without the dense matrix every requested column reaches the
-        # callable.  H is diagonal, so products with the cached matrix equal
-        # the callable's bit for bit and both solves take the same path.
-        class Uncached(SampleHessian):
-            def dense(self):
-                return None
-
-        cached, _ = self.saddle_instance()
-        uncached, columns = self.saddle_instance(kind=Uncached)
-        s1, diag1 = cubic_step(cached, eps1=1e-8, theta=0.5, eps2=1e-6)
-        s2, diag2 = cubic_step(uncached, eps1=1e-8, theta=0.5, eps2=1e-6)
+        # A spectral-gradient solve (here without eps2) asks the cached
+        # matrix when the model's SampleHessian holds one, and the callable
+        # otherwise.  H is diagonal, so products with the cached matrix
+        # equal the callable's bit for bit and both solves take the same
+        # path.
+        cached, cached_columns = self.saddle_instance()
+        cached.hessian_action.dense()
+        uncached, columns = self.saddle_instance()
+        s1, diag1 = cubic_step(cached, eps1=1e-8, theta=0.5)
+        s2, diag2 = cubic_step(uncached, eps1=1e-8, theta=0.5)
         np.testing.assert_array_equal(s1, s2)
+        assert cached_columns == [6]  # the build alone reached the callable
         assert diag1["hvp_evals"] == diag2["hvp_evals"] == sum(columns)
-        # BB actions plus n per materialisation: three materialisations
-        # (two second-order tests and the escape's eigenpair).  The tests
-        # read the model gradient the solve holds, so they ask no action
-        # for it.
-        assert diag1["hvp_evals"] == 85
+        assert diag1["hvp_evals"] > diag1["iterations"] > 0
 
     def test_first_order_escape_refuses_an_asymmetric_action(self):
         # Without eps2 nothing builds the dense matrix, but the escape's
@@ -205,10 +203,16 @@ class TestCubicStep:
     def test_escape_does_not_depend_on_the_eigenvector_sign(self, n, monkeypatch):
         # The model is even in the negative-curvature coordinate, so both
         # escape candidates decrease it alike and only the orientation of
-        # d1 picks one.  n = 6 takes numpy's eigh, whose d1 the gradient is
-        # exactly orthogonal to, and n > DENSE_MAX_N takes eigsh.
+        # d1 picks one.  n > DENSE_MAX_N takes eigsh, at q = 2, from a
+        # gradient orthogonal to the negative-curvature axis.  On the dense
+        # path q = 2 solves are exact and never escape, so n = 6 escapes at
+        # q = 1 from the stationary start g = 0, where numpy's eigh gives d1
+        # and its largest entry orients it.
         H = np.diag(np.linspace(-2.0, 5.0, n))
         g = np.r_[0.0, np.full(n - 1, (n - 1) ** -0.5)]
+        eps2 = None if dense_path(n) else 1e-6
+        if dense_path(n):
+            g = np.zeros(n)
         solves = []
         for sign in (1.0, -1.0):
             monkeypatch.setattr(
@@ -218,7 +222,7 @@ class TestCubicStep:
                     *leftmost_eigenpair(action, n)
                 ),
             )
-            solves.append(cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=1e-6))
+            solves.append(cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=eps2))
         (s_plus, diag_plus), (s_minus, diag_minus) = solves
         assert diag_plus["escapes"] >= 1
         assert s_plus.tobytes() == s_minus.tobytes()
@@ -235,8 +239,10 @@ class TestCubicStep:
 
     def test_reports_taylor_decrease_and_grad_norm_at_the_step(self, monkeypatch):
         """The solve's measures equal fresh ones at its step, bit for bit:
-        on a converged solve, after an escape, and when the iteration cap
-        returns the best iterate, whose fallback takes one action there."""
+        on a converged solve, after an escape, on an exact solve, whose
+        product with the matrix a fresh action repeats, and when the
+        iteration cap returns the best iterate, whose fallback takes one
+        action there."""
 
         def fresh(m, s):
             _, grad, hs = m.value_and_gradient(s)
@@ -247,9 +253,14 @@ class TestCubicStep:
         assert diag["converged"] and diag["escapes"] == 0
         assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
 
+        m = cubic_model([0.0, 0.0, 0.0], np.diag([-2.0, 1.0, 3.0]), 3.0)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
+        assert diag["converged"] and diag["escapes"] == 1
+        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
+
         m, _ = self.saddle_instance()
         s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
-        assert diag["converged"] and diag["escapes"] == 1
+        assert diag["converged"] and diag["escapes"] == diag["iterations"] == 0
         assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
 
         H = np.array([[1.5, 1.0, -0.5], [1.0, 1.0, 0.0], [-0.5, 0.0, 0.5]])
@@ -269,3 +280,117 @@ class TestCubicStep:
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(ValueError):
             cubic_step(m, 1e-3, 0.7)
+
+
+EXACT_KINDS = ("indefinite", "hard", "saddle", "zero", "psd_singular", "definite")
+
+
+def exact_case(seed):
+    """A seeded cubic model (g, H, sigma) with n <= 3, of kind
+    EXACT_KINDS[seed // 6].  ``hard``: leftmost eigenvalue -1, with the
+    gradient orthogonal to its eigenvector and too short to reach the
+    radius 2 / sigma; ``saddle``: g = 0 at an indefinite H; ``zero``: H = 0,
+    with g = 0 on odd seeds."""
+    rng = np.random.default_rng([seed, 24])
+    n = 1 + seed % 3
+    kind = EXACT_KINDS[seed // 6]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.5, 2.0, n)
+    w = rng.standard_normal(n)
+    sigma = float(rng.uniform(0.2, 4.0))
+    if kind in ("indefinite", "saddle"):
+        lam[0] = -lam[0]
+    if kind == "hard":
+        lam[0], w[0] = -1.0, 0.0
+        w *= 1.0 / (sigma * max(np.linalg.norm(w), 1e-300))
+    elif kind == "saddle":
+        w[:] = 0.0
+    elif kind == "zero":
+        lam[:] = 0.0
+        w *= seed % 2 == 0
+    elif kind == "psd_singular":
+        lam[0] = 0.0
+    H = (Q * lam) @ Q.T
+    return Q @ w, 0.5 * (H + H.T), sigma
+
+
+@pytest.fixture
+def secular_evaluations(monkeypatch):
+    """Evaluations of the secular function per multiplier search."""
+    counts = []
+    search = optimality._boundary_multiplier
+
+    def counting(newton, lo, hi):
+        counts.append(0)
+
+        def counted(mu):
+            counts[-1] += 1
+            return newton(mu)
+
+        return search(counted, lo, hi)
+
+    monkeypatch.setattr(optimality, "_boundary_multiplier", counting)
+    return counts
+
+
+class TestExactSolve:
+    """q = 2 solves on the dense path: the model's global minimiser from one
+    eigendecomposition per SampleHessian."""
+
+    @pytest.mark.parametrize("seed", range(6 * len(EXACT_KINDS)))
+    def test_global_minimiser_from_one_decomposition(self, seed, monkeypatch, secular_evaluations):
+        g, H, sigma = exact_case(seed)
+        n = g.size
+        decompositions = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (decompositions.append(1), eigh(A))[1])
+        m = cubic_model(g, H, sigma)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert diag["converged"] and (diag["iterations"], diag["escapes"]) == (0, 0)
+        assert diag["hvp_evals"] == m.hessian_action.columns == n
+        value, grad, _ = m.value_and_gradient(s)
+        assert diag["model_value"] == value
+        assert value <= cubic_model_oracle(g, H, sigma) + 1e-10
+        assert np.linalg.norm(grad) <= 1e-10 * (1.0 + np.linalg.norm(g))
+        # H + (sigma ||s|| / 2) I is positive semidefinite at the global minimiser.
+        lam = np.linalg.eigvalsh(H)
+        assert lam[0] + 0.5 * sigma * np.linalg.norm(s) >= -1e-12 * max(1.0, np.abs(lam).max())
+        # A second solve on the same sample and the termination test's
+        # phi_2 read the decomposition back.
+        cubic_step(RegularisedModel(-g, sigma, m.hessian_action), eps1=1e-8, theta=0.5, eps2=1e-6)
+        phi_2(g, m.hessian_action, n)
+        assert decompositions == [1]
+        assert max(secular_evaluations, default=0) <= 10
+
+    def test_huge_regulariser(self, secular_evaluations):
+        # At sigma = 1e300 the multiplier is about sqrt(sigma ||g|| / 2),
+        # and the radius 2 mu / sigma of a hard case about 1e-300: the
+        # search starts near the root, and neither overflows (tier-1 turns
+        # any warning into an error).
+        for seed in range(6 * len(EXACT_KINDS)):
+            g, H, _ = exact_case(seed)
+            m = cubic_model(g, H, 1e300)
+            s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+            assert np.isfinite(s).all() and diag["model_value"] <= 0.0
+            assert diag["grad_norm"] <= 1e-10 * (1.0 + np.linalg.norm(g))
+        assert max(secular_evaluations) <= 10
+
+    @pytest.mark.parametrize("seed", [6, 7, 8, 12, 13, 14])
+    @pytest.mark.parametrize("flip", ["all", "first"])
+    def test_hard_case_does_not_depend_on_the_eigenvector_sign(self, seed, flip, monkeypatch):
+        # Hard cases and saddles: the step runs along the leftmost
+        # eigenvector, whose sign eigh does not fix.  The gradient is
+        # orthogonal to it up to round-off (hard) or exactly (saddle, where
+        # its largest entry orients it).
+        g, H, sigma = exact_case(seed)
+        eigh = np.linalg.eigh
+        signs = -np.ones(g.size) if flip == "all" else np.r_[-1.0, np.ones(g.size - 1)]
+        steps = []
+        for flip_signs in (np.ones(g.size), signs):
+            monkeypatch.setattr(
+                np.linalg, "eigh", lambda A, f=flip_signs: (lambda lam, Q: (lam, Q * f))(*eigh(A))
+            )
+            s, _ = cubic_step(cubic_model(g, H, sigma), eps1=1e-8, theta=0.5, eps2=1e-6)
+            steps.append(s)
+        assert np.linalg.norm(steps[0]) > 0.1
+        assert steps[0].tobytes() == steps[1].tobytes()
