@@ -44,6 +44,6 @@ from .solver import (
     minimize,
     rho,
 )
-from .subproblem import bb_step_length, cubic_step, quadratic_step
+from .subproblem import cubic_step, quadratic_step
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ model of the p = 1 method has a closed-form minimiser and needs no object
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +21,20 @@ import numpy as np
 from .finite_sum import SampleHessian
 
 __all__ = ["RegularisedModel", "accuracy_quantities", "model_hessian_action"]
+
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))  # below it the squares of a norm underflow
+
+
+def step_norm(s: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector s, bit for bit, except below about
+    1e-154, where its squares underflow: there it is the norm of
+    s / max|s_i|, scaled back."""
+    norm = math.sqrt(float(s @ s))
+    if norm < _SQRT_TINY:
+        scale = float(np.abs(s).max(initial=0.0))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(s / scale))
+    return norm
 
 
 @dataclass(frozen=True)
@@ -52,7 +67,7 @@ class RegularisedModel:
         s = np.asarray(s, dtype=float)
         if hs is None:
             hs = self.hessian_action(s) if s.any() else np.zeros(self.n)
-        norm_s = float(np.linalg.norm(s))
+        norm_s = step_norm(s)
         value = float(self.grad @ s) + 0.5 * float(s @ hs) + self.sigma * norm_s**3 / 6.0
         return value, self.grad + hs + 0.5 * self.sigma * norm_s * s, hs
 
@@ -64,7 +79,7 @@ def model_hessian_action(model: RegularisedModel, s) -> Callable[[np.ndarray], n
     ``(n, k)``.
     """
     s = np.asarray(s, dtype=float)
-    norm_s = float(np.linalg.norm(s))
+    norm_s = step_norm(s)
     base = model.hessian_action
     sigma = model.sigma
 

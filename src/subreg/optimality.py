@@ -13,20 +13,21 @@ completing the boundary solution along a leftmost eigenvector.  Up to
 serves that search; above, ``eigsh`` and conjugate-gradient solves to a
 relative residual of 1e-10 serve the same search.
 
-On the dense path the same search and hard-case rule also give the
-global minimiser of the cubic model (``cubic_minimiser``), whose
-multiplier is that of a ball of radius 2 mu / sigma.  The sample's
-``SampleHessian`` keeps its one decomposition, which the cubic solves
-and the order-two measure on that sample share.
+The same search and hard-case rule also give the global minimiser of
+the cubic model from an eigendecomposition (``cubic_minimiser``), whose
+multiplier is that of a ball of radius 2 mu / sigma: of a sample's dense
+matrix, which its order-two measure shares, or of a subspace solve's
+projected one.
 
 SciPy serves only the iterative path (n > DENSE_MAX_N: ``eigsh`` and
-``cg``), so it is imported on first use there: importing ``subreg``, the
-quadratic variant (p = 1) and the cubic one on n <= DENSE_MAX_N load no
-SciPy submodule.
+``cg``), which only q = 2 solves reach, so it is imported on first use
+there: ``import subreg``, p = 1, q = 1 at any n and q = 2 on n <=
+DENSE_MAX_N load no SciPy submodule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ DENSE_MAX_N = 200  # largest order whose Hessian the eigensolvers materialise
 # phi2 used before, so that the seeded traces keep their bits.
 _MULTIPLIER_XTOL, _MULTIPLIER_RTOL = 1e-14, 8.9e-16
 _MULTIPLIER_MAX_ITERATIONS = 100
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector, bit for bit, without its dispatch."""
+    return math.sqrt(float(x @ x))
 
 
 def phi_1(g) -> float:
@@ -192,11 +198,13 @@ def _shifted_solves(lam, Q, w):
     def norm_at(mu: float) -> float:
         shifted = lam + mu
         active = shifted > zero_shift
+        if active.all():
+            return _norm(w / shifted)
         # A gradient component on a (numerically) singular block makes the
         # norm blow up as mu approaches the leftmost shift.
-        if np.abs(w[~active]).max(initial=0.0) > 1e-13 * (1.0 + np.linalg.norm(w)):
+        if np.abs(w[~active]).max(initial=0.0) > 1e-13 * (1.0 + _norm(w)):
             return np.inf
-        return float(np.linalg.norm(w[active] / shifted[active]))
+        return _norm(w[active] / shifted[active])
 
     return zero_shift, direction, norm_at
 
@@ -227,7 +235,7 @@ def _phi2_dense(g: np.ndarray, hessian: SampleHessian) -> TrustRegionResult:
         """||d(mu)|| and sum r_i^2 / (lam_i + mu), with r = w / (lam + mu)."""
         shifted = lam + mu
         r = w / shifted
-        return float(np.linalg.norm(r)), float(r @ (r / shifted))
+        return _norm(r), float(r @ (r / shifted))
 
     hi = mu_lo + float(np.linalg.norm(g)) + 1.0
     mu_star = _boundary_multiplier(_unit_ball(norm_and_slope), probe, hi)
@@ -235,21 +243,20 @@ def _phi2_dense(g: np.ndarray, hessian: SampleHessian) -> TrustRegionResult:
     return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)
 
 
-def cubic_minimiser(g, hessian: SampleHessian, sigma: float) -> np.ndarray:
+def cubic_minimiser(g, eigh, sigma: float) -> np.ndarray:
     """Global minimiser of the cubic model g @ s + 0.5 s @ H s +
-    (sigma/6) ||s||^3, from the decomposition ``hessian.eigh()`` keeps.
+    (sigma/6) ||s||^3, from the eigendecomposition ``eigh = (lam, Q)`` of
+    H, ascending as ``np.linalg.eigh`` returns it.
 
     The minimiser solves (H + mu I) s = -g with mu = sigma ||s|| / 2 and
     H + mu I positive semidefinite (Cartis, Gould and Toint 2011, Part I,
     section 6.1; Nesterov and Polyak 2006): it solves phi_2's problem on
     the ball of radius 2 mu / sigma.  So it takes phi_2's Newton search, on
     the secular function 1/||s(mu)|| - sigma / (2 mu), which is increasing
-    and concave as well, and phi_2's hard-case rule at that radius.  No
-    Hessian action is asked.
+    and concave as well, and phi_2's hard-case rule at that radius.
     """
     g = np.asarray(g, dtype=float)
-    lam, Q = hessian.eigh()
-    H = hessian.dense()
+    lam, Q = eigh
     w = Q.T @ g
     zero_shift, direction, norm_at = _shifted_solves(lam, Q, w)
     mu_lo = max(0.0, -float(lam[0]))
@@ -259,8 +266,9 @@ def cubic_minimiser(g, hessian: SampleHessian, sigma: float) -> np.ndarray:
 
     probe = mu_lo + max(1e-14, 1e-14 * mu_lo)
     if norm_at(probe) < radius(probe):
+        apply_H = lambda d: Q @ (lam * (Q.T @ d))
         return _inside_or_hard_case(
-            g, lambda d: H @ d, direction(mu_lo), Q[:, 0], mu_lo, zero_shift, radius(mu_lo)
+            g, apply_H, direction(mu_lo), Q[:, 0], mu_lo, zero_shift, radius(mu_lo)
         ).direction
 
     # Easy case: the root lies above the probe, where every shift is
@@ -270,7 +278,7 @@ def cubic_minimiser(g, hessian: SampleHessian, sigma: float) -> np.ndarray:
     # 2 mu (lam_1 + mu) = 2 sigma ||w||.
     sqrt_sigma = float(np.sqrt(sigma))
     lower = _multiplier_bound(lam, np.sqrt(2.0 * np.abs(w)) * sqrt_sigma)
-    upper = _multiplier_bound(lam[:1], np.array([np.sqrt(2.0 * np.linalg.norm(w)) * sqrt_sigma]))
+    upper = _multiplier_bound(lam[:1], np.array([np.sqrt(2.0 * _norm(w)) * sqrt_sigma]))
 
     def newton(mu: float):
         """Whether the secular function is nonpositive at mu, and its
@@ -279,7 +287,7 @@ def cubic_minimiser(g, hessian: SampleHessian, sigma: float) -> np.ndarray:
         u = s / ||s||."""
         shifted = lam + mu
         r = w / shifted
-        nd = float(np.linalg.norm(r))
+        nd = _norm(r)
         u = r / nd
         rad = radius(mu)
         return nd >= rad, (nd - rad) / (rad * float(u @ (u / shifted)) + nd / mu)

@@ -33,9 +33,11 @@ only sample is the gradient's, the target is the relative test
 omega * ||g|| and the level shrinks geometrically; for p = 2 a Hessian
 sample follows it, the targets are those of the predicted decrease at the
 cubic step (``accuracy_quantities``), and the level jumps straight to the
-smallest of them.  A growth pass redoes only what grew.  While the
-Hessian sample is not extended, the next pass keeps its ``SampleHessian``,
-dense matrix and eigendecomposition; a pass that extends neither sample
+smallest of them.  At q = 2 the targets come from ``cubic_step`` without
+``eps2``; only the pass whose targets hold takes the q = 2 step, so the
+dense matrix and its n columns come once per iteration.  A growth pass
+redoes only what grew.  While the Hessian sample is not extended, the
+next pass keeps its ``SampleHessian``; a pass that extends neither sample
 keeps the previous pass's step and is charged nothing, so CM and traces
 are those of a loop that rebuilds and re-solves on every pass that grew a
 sample.
@@ -98,21 +100,18 @@ class SolverConfig:
     the Bernstein sample sizes; it is configuration, chosen to control how
     fast sample sizes grow.  Setting ``eps1`` (and ``eps2``) to zero
     disables the termination test for budget-only runs.  With ``p = 2`` it
-    also makes the inner tolerance ``theta * eps1`` zero, so a
-    spectral-gradient solve (q = 1, or more than ``optimality.DENSE_MAX_N``
-    unknowns) runs to its iteration cap on every growth pass that solves,
-    and ``budget_cm`` is checked only between outer iterations: one
-    iteration can overrun the budget many times over (a 20 CM budget on a
-    20000 x 50 sigmoid problem charged 636 CM at q = 1 in its first
-    iteration).  The exact q = 2 solves of the dense path ignore the
-    tolerance; on that problem they charged a median of 55 CM (25-148)
-    over solver seeds 1000-1009.  ``_STALL_LIMIT`` (a constant, 60)
-    full-sample iterations in a row without predicted decrease raise
-    ``SolverStallError``.
+    also makes the inner tolerance ``theta * eps1`` zero, so every subspace
+    solve asks its n columns, as an exact solve does (plus those of its
+    curvature measures at q = 2 above ``optimality.DENSE_MAX_N``), and
+    ``budget_cm`` is checked only between outer iterations: a 20 CM budget
+    on a 20000 x 50 sigmoid problem charged 27, 48 and 89 CM at q = 1 and
+    49, 28 and 155 CM at q = 2 (solver seeds 1000-1002).  ``_STALL_LIMIT``
+    (a constant, 60) full-sample iterations in a row without predicted
+    decrease raise ``SolverStallError``.
 
-    How the cubic subproblem is solved is not configuration: the
-    spectral-gradient constants live in ``subproblem``, and the order up
-    to which q = 2 solves are exact and the eigensolvers materialise the
+    How the cubic subproblem is solved is not configuration: the bound on
+    eigenvector additions lives in ``subproblem``, and the order up to
+    which q = 2 solves are exact and the eigensolvers materialise the
     Hessian is ``optimality.DENSE_MAX_N``.
     """
 
@@ -360,7 +359,9 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     comes from ``cubic_step`` and its two targets from
     ``accuracy_quantities``, and ``eps`` becomes the smallest of
     ``gamma_eps * eps`` and the targets, the size the current step asks
-    for in one pass.  Returns the last pass's ``StepRecord``.
+    for in one pass; at q = 2 from the step without ``eps2``, and a pass
+    whose targets hold (or on full samples) takes the q = 2 step and checks
+    them against it.  Returns the last pass's ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The step is solved again
@@ -390,7 +391,9 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     hessian = None
     hvp_props = passes = 0
     grew = [True] * cfg.p
+    taken = True  # whether s is the step the iteration takes
     while True:
+        full = all(sample.idx.size == N for sample in samples)
         if any(grew):
             # A new solve: the first pass, or a sample grew.  Caught here,
             # NaNs would otherwise surface inside the eigensolvers; the
@@ -404,17 +407,33 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
             else:
                 if grew[1]:
                     hessian = _sample_hessian(problem, samples[1], x, known)
-                s, diag = cubic_step(RegularisedModel(g, sigma, hessian), cfg.eps1, cfg.theta, eps2)
-                delta_t = diag["taylor_decrease"]
-                hvp_props += diag["hvp_evals"] * samples[1].idx.size
-                targets = accuracy_quantities(s, diag, omega)
+                model = RegularisedModel(g, sigma, hessian)
+                # Full samples meet any target, so they need no sizing step.
+                taken = eps2 is None or full
+                s, delta_t, targets, charged = _cubic_pass(model, omega, cfg, eps2 if taken else None)
+                hvp_props += charged * samples[1].idx.size
 
         passes += 1
-        if all(sample.idx.size == N for sample in samples) or all(eps <= e for e in targets):
+        done = full or all(eps <= e for e in targets)
+        if done and not taken:
+            # The sizing step met its targets: take the q = 2 step on the
+            # same samples and check the targets again against it.
+            s, delta_t, targets, charged = _cubic_pass(model, omega, cfg, eps2)
+            hvp_props += charged * samples[1].idx.size
+            taken = True
+            done = all(eps <= e for e in targets)
+        if done:
             h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
             return StepRecord(g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian)
         eps = cfg.gamma_eps * eps if cfg.p == 1 else min(cfg.gamma_eps * eps, *targets)
         grew = [sample.grow(rng, size(log)) for sample, log in zip(samples, logs)]
+
+
+def _cubic_pass(model, omega, cfg, eps2):
+    """``cubic_step`` on ``model``, as the growth loop reads it: the step,
+    its Taylor decrease, its accuracy targets and the columns it asked."""
+    s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
+    return s, diag["taylor_decrease"], accuracy_quantities(s, diag, omega), diag["hvp_evals"]
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> int:

@@ -5,33 +5,29 @@ cubic model is minimised exactly when the step targets second-order
 optimality and its Hessian is small enough to materialise
 (``optimality.dense_path``): one eigendecomposition of the sample's dense
 matrix gives the global minimiser (``optimality.cubic_minimiser``).
-Otherwise it is minimised matrix-free with a Barzilai-Borwein spectral
-gradient method under a nonmonotone Armijo line search.  Every point the
-solver returns satisfies m(s) <= m(0) = 0.
+Otherwise it is minimised on a subspace grown from g by the model
+gradient at the subspace minimiser, orthogonalised twice against the
+basis: in exact arithmetic the Lanczos basis of H and g (Gould, Lucidi,
+Roma and Toint, SIAM J. Optim. 1999, in the cubic form of Cartis, Gould
+and Toint 2011, Part I, section 6.2), whose model gradient norm is the
+Lanczos residual beta_k |e_k^T y_k|.  ``cubic_minimiser`` solves the model
+on the projected matrix from numpy's ``eigh``.  Every step the solver
+returns satisfies m(s) <= m(0) = 0.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from .model import RegularisedModel, model_hessian_action
+from .model import RegularisedModel, model_hessian_action, step_norm
 from .optimality import cubic_minimiser, dense_path, downhill, leftmost_eigenpair, phi_2
 
-__all__ = ["quadratic_step", "bb_step_length", "cubic_step"]
+__all__ = ["quadratic_step", "cubic_step"]
 
-
-# Spectral-gradient constants: the standard choices for nonmonotone
-# spectral gradient methods.  They bound how the cubic model is minimised,
-# not what the returned step satisfies.
-_MAX_INNER_ITERATIONS = 500
-_LAMBDA_MIN = 1e-10
-_LAMBDA_MAX = 1e10
-_MEMORY = 10
-_SUFFICIENT_DECREASE = 1e-4
-_BACKTRACK_FACTOR = 0.5
-_MAX_BACKTRACKS = 60
+_MAX_ESCAPES = 20  # leftmost eigenvectors one q = 2 subspace solve may add
+# A vector whose part orthogonal to the basis is below this share of its
+# norm lies in the span: the basis cannot grow along it.
+_IN_SPAN = 1e-12
 
 
 def quadratic_step(g, sigma: float):
@@ -48,134 +44,93 @@ def quadratic_step(g, sigma: float):
     return s, float(g @ g) / sigma
 
 
-def bb_step_length(ds, dg) -> float:
-    """Spectral step length (ds @ ds) / (ds @ dg), clamped to [1e-10, 1e10].
-
-    Non-positive curvature along the last displacement gives no usable
-    spectral estimate; the safeguard returns the upper bound.
-    """
-    ds = np.asarray(ds, dtype=float)
-    dg = np.asarray(dg, dtype=float)
-    denom = float(ds @ dg)
-    if denom <= 0.0:
-        return _LAMBDA_MAX
-    return float(np.clip(float(ds @ ds) / denom, _LAMBDA_MIN, _LAMBDA_MAX))
-
-
 def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float | None = None):
     """Approximately minimise the cubic model.
 
     Returns a step with m(s) <= 0.  With ``eps2`` given on the dense path
-    (``optimality.dense_path``) the step is the model's global minimiser,
-    from the eigendecomposition the model's ``SampleHessian`` keeps: it
-    meets every tolerance, takes no iteration and asks for the matrix's n
-    columns.  Otherwise 500 spectral-gradient iterations at most push the
-    model gradient norm to theta * eps1, and with ``eps2`` given (n >
-    ``DENSE_MAX_N``) the order-two model measure at the step below theta *
-    eps2, by restarting along directions of negative curvature.  The
-    diagnostics carry the model gradient norm ``grad_norm`` and the Taylor
-    decrease ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned
-    step, from the action H s the solve took there (a product with the
-    matrix for the exact solve).  ``hvp_evals`` counts the Hessian-action
-    columns this solve asks the model's ``SampleHessian`` for, however they
-    are answered.  When the iterations run out or the line search stalls,
-    the best iterate found is returned with ``converged`` False.
+    the step is the model's global minimiser, from the eigendecomposition
+    the model's ``SampleHessian`` keeps: it meets every tolerance, takes no
+    iteration and asks for the matrix's n columns.  Otherwise the subspace
+    grows, one column per basis vector (``iterations``), until the model
+    gradient norm is at most theta * eps1 or the basis spans the space, so
+    a solve asks at most n columns.  With ``eps2`` the solve then measures
+    phi_2 of the model at its step and, while it exceeds theta * eps2,
+    adds the leftmost eigenvector of the model Hessian there to the basis
+    (``escapes``, at most 20) and goes on.  ``converged`` says whether the
+    tolerances were met.  The diagnostics carry ``grad_norm`` and
+    ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned step, from
+    H s: a product with the matrix, or the basis's actions combined.
+    ``hvp_evals`` counts the columns asked of the model's ``SampleHessian``.
     """
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
-
     H = model.hessian_action
     start = H.columns
-    n = model.n
+    n, g = model.n, model.grad
     if eps2 is not None and dense_path(n):
-        s = cubic_minimiser(model.grad, H, model.sigma)
+        s = cubic_minimiser(g, H.eigh(), model.sigma)
         H.columns += n  # the solve reads every column of the matrix
         value, grad, hs = model.value_and_gradient(s, H.dense() @ s)
         return s, _report(model, s, value, grad, hs, 0, n, True, 0)
-    tol = theta * eps1
 
-    s = np.zeros(n)
-    value, grad, hs = 0.0, model.grad.copy(), np.zeros(n)
-    history = deque([0.0], maxlen=_MEMORY)
-    best_s, best_value = s, 0.0
-    lam = 1.0 / model.sigma
-    iterations = 0
-    escapes = 0
+    tol = theta * eps1
+    # Row j of Q is the j-th basis vector, of W its action, T = Q H Q^T;
+    # k rows are in use, and the buffers double when full.
+    size = min(n, 8)
+    Q, W, T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+    k = iterations = escapes = 0
+    s, hs = np.zeros(n), np.zeros(n)
+    value, grad = 0.0, g
     converged = False
 
-    def diagnostics():
-        return _report(model, s, value, grad, hs, iterations, H.columns - start, converged, escapes)
-
-    def try_escape():
-        """Seed a move along estimated negative curvature; True on success."""
-        nonlocal s, value, grad, hs, lam, escapes
-        if escapes >= 20:
+    def grow(v, norm: float) -> bool:
+        """Add v's part orthogonal to the basis, where ``norm`` is ||v||;
+        False when v lies in the span."""
+        nonlocal Q, W, T, k
+        for _ in range(2):
+            v = v - Q[:k].T @ (Q[:k] @ v)
+        rest = step_norm(v)
+        if k == n or rest <= _IN_SPAN * norm:
             return False
-        lam1, d1 = leftmost_eigenpair(model_hessian_action(model, s), n)
-        if lam1 >= -1e-12:
-            return False
-        d1 = downhill(grad, d1)
-        # One-dimensional minimiser of 0.5 t^2 lam1 + (sigma/6) |t|^3.
-        t = 2.0 * abs(lam1) / model.sigma
-        for cand in (s + t * d1, s - t * d1):
-            cand_value, cand_grad, cand_hs = model.value_and_gradient(cand)
-            if cand_value < value:
-                s, value, grad, hs = cand, cand_value, cand_grad, cand_hs
-                history.append(value)
-                lam = 1.0 / model.sigma
-                escapes += 1
-                return True
-        return False
+        if k == len(Q):
+            size = min(n, 2 * k)
+            Q, W = (np.resize(A, (size, n)) for A in (Q, W))
+            T = np.pad(T, (0, size - k))
+        Q[k] = v / rest
+        W[k] = H(Q[k])
+        T[k, : k + 1] = T[: k + 1, k] = Q[: k + 1] @ W[k]
+        k += 1
+        return True
 
-    while iterations < _MAX_INNER_ITERATIONS:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            # A stationary start (no decrease yet) is the saddle pathology of
-            # pure gradient descent; probe curvature before accepting it.
-            if value == 0.0 and try_escape():
-                continue
-            # The order-two model measure at s, from the model gradient held there.
-            if eps2 is None or phi_2(grad, model_hessian_action(model, s), n).value <= theta * eps2:
-                converged = True
-                break
-            if not try_escape():
-                break  # no exploitable curvature left at this accuracy
+    def minimise():
+        nonlocal s, hs, value, grad
+        y = cubic_minimiser(Q[:k] @ g, np.linalg.eigh(T[:k, :k]), model.sigma)
+        s, hs = Q[:k].T @ y, W[:k].T @ y
+        value, grad, _ = model.value_and_gradient(s, hs)
+
+    while True:
+        grad_norm = step_norm(grad)
+        first_order = grad_norm <= tol
+        if not first_order and grow(grad, grad_norm):
+            iterations += 1
+            minimise()
             continue
+        # Without a curvature test, or at the global minimiser of a basis
+        # that spans the space, the first-order test decides.
+        converged = first_order
+        if eps2 is None or not first_order or k == n:
+            break
+        model_hessian = model_hessian_action(model, s)
+        converged = phi_2(grad, model_hessian, n).value <= theta * eps2
+        if converged or escapes == _MAX_ESCAPES:
+            break
+        lam1, d1 = leftmost_eigenpair(model_hessian, n)
+        if lam1 >= -1e-12 or not grow(downhill(grad, d1), 1.0):
+            break  # no curvature left to add at this accuracy
+        escapes += 1
+        minimise()
 
-        direction = -grad
-        slope = -gnorm * gnorm
-        reference = max(history)
-        alpha = lam
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = s + alpha * direction
-            # A huge trial may overflow; the finiteness test rejects it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial_value, trial_grad, trial_hs = model.value_and_gradient(trial)
-            if np.isfinite(trial_value) and (
-                trial_value <= reference + _SUFFICIENT_DECREASE * alpha * slope
-            ):
-                accepted = True
-                break
-            alpha *= _BACKTRACK_FACTOR
-        if not accepted:
-            break  # line search stalled; fall back to the best iterate
-
-        ds = trial - s
-        dgrad = trial_grad - grad
-        lam = bb_step_length(ds, dgrad)
-        s, value, grad, hs = trial, trial_value, trial_grad, trial_hs
-        history.append(value)
-        if value < best_value:
-            best_s, best_value = s, value
-        iterations += 1
-        if not np.isfinite(value):
-            raise RuntimeError(f"cubic model diverged: {diagnostics()}")
-
-    if not converged and best_value < value:
-        s, value = best_s, best_value
-        _, grad, hs = model.value_and_gradient(s)
-    return s, diagnostics()
+    return s, _report(model, s, value, grad, hs, iterations, H.columns - start, converged, escapes)
 
 
 def _report(model, s, value, grad, hs, iterations, hvp_evals, converged, escapes):

@@ -277,8 +277,12 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
 
     Same contract and return value as ``solver._grow_and_step`` at p = 2, but
     each pass builds a new ``SampleHessian`` and solves the cubic model
-    again, whether or not a sample grew.  A pass is charged its solve's
-    columns only when it is the first or a sample grew; after each pass the
+    again, whether or not a sample grew.  A pass sizes the samples from the
+    step without ``eps2``; at q = 2, once its targets hold, it takes the
+    step with ``eps2`` and checks the targets again against that one, and
+    on full samples it takes that step at once.  A pass that grew neither sample solves again
+    for the step the previous pass ended with, and that solve is not
+    charged; every other solve is charged its columns.  After each pass the
     accuracy level drops to the smallest of ``gamma_eps`` times itself and
     the step's targets.
     """
@@ -286,6 +290,7 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     glog = gradient_log_argument(n, cfg.t)
     hlog = hessian_log_argument(n, cfg.t)
     eps = cfg.kappa_eps
+    eps2 = cfg.eps2 if cfg.q == 2 else None
 
     g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps, cfg.t, glog, N))
     g = _first_gradient(problem, g_idx, x, known)
@@ -295,19 +300,26 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     hvp_props = 0
     passes = 0
     grew = True
+    taken = False  # whether the previous pass ended with the step it would take
     while True:
         passes += 1
         _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
         hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(g, sigma, hessian)
-        eps2 = cfg.eps2 if cfg.q == 2 else None
-        s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
+        full = g_idx.size == N and h_idx.size == N
+        taken = (taken and not grew) or full or cfg.q == 1
+        s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2 if taken else None)
         if grew:
             hvp_props += diag["hvp_evals"] * h_idx.size
-
-        full = g_idx.size == N and h_idx.size == N
         targets = accuracy_quantities(s, diag, omega)
-        if full or all(eps <= e for e in targets):
+        done = full or all(eps <= e for e in targets)
+        if done and not taken:
+            s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
+            hvp_props += diag["hvp_evals"] * h_idx.size
+            taken = True
+            targets = accuracy_quantities(s, diag, omega)
+            done = full or all(eps <= e for e in targets)
+        if done:
             delta_t = diag["taylor_decrease"]
             return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)
 

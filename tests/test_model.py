@@ -4,7 +4,6 @@ import pytest
 from subreg.finite_sum import CustomProblem
 from subreg.model import RegularisedModel, accuracy_quantities, model_hessian_action
 from subreg.optimality import DENSE_MAX_N
-from subreg import subproblem
 from subreg.subproblem import cubic_step, quadratic_step
 
 from oracles import central_diff_gradient, sphere_scan_max
@@ -144,19 +143,21 @@ class TestStationarityMeasure:
         assert diag["grad_norm"] <= 0.5e-12
         assert abs(s[0] - (1.0 - np.sqrt(3.0))) <= 1e-12
 
-    def test_at_zero_equals_gradient_norm(self, monkeypatch):
-        # without iterations the solve returns s = 0, where grad m = g
-        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 0)
+    def test_at_zero_equals_gradient_norm(self):
+        # a gradient within the tolerance theta * eps1 grows no basis: the
+        # solve returns s = 0, where grad m = g
         m = cubic_model([3.0, 4.0], np.diag([1.0, -2.0]), 2.0)
-        s, diag = cubic_step(m, eps1=1e-3, theta=0.5)
+        s, diag = cubic_step(m, eps1=10.0, theta=0.5)
         np.testing.assert_array_equal(s, np.zeros(2))
         assert diag["grad_norm"] == 5.0 and diag["taylor_decrease"] == 0.0
 
-    def test_equals_sphere_maximum(self, monkeypatch):
-        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 2)
+    def test_equals_sphere_maximum(self):
+        # a loose tolerance stops the solve after one basis vector, short
+        # of the model's stationary point
         rng = np.random.default_rng(4)
         m = cubic_model(rng.standard_normal(3), np.diag([1.0, -0.5, 2.0]), 1.1)
-        s, diag = cubic_step(m, eps1=1e-12, theta=0.5)
+        s, diag = cubic_step(m, eps1=1.0, theta=0.5)
+        assert diag["iterations"] == 1
         grad = gradient(m, s)
         scan = sphere_scan_max(lambda d: float(-grad @ d), 3, samples=10_000, seed=5)
         assert diag["grad_norm"] > 0.0
@@ -199,16 +200,15 @@ class TestAccuracyQuantities:
         assert nu1 == pytest.approx(0.01, rel=1e-15)
         assert nu2 == pytest.approx(0.005, rel=1e-15)
 
-    def test_capped_solve_measures_no_curvature(self, monkeypatch):
-        # A solve that ends at its iteration cap at s = 0 runs no
-        # second-order test and takes no measure for the targets: it asks
-        # no column, and its zero decrease gives zero targets.  Above
-        # DENSE_MAX_N, where q = 2 solves iterate (below they are exact).
+    def test_zero_step_measures_no_curvature(self):
+        # A first-order solve whose gradient is within its tolerance ends
+        # at s = 0 and takes no measure for the targets: it asks no column,
+        # and its zero decrease gives zero targets.  Above DENSE_MAX_N, at
+        # a saddle of the model.
         n = DENSE_MAX_N + 1
-        m = cubic_model(np.zeros(n), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0)
-        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 0)
-        s, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
-        assert not diag["converged"]
+        m = cubic_model(np.full(n, 1e-5), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0)
+        s, diag = cubic_step(m, eps1=1e-3, theta=0.5)
+        assert diag["converged"]
         np.testing.assert_array_equal(s, np.zeros(n))
         assert diag["hvp_evals"] == m.hessian_action.columns == 0
         assert accuracy_quantities(s, diag, 0.2) == (0.0, 0.0)

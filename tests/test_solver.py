@@ -8,7 +8,7 @@ import subreg.solver as solver_module
 import subreg.subproblem as subproblem_module
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
 from subreg.harness import synthesize_dataset, write_trace
-from subreg.optimality import DENSE_MAX_N
+from subreg.optimality import DENSE_MAX_N, cubic_minimiser, dense_path
 from subreg.problems import NetworkSpec, SquaredLossProblem, initial_point
 from subreg.sampling import bernstein_size, gradient_log_argument, hessian_log_argument
 from subreg.solver import (
@@ -738,17 +738,18 @@ class TestGrowthLoopReuse:
     @pytest.mark.parametrize("kind,q", GROWTH_GRID)
     def test_one_build_per_sample_and_one_solve_per_pair(self, kind, q, monkeypatch):
         prob, points = growth_case(kind)
-        builds, solves = [], []  # (sample size, SampleHessian); (g bytes, H sample size)
+        # (sample size, SampleHessian); (g bytes, H sample size, eps2 given)
+        builds, solves = [], []
         build = prob.hessian_action
 
         def counted_build(indices, x, base=None):
             builds.append((len(indices), build(indices, x, base)))
             return builds[-1][1]
 
-        def counted_solve(model, *args):
+        def counted_solve(model, eps1, theta, eps2):
             size = next(m for m, h in builds if h is model.hessian_action)
-            solves.append((model.grad.tobytes(), size))
-            return cubic_step(model, *args)
+            solves.append((model.grad.tobytes(), size, eps2 is not None))
+            return cubic_step(model, eps1, theta, eps2)
 
         cubic_step = solver_module.cubic_step
         monkeypatch.setattr(prob, "hessian_action", counted_build)
@@ -765,8 +766,15 @@ class TestGrowthLoopReuse:
                 sizes = [size for size, _ in builds]
                 assert len(sizes) == len(set(sizes))
                 assert len(solves) == len(set(solves))
-                repeated = repeated or passes > len(solves)
-                kept = kept or len(solves) > len(builds)
+                # At q = 2 the loop ends on a step with eps2, taken at most
+                # once per pair: after the sizing solve on it, or at once on
+                # full samples.
+                sizing = [(g, size) for g, size, taken in solves if not taken]
+                assert all((g, size) in sizing or size == prob.N for g, size, taken in solves if taken)
+                assert solves[-1][2] == (q == 2)
+                pairs = {(g, size) for g, size, _ in solves}
+                repeated = repeated or passes > len(pairs)
+                kept = kept or len(pairs) > len(builds)
         assert repeated  # some pass grew neither sample
         assert kept  # some solve kept the previous pass's Hessian
 
@@ -805,7 +813,10 @@ class TestOrderTwoTargets:
         # through every growth pass to the full sums, and charged a median
         # of 5338 CM over these seeds against the 20 CM budget: 44.7 CM
         # with targets from the predicted decrease and spectral-gradient
-        # solves run to their iteration cap, 55.0 CM with exact solves.
+        # solves run to their iteration cap, 55.0 CM with exact solves on
+        # every pass, 97.9 CM with sizing solves that span the space (n
+        # columns each, as an exact solve) and one exact step per pass
+        # whose targets hold.
         cfg = dict(p=2, q=2, eps1=0.0, eps2=1e-3, budget_cm=20.0)
         charged = [
             minimize(q2_sigmoid_problem, SolverConfig(seed=seed, **cfg)).total_cm
@@ -823,6 +834,144 @@ class TestOrderTwoTargets:
         for prob, x0, cfg in runs:
             res = minimize(prob, SolverConfig(p=2, **cfg), x0=x0)
             assert any(e.success and e.h_size < prob.N for e in res.trace)
+
+
+def small_net_problem():
+    """A 6-4-1 tanh net (n = 33) on 300 samples, with its start."""
+    spec = NetworkSpec(6, (4,))
+    prob = SquaredLossProblem(synthesize_dataset(3, 300, 6, 2.0), spec)
+    return prob, initial_point(spec, np.random.default_rng(0))
+
+
+class TestSizingPasses:
+    """At q = 2 every pass sizes the samples from a subspace step, and only
+    a pass whose targets hold takes the q = 2 step."""
+
+    @staticmethod
+    def recorded_solves(prob, monkeypatch):
+        """Per cubic_step call: the H sample size, eps2 and the diagnostics."""
+        sizes, solves = {}, []
+        build, solve = prob.hessian_action, solver_module.cubic_step
+
+        def counted_build(indices, x, base=None):
+            hessian = build(indices, x, base)
+            sizes[id(hessian)] = len(indices)
+            return hessian
+
+        def counted_solve(model, eps1, theta, eps2):
+            s, diag = solve(model, eps1, theta, eps2)
+            solves.append((sizes[id(model.hessian_action)], eps2, diag))
+            return s, diag
+
+        monkeypatch.setattr(prob, "hessian_action", counted_build)
+        monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
+        return solves
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "net", "custom", "custom_hvp"])
+    def test_taken_step_is_the_exact_minimiser_of_the_last_sample(self, kind):
+        prob, points = growth_case(kind)
+        for x in points:
+            for omega, sigma, cfg in growth_configs(2, prob):
+                step = _grow_and_step(prob, x, omega, sigma, cfg, np.random.default_rng(3), {})
+                exact = cubic_minimiser(step.g, step.hessian.eigh(), sigma)
+                assert step.s.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "net", "custom", "custom_hvp"])
+    def test_hvp_props_sums_every_solve(self, kind, monkeypatch):
+        # Sizing solves are charged the columns they ask, the exact step
+        # the matrix's n columns, each times the Hessian sample's size.
+        prob, points = growth_case(kind)
+        solves = self.recorded_solves(prob, monkeypatch)
+        for x in points:
+            for omega, sigma, cfg in growth_configs(2, prob):
+                solves.clear()
+                step = _grow_and_step(prob, x, omega, sigma, cfg, np.random.default_rng(3), {})
+                exact = [(size, diag) for size, eps2, diag in solves if eps2 is not None]
+                sizing = [(size, diag) for size, eps2, diag in solves if eps2 is None]
+                assert exact and all(diag["hvp_evals"] == prob.n for _, diag in exact)
+                assert all(diag["hvp_evals"] <= prob.n for _, diag in sizing)
+                charged = sum(size * diag["hvp_evals"] for size, diag in exact + sizing)
+                assert step.hvp_props == charged
+
+    def test_one_gram_build_per_iteration(self, q2_sigmoid_problem, monkeypatch):
+        # Sizing solves answer their columns from the sample's rows: the
+        # Gram matrix is built for the samples an exact step is taken on.
+        solves = self.recorded_solves(q2_sigmoid_problem, monkeypatch)
+        grams = []
+        build = q2_sigmoid_problem.hessian_action
+
+        def counted(indices, x, base=None):
+            hessian = build(indices, x, base)
+            dense = hessian.dense
+            hessian.dense = lambda: (grams.append(1) if hessian._dense is None else None, dense())[1]
+            return hessian
+
+        monkeypatch.setattr(q2_sigmoid_problem, "hessian_action", counted)
+        cfg = SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=1200.0, seed=1000)
+        res = minimize(q2_sigmoid_problem, cfg)
+        assert res.stop_reason == "converged"
+        # Every iteration takes an exact step, and a rejected step's full
+        # sample keeps its matrix for the next.
+        exact = sum(eps2 is not None for _, eps2, _ in solves)
+        assert len(res.trace) <= exact <= len(res.trace) + 2
+        assert res.successes < res.iterations and len(grams) < exact
+        assert sum(eps2 is None for _, eps2, _ in solves) > len(grams)
+
+
+class TestPerSolveBound:
+    """A subspace solve asks at most n columns, plus those of the curvature
+    measures of its eigenvector additions above DENSE_MAX_N, even at
+    eps1 = 0, where no tolerance stops it; only the budget check between
+    iterations is left unbounded."""
+
+    CASES = ["q2_sigmoid", "net", "custom", "wide"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_columns_per_solve_at_eps1_zero(self, case, q, q2_sigmoid_problem, monkeypatch):
+        x0 = None
+        if case == "q2_sigmoid":
+            prob = q2_sigmoid_problem
+        elif case == "net":
+            prob, x0 = small_net_problem()
+        elif case == "custom":
+            prob, x0 = weighted_double_well(False), np.full(3, 0.1)
+        else:
+            prob = sigmoid_problem(seed=1, N=400, d=205)
+        n = prob.n
+        solves, measured = [], []
+        solve = solver_module.cubic_step
+
+        def counted_solve(model, eps1, theta, eps2):
+            before = model.hessian_action.columns
+            measured.append(0)
+            s, diag = solve(model, eps1, theta, eps2)
+            assert diag["hvp_evals"] == model.hessian_action.columns - before
+            solves.append((eps2 is not None and dense_path(n), diag, measured[-1]))
+            return s, diag
+
+        def counting(name):
+            measure = getattr(subproblem_module, name)
+
+            def counted(action, *args):
+                columns = []
+                out = measure(lambda v: (columns.append(1 if v.ndim == 1 else v.shape[1]), action(v))[1], *args)
+                measured[-1] += sum(columns)
+                return out
+
+            monkeypatch.setattr(subproblem_module, name, counted)
+
+        counting("phi_2")
+        counting("leftmost_eigenpair")
+        monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
+        cfg = SolverConfig(p=2, q=q, eps1=0.0, eps2=1e-3 if q == 2 else None, budget_cm=20.0, seed=1000)
+        res = minimize(prob, cfg, x0=x0)
+        assert res.stop_reason == "budget"
+        subspace = [(diag, extra) for exact, diag, extra in solves if not exact]
+        assert subspace
+        assert all(diag["hvp_evals"] <= n + extra for diag, extra in subspace)
+        assert all(diag["iterations"] + diag["escapes"] <= n for diag, _ in subspace)
+        assert all(diag["hvp_evals"] == n for exact, diag, _ in solves if exact)
 
 
 class TestOrderOneGrowth:
@@ -905,30 +1054,35 @@ class TestStepMeasures:
         return measured
 
     def test_unconverged_solves_measure_no_curvature(self, monkeypatch):
-        # At eps1 = 0 the spectral-gradient solves (q = 2 above
-        # DENSE_MAX_N) run to their iteration cap, here lowered to 20,
-        # without a second-order test.  Nothing reads the order-two measure
-        # at their steps, so none is taken, and no column is asked outside
-        # them.
+        # At eps1 = 0 the subspace solves (q = 2 above DENSE_MAX_N) meet no
+        # first-order tolerance: each grows its basis until it spans the
+        # space or the Krylov space of a small sample, at most n columns,
+        # without a second-order test.  Nothing reads the order-two
+        # measure at their steps, so none is taken, and no column is asked
+        # outside them.
+        n = DENSE_MAX_N + 1
         measured = self.measured_in_the_solve(monkeypatch)
-        monkeypatch.setattr(subproblem_module, "_MAX_INNER_ITERATIONS", 20)
-        prob = sigmoid_problem(seed=7, N=300, d=DENSE_MAX_N + 1)
+        prob = sigmoid_problem(seed=7, N=300, d=n)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
         assert len(outside) == 2 and not any(diag["converged"] for diag in reports)
+        assert all(diag["hvp_evals"] == diag["iterations"] <= n for diag in reports)
         assert outside == [0, 0]
         assert measured == []
 
     def test_exact_solves_measure_no_curvature(self, monkeypatch):
-        # On the dense path the q = 2 solves are exact whatever eps1: they
-        # converge at eps1 = 0, take no order-two measure and ask no column
-        # outside them.
+        # On the dense path the q = 2 steps are exact whatever eps1: they
+        # converge at eps1 = 0, where the sizing solves before them span
+        # the space.  None takes an order-two measure or asks a column
+        # outside the solves.
         measured = self.measured_in_the_solve(monkeypatch)
         prob = sigmoid_problem(seed=7, N=300, d=6)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
-        assert len(outside) == 2 and all(diag["converged"] for diag in reports)
-        assert all(diag["hvp_evals"] == 6 and diag["iterations"] == 0 for diag in reports)
+        exact = [diag for diag in reports if diag["iterations"] == 0]
+        assert len(outside) == 2 and len(exact) >= 2
+        assert all(diag["converged"] and diag["hvp_evals"] == 6 for diag in exact)
+        assert all(diag["hvp_evals"] == diag["iterations"] == 6 for diag in reports if diag not in exact)
         assert outside == [0, 0]
         assert measured == []
 
@@ -950,29 +1104,37 @@ def double_well_problem():
 class TestOneDecompositionPerSample:
     @pytest.mark.parametrize("case", ["sampled_sigmoid", "full_double_well"])
     def test_solves_and_termination_share_each_decomposition(self, case, monkeypatch):
-        # Every SampleHessian of a dense q = 2 run is decomposed once, by
-        # its first exact solve.  Later solves on a kept sample (here the
-        # full one after a rejected step) and the termination test's phi_2
-        # read the decomposition back.
+        # A dense q = 2 run decomposes the n x n matrix of a SampleHessian
+        # once, at the first exact step taken on it.  The sizing solves
+        # before it decompose only their small projected matrices, later
+        # exact steps on a kept sample (here the full one after a rejected
+        # step) and the termination test's phi_2 read the decomposition back.
         if case == "sampled_sigmoid":
             prob, x0, kappa = sigmoid_problem(seed=7, N=300, d=6), None, 1e-2
         else:
             prob, x0, kappa = double_well_problem(), np.full(3, 0.1), 1e9
-        built, solves, decompositions = [], [], []
+        built, taken, decompositions = [], [], []
         build, solve, eigh = prob.hessian_action, solver_module.cubic_step, np.linalg.eigh
+
+        def counted_solve(model, eps1, theta, eps2):
+            if eps2 is not None:
+                taken.append(model.hessian_action)
+            return solve(model, eps1, theta, eps2)
+
         monkeypatch.setattr(
             prob, "hessian_action", lambda *args, **kw: (built.append(1), build(*args, **kw))[1]
         )
-        monkeypatch.setattr(
-            solver_module, "cubic_step", lambda *args: (solves.append(1), solve(*args))[1]
-        )
-        monkeypatch.setattr(np.linalg, "eigh", lambda A: (decompositions.append(1), eigh(A))[1])
+        monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (decompositions.append(A), eigh(A))[1])
         cfg = SolverConfig(p=2, q=2, eps2=1e-2, kappa=kappa, budget_cm=500.0, seed=3)
         res = minimize(prob, cfg, x0=x0)
         assert res.stop_reason == "converged"
-        assert len(decompositions) == len(built)
-        if case == "full_double_well":
-            assert res.successes < res.iterations and len(built) < len(solves)
+        distinct = list({id(h): h for h in taken}.values())
+        assert sum(any(A is h.dense() for h in distinct) for A in decompositions) == len(distinct)
+        if case == "sampled_sigmoid":
+            assert len(built) > len(distinct)  # sizing passes built no matrix
+        else:
+            assert res.successes < res.iterations and len(distinct) < len(taken)
 
 
 class TestBaseGradient:

@@ -3,9 +3,9 @@ import pytest
 
 from subreg import optimality, subproblem
 from subreg.finite_sum import SampleHessian
-from subreg.model import RegularisedModel, model_hessian_action
+from subreg.model import RegularisedModel, model_hessian_action, step_norm
 from subreg.optimality import DENSE_MAX_N, dense_path, leftmost_eigenpair, phi_2
-from subreg.subproblem import bb_step_length, cubic_step, quadratic_step
+from subreg.subproblem import cubic_step, quadratic_step
 
 from oracles import cubic_model_oracle
 
@@ -46,22 +46,6 @@ class TestQuadraticStep:
             quadratic_step(np.ones(2), 0.0)
 
 
-class TestBBStepLength:
-    def test_quadratic_with_hessian_2i(self):
-        ds = np.array([1.0, -2.0])
-        assert bb_step_length(ds, 2.0 * ds) == 0.5
-
-    def test_nonpositive_curvature_safeguard(self):
-        assert bb_step_length(np.array([1.0, 0.0]), np.array([-1.0, 0.5])) == 1e10
-
-    def test_closed_form(self):
-        assert bb_step_length(np.array([1.0, 0.0]), np.array([4.0, 1.0])) == 0.25
-
-    def test_clamped(self):
-        assert bb_step_length(np.array([1e-12, 0.0]), np.array([1.0, 0.0])) == 1e-10
-        assert bb_step_length(np.array([1.0, 0.0]), np.array([1e-12, 0.0])) == 1e10
-
-
 class TestCubicStep:
     def test_frozen_stationary_point(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
@@ -75,13 +59,27 @@ class TestCubicStep:
         np.testing.assert_array_equal(s, np.zeros(2))
         assert diag["converged"]
 
-    def test_saddle_escape_frozen_value(self):
-        # stationary magnitude solves -2 t + (3/2) t^2 = 0, value -16/27
-        m = cubic_model([0.0, 0.0], np.diag([-2.0, 1.0]), 3.0)
-        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
+    @pytest.mark.parametrize("n", [2, DENSE_MAX_N + 1])
+    def test_saddle_escape_frozen_value(self, n):
+        # stationary magnitude solves -2 t + (3/2) t^2 = 0, value -16/27.
+        # The q = 2 step leaves the stationary saddle: exactly on the dense
+        # path, by adding the leftmost eigenvector to an empty basis above.
+        m = cubic_model(np.zeros(n), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert diag["converged"] and diag["escapes"] == (0 if dense_path(n) else 1)
         assert abs(abs(s[0]) - 4.0 / 3.0) <= 1e-6
-        assert abs(s[1]) <= 1e-8
+        assert np.abs(s[1:]).max() <= 1e-8
         assert diag["model_value"] == pytest.approx(-16.0 / 27.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, DENSE_MAX_N + 1])
+    def test_first_order_step_stops_at_a_stationary_saddle(self, n):
+        # g = 0 spans no Krylov space: without eps2 the step is s = 0,
+        # converged, and no column is asked.
+        m = cubic_model(np.zeros(n), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
+        np.testing.assert_array_equal(s, np.zeros(n))
+        assert diag["converged"] and diag["taylor_decrease"] == 0.0
+        assert diag["hvp_evals"] == diag["iterations"] == diag["escapes"] == 0
 
     def test_descent_always(self):
         rng = np.random.default_rng(1)
@@ -113,12 +111,19 @@ class TestCubicStep:
         assert m.value_and_gradient(s2)[0] <= m.value_and_gradient(s1)[0] + 1e-12
         assert abs(s2[0]) > 1e-3  # moved off the negative-curvature axis
 
-    def test_budget_exhaustion_keeps_descent(self, monkeypatch):
-        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 3)
-        m = cubic_model(np.ones(6), np.diag(np.linspace(-2.0, 5.0, 6)), 0.4)
-        s, diag = cubic_step(m, eps1=1e-12, theta=0.5)
+    def test_exhausted_space_keeps_descent(self):
+        # At eps1 = 0 no tolerance can be met: the basis grows until it
+        # spans the space, n columns, and the step is the global minimiser.
+        n = 6
+        g, H, sigma = np.ones(n), np.diag(np.linspace(-2.0, 5.0, n)), 0.4
+        m = cubic_model(g, H, sigma)
+        s, diag = cubic_step(m, eps1=0.0, theta=0.5)
         assert not diag["converged"]
+        assert diag["hvp_evals"] == diag["iterations"] == n
         assert m.value_and_gradient(s)[0] <= 0.0
+        exact = cubic_model(g, H, sigma)
+        s_exact, _ = cubic_step(exact, eps1=0.0, theta=0.5, eps2=0.0)
+        np.testing.assert_allclose(s, s_exact, rtol=0, atol=1e-12)
 
     def test_counts_hessian_work(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
@@ -126,12 +131,11 @@ class TestCubicStep:
         assert diag["hvp_evals"] >= diag["iterations"] > 0
 
     def test_materialisation_counts_one_action_per_column(self):
-        # A stationary start probes curvature once through the dense
-        # leftmost eigenpair: one (n, n) block, counted as n actions.
+        # A stationary start asks nothing of a first-order solve.
         n = 4
         m = cubic_model(np.zeros(n), np.eye(n), 1.0)
         _, diag = cubic_step(m, eps1=1e-3, theta=0.5)
-        assert diag["hvp_evals"] == n
+        assert diag["hvp_evals"] == 0
         # The exact solve reads the n columns of the matrix, once.
         _, diag = cubic_step(m, eps1=1e-3, theta=0.5, eps2=1e-3)
         assert diag["hvp_evals"] == n
@@ -175,11 +179,10 @@ class TestCubicStep:
         assert columns == [6]
 
     def test_hvp_evals_counts_requested_columns_however_answered(self):
-        # A spectral-gradient solve (here without eps2) asks the cached
-        # matrix when the model's SampleHessian holds one, and the callable
-        # otherwise.  H is diagonal, so products with the cached matrix
-        # equal the callable's bit for bit and both solves take the same
-        # path.
+        # A subspace solve (here without eps2) asks the cached matrix when
+        # the model's SampleHessian holds one, and the callable otherwise.
+        # H is diagonal, so products with the cached matrix equal the
+        # callable's bit for bit and both solves take the same path.
         cached, cached_columns = self.saddle_instance()
         cached.hessian_action.dense()
         uncached, columns = self.saddle_instance()
@@ -188,31 +191,27 @@ class TestCubicStep:
         np.testing.assert_array_equal(s1, s2)
         assert cached_columns == [6]  # the build alone reached the callable
         assert diag1["hvp_evals"] == diag2["hvp_evals"] == sum(columns)
-        assert diag1["hvp_evals"] > diag1["iterations"] > 0
+        assert diag1["hvp_evals"] == diag1["iterations"] > 0  # a column per basis vector
 
-    def test_first_order_escape_refuses_an_asymmetric_action(self):
-        # Without eps2 nothing builds the dense matrix, but the escape's
-        # eigenpair checks the identity-block action as the dense build does.
-        m = cubic_model([0.0, 0.0], [[-2.0, 0.5], [-0.5, 1.0]], 3.0)
+    def test_curvature_test_refuses_an_asymmetric_action(self):
+        # Above DENSE_MAX_N nothing builds the dense matrix, but the
+        # order-two measure of a q = 2 solve checks the action's symmetry.
+        n = DENSE_MAX_N + 1
+        A = np.diag(np.r_[-2.0, np.ones(n - 1)])
+        A[0, 1], A[1, 0] = 0.5, -0.5
+        m = cubic_model(np.zeros(n), A, 3.0)
         with pytest.raises(ValueError, match="not symmetric"):
-            SampleHessian(2, m.hessian_action).dense()
-        with pytest.raises(ValueError, match="not symmetric"):
-            cubic_step(m, eps1=1e-8, theta=0.5)
+            cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
 
-    @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 1])
+    @pytest.mark.parametrize("n", [DENSE_MAX_N + 1])
     def test_escape_does_not_depend_on_the_eigenvector_sign(self, n, monkeypatch):
-        # The model is even in the negative-curvature coordinate, so both
-        # escape candidates decrease it alike and only the orientation of
-        # d1 picks one.  n > DENSE_MAX_N takes eigsh, at q = 2, from a
-        # gradient orthogonal to the negative-curvature axis.  On the dense
-        # path q = 2 solves are exact and never escape, so n = 6 escapes at
-        # q = 1 from the stationary start g = 0, where numpy's eigh gives d1
-        # and its largest entry orients it.
+        # The model is even in the negative-curvature coordinate, so a step
+        # either way along it decreases the model alike and only the
+        # orientation of the added eigenvector d1 picks one.  Above
+        # DENSE_MAX_N a q = 2 solve adds d1 from eigsh, here from a gradient
+        # orthogonal to the negative-curvature axis.
         H = np.diag(np.linspace(-2.0, 5.0, n))
         g = np.r_[0.0, np.full(n - 1, (n - 1) ** -0.5)]
-        eps2 = None if dense_path(n) else 1e-6
-        if dense_path(n):
-            g = np.zeros(n)
         solves = []
         for sign in (1.0, -1.0):
             monkeypatch.setattr(
@@ -222,7 +221,7 @@ class TestCubicStep:
                     *leftmost_eigenpair(action, n)
                 ),
             )
-            solves.append(cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=eps2))
+            solves.append(cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=1e-6))
         (s_plus, diag_plus), (s_minus, diag_minus) = solves
         assert diag_plus["escapes"] >= 1
         assert s_plus.tobytes() == s_minus.tobytes()
@@ -237,49 +236,75 @@ class TestCubicStep:
         _, grad, _ = m.value_and_gradient(s)
         assert phi_2(grad, model_hessian_action(m, s), 2).value <= 0.5 * 1e-6
 
-    def test_reports_taylor_decrease_and_grad_norm_at_the_step(self, monkeypatch):
-        """The solve's measures equal fresh ones at its step, bit for bit:
-        on a converged solve, after an escape, on an exact solve, whose
-        product with the matrix a fresh action repeats, and when the
-        iteration cap returns the best iterate, whose fallback takes one
-        action there."""
+    def test_reports_taylor_decrease_and_grad_norm_at_the_step(self):
+        """The solve's measures equal fresh ones at its step: bit for bit
+        on an exact solve, whose product with the matrix a fresh action
+        repeats, and to round-off on a subspace solve, converged, after an
+        eigenvector addition or stopped by a spanning basis, whose H s
+        combines the basis's actions and asks no column of its own."""
 
         def fresh(m, s):
             _, grad, hs = m.value_and_gradient(s)
             return -float(m.grad @ s) - 0.5 * float(s @ hs), float(np.linalg.norm(grad))
-
-        m = cubic_model([1.0, 0.3], [[2.0, 0.5], [0.5, 1.0]], 0.7)
-        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
-        assert diag["converged"] and diag["escapes"] == 0
-        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
-
-        m = cubic_model([0.0, 0.0, 0.0], np.diag([-2.0, 1.0, 3.0]), 3.0)
-        s, diag = cubic_step(m, eps1=1e-8, theta=0.5)
-        assert diag["converged"] and diag["escapes"] == 1
-        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
 
         m, _ = self.saddle_instance()
         s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
         assert diag["converged"] and diag["escapes"] == diag["iterations"] == 0
         assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
 
-        H = np.array([[1.5, 1.0, -0.5], [1.0, 1.0, 0.0], [-0.5, 0.0, 0.5]])
-        columns = []
-        m = RegularisedModel(
-            np.array([0.0, 0.5, -0.5]), 0.25, lambda v: (columns.append(v.copy()), H @ v)[1]
-        )
-        monkeypatch.setattr(subproblem, "_MAX_INNER_ITERATIONS", 6)
-        s, diag = cubic_step(m, eps1=1e-14, theta=0.5)
-        assert not diag["converged"]
-        # The step was asked of H as a trial and once more by the fallback.
-        assert sum(np.array_equal(v, s) for v in columns) == 2
-        assert diag["hvp_evals"] == len(columns) == 9
-        assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
+        n = DENSE_MAX_N + 1
+        cases = [
+            (cubic_model([1.0, 0.3], [[2.0, 0.5], [0.5, 1.0]], 0.7), 1e-8, None, True, 0),
+            (cubic_model(np.zeros(n), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0), 1e-8, 1e-6, True, 1),
+            (cubic_model([0.0, 0.5, -0.5], [[1.5, 1.0, -0.5], [1.0, 1.0, 0.0], [-0.5, 0.0, 0.5]], 0.25),
+             0.0, None, False, 0),
+        ]
+        for m, eps1, eps2, converged, escapes in cases:
+            s, diag = cubic_step(m, eps1=eps1, theta=0.5, eps2=eps2)
+            assert (diag["converged"], diag["escapes"]) == (converged, escapes)
+            columns = m.hessian_action.columns
+            taylor, grad_norm = fresh(m, s)
+            assert m.hessian_action.columns == columns + 1  # fresh took the only new one
+            assert diag["taylor_decrease"] == pytest.approx(taylor, rel=1e-12, abs=1e-15)
+            assert diag["grad_norm"] == pytest.approx(grad_norm, rel=1e-6, abs=1e-14)
 
     def test_theta_validated(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(ValueError):
             cubic_step(m, 1e-3, 0.7)
+
+
+class TestSubspaceSolve:
+    """Solves without eps2, or above DENSE_MAX_N: the model minimised on a
+    basis grown from g, one Hessian column per basis vector."""
+
+    def test_matches_the_global_oracle_on_small_instances(self):
+        # n <= 3, convex and indefinite, with a generic gradient, which
+        # the Krylov space of every such instance reaches.
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            A = rng.standard_normal((n, n))
+            g, H, sigma = rng.standard_normal(n), 0.5 * (A + A.T), float(rng.uniform(0.3, 3.0))
+            m = cubic_model(g, H, sigma)
+            s, diag = cubic_step(m, eps1=1e-9, theta=0.5)
+            assert diag["converged"] and diag["hvp_evals"] <= n
+            assert abs(diag["model_value"] - cubic_model_oracle(g, H, sigma)) <= 1e-8
+
+    def test_meets_the_tolerance_within_n_columns(self):
+        rng = np.random.default_rng(27)
+        for trial in range(30):
+            n = int(rng.integers(2, 61))
+            A = rng.standard_normal((n, n))
+            g = rng.standard_normal(n) * float(rng.uniform(1e-3, 10.0))
+            sigma = float(rng.uniform(0.05, 5.0))
+            eps1 = [1e-2, 1e-5, 1e-8][trial % 3]
+            m = cubic_model(g, 0.5 * (A + A.T), sigma)
+            s, diag = cubic_step(m, eps1=eps1, theta=0.5)
+            value, grad, _ = m.value_and_gradient(s)
+            assert value <= 0.0 and diag["converged"]
+            assert np.linalg.norm(grad) <= 0.5 * eps1
+            assert diag["hvp_evals"] == diag["iterations"] <= n
 
 
 EXACT_KINDS = ("indefinite", "hard", "saddle", "zero", "psd_singular", "definite")
@@ -374,6 +399,25 @@ class TestExactSolve:
             assert np.isfinite(s).all() and diag["model_value"] <= 0.0
             assert diag["grad_norm"] <= 1e-10 * (1.0 + np.linalg.norm(g))
         assert max(secular_evaluations) <= 10
+
+    @pytest.mark.parametrize("seed", [6, 9, 12, 13, 14, 15, 16, 17])
+    def test_huge_regulariser_keeps_the_cubic_term_of_a_tiny_step(self, seed):
+        # Hard cases and saddles at sigma = 1e300 step 2e-300 along the
+        # leftmost eigenvector, whose entries square to 0.  The model
+        # value there, about -(2/3) |lambda_min|^3 / sigma^2, is below the
+        # smallest double, but the step norm, the (sigma/2) ||s|| s term of
+        # the model gradient and the model Hessian must keep it.
+        g, H, _ = exact_case(seed)
+        sigma = 1e300
+        m = cubic_model(g, H, sigma)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert 0.0 < np.abs(s).max() < 1e-290
+        _, grad, _ = m.value_and_gradient(s)
+        assert np.abs(grad).max() <= 1e-12 * np.abs(s).max()
+        curvature = model_hessian_action(m, s)(np.eye(g.size))
+        assert np.linalg.eigvalsh(0.5 * (curvature + curvature.T))[0] >= -1e-12
+        assert 0.5 * sigma * step_norm(s) >= -np.linalg.eigvalsh(H)[0] * (1.0 - 1e-12)
+        assert diag["model_value"] <= 0.0
 
     @pytest.mark.parametrize("seed", [6, 7, 8, 12, 13, 14])
     @pytest.mark.parametrize("flip", ["all", "first"])
