@@ -13,7 +13,7 @@ model of the p = 1 method has a closed-form minimiser and needs no object
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,14 +27,10 @@ _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))  # below it the squares of a n
 
 def step_norm(s: np.ndarray) -> float:
     """``np.linalg.norm`` of a vector s, bit for bit, except below about
-    1e-154, where its squares underflow: there it is the norm of
-    s / max|s_i|, scaled back."""
+    1e-154, where its squares underflow: there ``math.hypot``, which
+    scales."""
     norm = math.sqrt(float(s @ s))
-    if norm < _SQRT_TINY:
-        scale = float(np.abs(s).max(initial=0.0))
-        if scale > 0.0:
-            norm = scale * float(np.linalg.norm(s / scale))
-    return norm
+    return norm if norm >= _SQRT_TINY else math.hypot(*s.tolist())
 
 
 @dataclass(frozen=True)
@@ -43,12 +39,14 @@ class RegularisedModel:
 
     The Hessian is a :class:`SampleHessian`; a plain callable is wrapped
     in one.  Its column counter and dense cache are state, so a model
-    serves one solve at a time.
+    serves one solve at a time.  So is ``subspace``, which a first-order
+    solve leaves for a q = 2 solve to continue (``subproblem.cubic_step``).
     """
 
     grad: np.ndarray
     sigma: float
     hessian_action: Callable[[np.ndarray], np.ndarray]
+    subspace: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))

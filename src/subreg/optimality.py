@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_sum import SampleHessian
+from .model import step_norm
 
 __all__ = [
     "phi_1",
@@ -52,11 +53,6 @@ DENSE_MAX_N = 200  # largest order whose Hessian the eigensolvers materialise
 # phi2 used before, so that the seeded traces keep their bits.
 _MULTIPLIER_XTOL, _MULTIPLIER_RTOL = 1e-14, 8.9e-16
 _MULTIPLIER_MAX_ITERATIONS = 100
-
-
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a vector, bit for bit, without its dispatch."""
-    return math.sqrt(float(x @ x))
 
 
 def phi_1(g) -> float:
@@ -185,8 +181,13 @@ def _shifted_solves(lam, Q, w):
     """The dense searches' pieces for H = Q diag(lam) Q^T and w = Q^T g:
     the threshold below which a shift lam_i + mu counts as zero, the
     direction d(mu) = -(H + mu I)^+ g over the shifts above it, and its
-    norm, infinite when g has a component on a zero shift."""
-    zero_shift = 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0)))
+    norm, infinite when g has a component on a zero shift, on Python
+    floats as ``cubic_minimiser``'s search."""
+    lam_f, w_f = lam.tolist(), w.tolist()
+    zero_shift = 1e-12 * max(1.0, abs(lam_f[0]), abs(lam_f[-1]))  # lam ascends
+    # A gradient component on a (numerically) singular block makes the
+    # norm blow up as mu approaches the leftmost shift.
+    blow_up = 1e-13 * (1.0 + math.hypot(*w_f))
 
     def direction(mu: float) -> np.ndarray:
         shifted = lam + mu
@@ -196,15 +197,13 @@ def _shifted_solves(lam, Q, w):
         return -(Q @ coef)
 
     def norm_at(mu: float) -> float:
-        shifted = lam + mu
-        active = shifted > zero_shift
-        if active.all():
-            return _norm(w / shifted)
-        # A gradient component on a (numerically) singular block makes the
-        # norm blow up as mu approaches the leftmost shift.
-        if np.abs(w[~active]).max(initial=0.0) > 1e-13 * (1.0 + _norm(w)):
-            return np.inf
-        return _norm(w[active] / shifted[active])
+        coef = []
+        for l, wi in zip(lam_f, w_f):
+            if l + mu > zero_shift:
+                coef.append(wi / (l + mu))
+            elif abs(wi) > blow_up:
+                return math.inf
+        return math.hypot(*coef)
 
     return zero_shift, direction, norm_at
 
@@ -235,7 +234,7 @@ def _phi2_dense(g: np.ndarray, hessian: SampleHessian) -> TrustRegionResult:
         """||d(mu)|| and sum r_i^2 / (lam_i + mu), with r = w / (lam + mu)."""
         shifted = lam + mu
         r = w / shifted
-        return _norm(r), float(r @ (r / shifted))
+        return step_norm(r), float(r @ (r / shifted))
 
     hi = mu_lo + float(np.linalg.norm(g)) + 1.0
     mu_star = _boundary_multiplier(_unit_ball(norm_and_slope), probe, hi)
@@ -275,35 +274,36 @@ def cubic_minimiser(g, eigh, sigma: float) -> np.ndarray:
     # positive.  ||s(mu)|| >= |w_i| / (lam_i + mu) puts it above the
     # positive root of 2 mu (lam_i + mu) = 2 sigma |w_i| for each i, and
     # ||s(mu)|| <= ||w|| / (lam_1 + mu) below that of
-    # 2 mu (lam_1 + mu) = 2 sigma ||w||.
-    sqrt_sigma = float(np.sqrt(sigma))
-    lower = _multiplier_bound(lam, np.sqrt(2.0 * np.abs(w)) * sqrt_sigma)
-    upper = _multiplier_bound(lam[:1], np.array([np.sqrt(2.0 * _norm(w)) * sqrt_sigma]))
+    # 2 mu (lam_1 + mu) = 2 sigma ||w||.  Python floats: on a subspace
+    # solve's few entries numpy's calls cost more than the arithmetic.
+    lam_f, w_f = lam.tolist(), w.tolist()
+    sqrt_sigma = math.sqrt(sigma)
+    lower = max(
+        _multiplier_bound(l, math.sqrt(2.0 * abs(wi)) * sqrt_sigma) for l, wi in zip(lam_f, w_f)
+    )
+    upper = _multiplier_bound(lam_f[0], math.sqrt(2.0 * math.hypot(*w_f)) * sqrt_sigma)
 
     def newton(mu: float):
         """Whether the secular function is nonpositive at mu, and its
         Newton step, both scaled by radius * ||s|| so that neither
         overflows: (||s|| - r) / (r u @ (H + mu I)^-1 u + ||s|| / mu), with
-        u = s / ||s||."""
-        shifted = lam + mu
-        r = w / shifted
-        nd = _norm(r)
-        u = r / nd
+        u = s / ||s||, whose norm ``math.hypot`` takes without underflow."""
+        shifted = [l + mu for l in lam_f]
+        r = [wi / d for wi, d in zip(w_f, shifted)]
+        nd = math.hypot(*r)
         rad = radius(mu)
-        return nd >= rad, (nd - rad) / (rad * float(u @ (u / shifted)) + nd / mu)
+        slope = sum((ri / nd) ** 2 / d for ri, d in zip(r, shifted))
+        return nd >= rad, (nd - rad) / (rad * slope + nd / mu)
 
-    mu_star = _boundary_multiplier(newton, max(probe, float(lower.max())), 2.0 * float(upper[0]))
+    mu_star = _boundary_multiplier(newton, max(probe, lower), 2.0 * upper)
     return -(Q @ (w / (lam + mu_star)))
 
 
-def _multiplier_bound(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The positive root mu of 2 mu (lam + mu) = t^2, elementwise, each
-    from the form that does not cancel."""
-    root = np.hypot(lam, t)
-    bound = 0.5 * (root - lam)
-    pos = lam > 0.0
-    bound[pos] = t[pos] * (0.5 * t[pos] / (root[pos] + lam[pos]))
-    return bound
+def _multiplier_bound(lam: float, t: float) -> float:
+    """The positive root mu of 2 mu (lam + mu) = t^2, from the form that
+    does not cancel."""
+    root = math.hypot(lam, t)
+    return t * (0.5 * t / (root + lam)) if lam > 0.0 else 0.5 * (root - lam)
 
 
 def _unit_ball(norm_and_slope):

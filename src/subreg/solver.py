@@ -26,21 +26,13 @@ that matrix is not a request and is not charged, so CM stays the cost of
 the method; an exact q = 2 solve on the dense path reads all n columns of
 the matrix and is charged n actions.
 
-Both model orders share one sample-growth loop.  Each pass checks one
-accuracy level against the targets of the current step and lowers it
-until every target holds or every sample is the full sum.  For p = 1 the
-only sample is the gradient's, the target is the relative test
-omega * ||g|| and the level shrinks geometrically; for p = 2 a Hessian
-sample follows it, the targets are those of the predicted decrease at the
-cubic step (``accuracy_quantities``), and the level jumps straight to the
-smallest of them.  At q = 2 the targets come from ``cubic_step`` without
-``eps2``; only the pass whose targets hold takes the q = 2 step, so the
-dense matrix and its n columns come once per iteration.  A growth pass
-redoes only what grew.  While the Hessian sample is not extended, the
-next pass keeps its ``SampleHessian``; a pass that extends neither sample
-keeps the previous pass's step and is charged nothing, so CM and traces
-are those of a loop that rebuilds and re-solves on every pass that grew a
-sample.
+Both model orders share one sample-growth loop (``_grow_and_step``),
+whose passes lower an accuracy level until the targets of the current
+step hold or every sample is the full sum.  At q = 2 a subspace step
+sizes the samples, and only the pass whose targets hold takes the q = 2
+step, so the dense matrix and its n columns come once per iteration.  A
+pass redoes only what grew, so CM and traces are those of a loop that
+rebuilds and re-solves on every pass that grew a sample.
 
 The subproblem solver reports the Taylor decrease and the model gradient
 norm at its step, from the Hessian action it took there; the accuracy
@@ -57,7 +49,7 @@ import numpy as np
 
 from .finite_sum import FiniteSumProblem, SampleHessian, full_value
 from .model import RegularisedModel, accuracy_quantities
-from .optimality import check_termination, phi_2
+from .optimality import check_termination, dense_path, phi_2
 from .sampling import (
     bernstein_size,
     draw_subsample,
@@ -101,12 +93,13 @@ class SolverConfig:
     fast sample sizes grow.  Setting ``eps1`` (and ``eps2``) to zero
     disables the termination test for budget-only runs.  With ``p = 2`` it
     also makes the inner tolerance ``theta * eps1`` zero, so every subspace
-    solve asks its n columns, as an exact solve does (plus those of its
-    curvature measures at q = 2 above ``optimality.DENSE_MAX_N``), and
-    ``budget_cm`` is checked only between outer iterations: a 20 CM budget
-    on a 20000 x 50 sigmoid problem charged 27, 48 and 89 CM at q = 1 and
-    49, 28 and 155 CM at q = 2 (solver seeds 1000-1002).  ``_STALL_LIMIT``
-    (a constant, 60) full-sample iterations in a row without predicted
+    solve asks n columns and one at its step (plus its curvature measures'
+    at q = 2 above ``optimality.DENSE_MAX_N``), every q = 2 pass up to that
+    order takes the exact step at once, and ``budget_cm`` is checked only
+    between outer iterations: a 20 CM budget on a 20000 x 50 sigmoid
+    problem charged 27.8, 49.4 and 91.3 CM at q = 1 and 27.3, 48.4 and
+    89.5 CM at q = 2 (solver seeds 1000-1002).  ``_STALL_LIMIT`` (a
+    constant, 60) full-sample iterations in a row without predicted
     decrease raise ``SolverStallError``.
 
     How the cubic subproblem is solved is not configuration: the bound on
@@ -359,9 +352,12 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     comes from ``cubic_step`` and its two targets from
     ``accuracy_quantities``, and ``eps`` becomes the smallest of
     ``gamma_eps * eps`` and the targets, the size the current step asks
-    for in one pass; at q = 2 from the step without ``eps2``, and a pass
-    whose targets hold (or on full samples) takes the q = 2 step and checks
-    them against it.  Returns the last pass's ``StepRecord``.
+    for in one pass.  At q = 2 the targets come from the step without
+    ``eps2``; a pass whose targets hold takes the q = 2 step on the same
+    model (continuing the subspace above ``optimality.DENSE_MAX_N``) and
+    checks them against it, and a pass on full samples, or at
+    ``eps1 = 0`` on the dense path, takes it at once.  Returns the last
+    pass's ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The step is solved again
@@ -388,6 +384,14 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
         shared = g if draws[0].size == draws[1].size == N else None
         samples.append(_SampleGradient(problem, x, draws[1], shared))
 
+    def solve(model, eps2):
+        """``cubic_step`` on ``model``, charged its columns: the step, its
+        Taylor decrease and its accuracy targets."""
+        nonlocal hvp_props
+        s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
+        hvp_props += diag["hvp_evals"] * samples[1].idx.size
+        return s, diag["taylor_decrease"], accuracy_quantities(s, diag, omega)
+
     hessian = None
     hvp_props = passes = 0
     grew = [True] * cfg.p
@@ -408,32 +412,23 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
                 if grew[1]:
                     hessian = _sample_hessian(problem, samples[1], x, known)
                 model = RegularisedModel(g, sigma, hessian)
-                # Full samples meet any target, so they need no sizing step.
-                taken = eps2 is None or full
-                s, delta_t, targets, charged = _cubic_pass(model, omega, cfg, eps2 if taken else None)
-                hvp_props += charged * samples[1].idx.size
+                # Full samples need no sizing step, nor does eps1 = 0 on the
+                # dense path, where it would ask as many columns as the step.
+                taken = eps2 is None or full or (cfg.eps1 == 0.0 and dense_path(n))
+                s, delta_t, targets = solve(model, eps2 if taken else None)
 
         passes += 1
         done = full or all(eps <= e for e in targets)
         if done and not taken:
             # The sizing step met its targets: take the q = 2 step on the
             # same samples and check the targets again against it.
-            s, delta_t, targets, charged = _cubic_pass(model, omega, cfg, eps2)
-            hvp_props += charged * samples[1].idx.size
-            taken = True
-            done = all(eps <= e for e in targets)
+            s, delta_t, targets = solve(model, eps2)
+            taken, done = True, all(eps <= e for e in targets)
         if done:
             h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
             return StepRecord(g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian)
         eps = cfg.gamma_eps * eps if cfg.p == 1 else min(cfg.gamma_eps * eps, *targets)
         grew = [sample.grow(rng, size(log)) for sample, log in zip(samples, logs)]
-
-
-def _cubic_pass(model, omega, cfg, eps2):
-    """``cubic_step`` on ``model``, as the growth loop reads it: the step,
-    its Taylor decrease, its accuracy targets and the columns it asked."""
-    s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
-    return s, diag["taylor_decrease"], accuracy_quantities(s, diag, omega), diag["hvp_evals"]
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> int:

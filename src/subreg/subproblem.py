@@ -1,18 +1,14 @@
 """Trial-step computation for the regularised models.
 
 The quadratic model has the closed-form global minimiser -g / sigma.  The
-cubic model is minimised exactly when the step targets second-order
-optimality and its Hessian is small enough to materialise
-(``optimality.dense_path``): one eigendecomposition of the sample's dense
-matrix gives the global minimiser (``optimality.cubic_minimiser``).
-Otherwise it is minimised on a subspace grown from g by the model
-gradient at the subspace minimiser, orthogonalised twice against the
-basis: in exact arithmetic the Lanczos basis of H and g (Gould, Lucidi,
-Roma and Toint, SIAM J. Optim. 1999, in the cubic form of Cartis, Gould
-and Toint 2011, Part I, section 6.2), whose model gradient norm is the
-Lanczos residual beta_k |e_k^T y_k|.  ``cubic_minimiser`` solves the model
-on the projected matrix from numpy's ``eigh``.  Every step the solver
-returns satisfies m(s) <= m(0) = 0.
+cubic model is minimised exactly (``optimality.cubic_minimiser`` on the
+sample's dense matrix) when the step targets second-order optimality on
+the dense path, and otherwise on a subspace grown from g by the model
+gradient, orthogonalised twice: in exact arithmetic the Lanczos basis of
+H and g (Gould, Lucidi, Roma and Toint, SIAM J. Optim. 1999, in the cubic
+form of Cartis, Gould and Toint 2011, Part I, section 6.2), whose model
+gradient norm is the Lanczos residual beta_k |e_k^T y_k|.  Every step the
+solver returns satisfies m(s) <= m(0) = 0.
 """
 
 from __future__ import annotations
@@ -52,15 +48,19 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     the model's ``SampleHessian`` keeps: it meets every tolerance, takes no
     iteration and asks for the matrix's n columns.  Otherwise the subspace
     grows, one column per basis vector (``iterations``), until the model
-    gradient norm is at most theta * eps1 or the basis spans the space, so
-    a solve asks at most n columns.  With ``eps2`` the solve then measures
-    phi_2 of the model at its step and, while it exceeds theta * eps2,
-    adds the leftmost eigenvector of the model Hessian there to the basis
-    (``escapes``, at most 20) and goes on.  ``converged`` says whether the
-    tolerances were met.  The diagnostics carry ``grad_norm`` and
-    ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned step, from
-    H s: a product with the matrix, or the basis's actions combined.
-    ``hvp_evals`` counts the columns asked of the model's ``SampleHessian``.
+    gradient norm is at most theta * eps1 or the basis spans the space,
+    and the solve settles on its step with one more column there, so a
+    solve asks at most n + 1 columns.  With ``eps2`` the solve then
+    measures phi_2 of the model at its step and, while it exceeds
+    theta * eps2, adds the leftmost eigenvector of the model Hessian there
+    to the basis (``escapes``, at most 20) and goes on.  A solve with
+    ``eps2`` continues the subspace that a solve without it at the same
+    theta * eps1 left on the model, with the same result as a solve from
+    scratch, and asks only the columns it adds.  ``converged`` says
+    whether the tolerances were met.  The diagnostics carry ``grad_norm``
+    and ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned step,
+    from the one action the solve asked there.  ``hvp_evals`` counts the
+    columns asked of the model's ``SampleHessian``.
     """
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
@@ -74,63 +74,88 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         return s, _report(model, s, value, grad, hs, 0, n, True, 0)
 
     tol = theta * eps1
-    # Row j of Q is the j-th basis vector, of W its action, T = Q H Q^T;
-    # k rows are in use, and the buffers double when full.
-    size = min(n, 8)
-    Q, W, T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
-    k = iterations = escapes = 0
-    s, hs = np.zeros(n), np.zeros(n)
-    value, grad = 0.0, g
-    converged = False
-
-    def grow(v, norm: float) -> bool:
-        """Add v's part orthogonal to the basis, where ``norm`` is ||v||;
-        False when v lies in the span."""
-        nonlocal Q, W, T, k
-        for _ in range(2):
-            v = v - Q[:k].T @ (Q[:k] @ v)
-        rest = step_norm(v)
-        if k == n or rest <= _IN_SPAN * norm:
-            return False
-        if k == len(Q):
-            size = min(n, 2 * k)
-            Q, W = (np.resize(A, (size, n)) for A in (Q, W))
-            T = np.pad(T, (0, size - k))
-        Q[k] = v / rest
-        W[k] = H(Q[k])
-        T[k, : k + 1] = T[: k + 1, k] = Q[: k + 1] @ W[k]
-        k += 1
-        return True
-
-    def minimise():
-        nonlocal s, hs, value, grad
-        y = cubic_minimiser(Q[:k] @ g, np.linalg.eigh(T[:k, :k]), model.sigma)
-        s, hs = Q[:k].T @ y, W[:k].T @ y
-        value, grad, _ = model.value_and_gradient(s, hs)
-
-    while True:
-        grad_norm = step_norm(grad)
-        first_order = grad_norm <= tol
-        if not first_order and grow(grad, grad_norm):
-            iterations += 1
-            minimise()
-            continue
-        # Without a curvature test, or at the global minimiser of a basis
-        # that spans the space, the first-order test decides.
-        converged = first_order
-        if eps2 is None or not first_order or k == n:
-            break
-        model_hessian = model_hessian_action(model, s)
-        converged = phi_2(grad, model_hessian, n).value <= theta * eps2
+    sub, earlier = model.subspace, 0
+    object.__setattr__(model, "subspace", None)
+    if eps2 is not None and sub is not None and sub.tol == tol:
+        earlier = sub.k  # basis vectors of the solve it continues
+    else:
+        sub = _Subspace(model, tol)
+        sub.descend(model)
+    escapes = 0
+    converged = sub.converged
+    # At the global minimiser of a basis that spans the space the
+    # first-order test decides.
+    while eps2 is not None and converged and sub.k < n:
+        model_hessian = model_hessian_action(model, sub.s)
+        converged = phi_2(sub.grad, model_hessian, n).value <= theta * eps2
         if converged or escapes == _MAX_ESCAPES:
             break
         lam1, d1 = leftmost_eigenpair(model_hessian, n)
-        if lam1 >= -1e-12 or not grow(downhill(grad, d1), 1.0):
+        if lam1 >= -1e-12 or not sub.grow(model, downhill(sub.grad, d1), 1.0):
             break  # no curvature left to add at this accuracy
         escapes += 1
-        minimise()
+        converged = sub.descend(model)
+    if eps2 is None:
+        object.__setattr__(model, "subspace", sub)
 
-    return s, _report(model, s, value, grad, hs, iterations, H.columns - start, converged, escapes)
+    iterations = sub.k - earlier - escapes
+    return sub.s, _report(
+        model, sub.s, sub.value, sub.grad, sub.hs, iterations, H.columns - start, converged, escapes
+    )
+
+
+class _Subspace:
+    """The space a subspace solve minimises the model over, and its step.
+
+    Row j of ``Q`` is the j-th orthonormal basis vector and row j of ``W``
+    its action, and T = Q H Q^T; ``k`` rows are in use, and the buffers
+    double when full.  ``s`` is the model's minimiser on the span, with
+    the model's value, gradient and action ``hs = H s`` there, and
+    ``converged`` whether the gradient norm is at most ``tol``.
+    """
+
+    def __init__(self, model: RegularisedModel, tol: float):
+        n, size = model.n, min(model.n, 8)
+        self.tol, self.k, self.converged = tol, 0, False
+        self.Q, self.W, self.T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+        self.s, self.hs, self.value, self.grad = np.zeros(n), np.zeros(n), 0.0, model.grad
+
+    def grow(self, model: RegularisedModel, v, norm: float) -> bool:
+        """Add v's part orthogonal to the basis, where ``norm`` is ||v||,
+        and minimise the model on the new span; False when v lies in the
+        span."""
+        n, k = model.n, self.k
+        for _ in range(2):
+            v = v - self.Q[:k].T @ (self.Q[:k] @ v)
+        rest = step_norm(v)
+        if k == n or rest <= _IN_SPAN * norm:
+            return False
+        if k == len(self.Q):
+            size = min(n, 2 * k)
+            self.Q, self.W = (np.resize(A, (size, n)) for A in (self.Q, self.W))
+            self.T = np.pad(self.T, (0, size - k))
+        Q, W, T = self.Q, self.W, self.T
+        Q[k] = v / rest
+        W[k] = model.hessian_action(Q[k])
+        T[k, : k + 1] = T[: k + 1, k] = Q[: k + 1] @ W[k]
+        self.k = k = k + 1
+        y = cubic_minimiser(Q[:k] @ model.grad, np.linalg.eigh(T[:k, :k]), model.sigma)
+        self.s, self.hs = Q[:k].T @ y, W[:k].T @ y
+        self.value, self.grad, _ = model.value_and_gradient(self.s, self.hs)
+        return True
+
+    def descend(self, model: RegularisedModel) -> bool:
+        """Grow along the model gradient until its norm is at most ``tol``
+        or the basis spans the space, then settle on the step: the model's
+        measures there come from one action at the step, not from the
+        basis's actions combined, and decide ``converged``."""
+        norm = step_norm(self.grad)
+        while norm > self.tol and self.grow(model, self.grad, norm):
+            norm = step_norm(self.grad)
+        if self.s.any():
+            self.value, self.grad, self.hs = model.value_and_gradient(self.s)
+        self.converged = step_norm(self.grad) <= self.tol
+        return self.converged
 
 
 def _report(model, s, value, grad, hs, iterations, hvp_evals, converged, escapes):

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 from subreg.model import RegularisedModel, accuracy_quantities
-from subreg.optimality import TrustRegionResult
+from subreg.optimality import TrustRegionResult, dense_path
 from subreg.sampling import (
     bernstein_size,
     draw_subsample,
@@ -279,8 +279,9 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     each pass builds a new ``SampleHessian`` and solves the cubic model
     again, whether or not a sample grew.  A pass sizes the samples from the
     step without ``eps2``; at q = 2, once its targets hold, it takes the
-    step with ``eps2`` and checks the targets again against that one, and
-    on full samples it takes that step at once.  A pass that grew neither sample solves again
+    step with ``eps2`` and checks the targets again against that one; on
+    full samples, and at ``eps1 = 0`` on the dense path, it takes that step
+    at once.  A pass that grew neither sample solves again
     for the step the previous pass ended with, and that solve is not
     charged; every other solve is charged its columns.  After each pass the
     accuracy level drops to the smallest of ``gamma_eps`` times itself and
@@ -307,7 +308,7 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(g, sigma, hessian)
         full = g_idx.size == N and h_idx.size == N
-        taken = (taken and not grew) or full or cfg.q == 1
+        taken = (taken and not grew) or full or cfg.q == 1 or (cfg.eps1 == 0.0 and dense_path(n))
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2 if taken else None)
         if grew:
             hvp_props += diag["hvp_evals"] * h_idx.size

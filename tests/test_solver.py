@@ -8,6 +8,7 @@ import subreg.solver as solver_module
 import subreg.subproblem as subproblem_module
 from subreg.finite_sum import CustomProblem, full_gradient, full_value
 from subreg.harness import synthesize_dataset, write_trace
+from subreg.model import RegularisedModel
 from subreg.optimality import DENSE_MAX_N, cubic_minimiser, dense_path
 from subreg.problems import NetworkSpec, SquaredLossProblem, initial_point
 from subreg.sampling import bernstein_size, gradient_log_argument, hessian_log_argument
@@ -813,10 +814,9 @@ class TestOrderTwoTargets:
         # through every growth pass to the full sums, and charged a median
         # of 5338 CM over these seeds against the 20 CM budget: 44.7 CM
         # with targets from the predicted decrease and spectral-gradient
-        # solves run to their iteration cap, 55.0 CM with exact solves on
-        # every pass, 97.9 CM with sizing solves that span the space (n
-        # columns each, as an exact solve) and one exact step per pass
-        # whose targets hold.
+        # solves run to their iteration cap, and 55.0 CM with exact solves
+        # on every pass, which these passes take without a sizing solve
+        # (one would span the space, n columns, as the exact step does).
         cfg = dict(p=2, q=2, eps1=0.0, eps2=1e-3, budget_cm=20.0)
         charged = [
             minimize(q2_sigmoid_problem, SolverConfig(seed=seed, **cfg)).total_cm
@@ -893,6 +893,32 @@ class TestSizingPasses:
                 charged = sum(size * diag["hvp_evals"] for size, diag in exact + sizing)
                 assert step.hvp_props == charged
 
+    def test_q2_step_above_dense_max_n_continues_the_sizing_solve(self, monkeypatch):
+        # Above DENSE_MAX_N the q = 2 step a pass takes continues the
+        # sizing solve on the same model: it returns what a solve from
+        # scratch returns and asks only the columns the sizing solve did not.
+        prob = sigmoid_problem(seed=7, N=300, d=DENSE_MAX_N + 1)
+        solve = solver_module.cubic_step
+        sizing, continued = {}, []
+
+        def counted_solve(model, eps1, theta, eps2):
+            s, diag = solve(model, eps1, theta, eps2)
+            if eps2 is None:
+                sizing[id(model)] = (model, diag)  # kept alive: ids stay unique
+            elif id(model) in sizing:
+                first = sizing.pop(id(model))[1]
+                fresh = RegularisedModel(model.grad, model.sigma, model.hessian_action)
+                s_scratch, scratch = solve(fresh, eps1, theta, eps2)
+                assert s.tobytes() == s_scratch.tobytes()
+                assert first["hvp_evals"] + diag["hvp_evals"] == scratch["hvp_evals"]
+                continued.append(diag)
+            return s, diag
+
+        monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
+        cfg = SolverConfig(p=2, q=2, eps1=0.1, eps2=1e-2, kappa=1e-3, budget_cm=100.0, seed=3)
+        minimize(prob, cfg)
+        assert continued and any(diag["hvp_evals"] for diag in continued)
+
     def test_one_gram_build_per_iteration(self, q2_sigmoid_problem, monkeypatch):
         # Sizing solves answer their columns from the sample's rows: the
         # Gram matrix is built for the samples an exact step is taken on.
@@ -919,10 +945,11 @@ class TestSizingPasses:
 
 
 class TestPerSolveBound:
-    """A subspace solve asks at most n columns, plus those of the curvature
-    measures of its eigenvector additions above DENSE_MAX_N, even at
-    eps1 = 0, where no tolerance stops it; only the budget check between
-    iterations is left unbounded."""
+    """A subspace solve asks at most n columns for its basis and one at
+    each step it settles on, plus those of the curvature measures of its
+    eigenvector additions above DENSE_MAX_N, even at eps1 = 0, where no
+    tolerance stops it; only the budget check between iterations is left
+    unbounded.  At eps1 = 0 on the dense path every q = 2 solve is exact."""
 
     CASES = ["q2_sigmoid", "net", "custom", "wide"]
 
@@ -968,8 +995,8 @@ class TestPerSolveBound:
         res = minimize(prob, cfg, x0=x0)
         assert res.stop_reason == "budget"
         subspace = [(diag, extra) for exact, diag, extra in solves if not exact]
-        assert subspace
-        assert all(diag["hvp_evals"] <= n + extra for diag, extra in subspace)
+        assert bool(subspace) != (q == 2 and dense_path(n))
+        assert all(diag["hvp_evals"] <= n + 1 + diag["escapes"] + extra for diag, extra in subspace)
         assert all(diag["iterations"] + diag["escapes"] <= n for diag, _ in subspace)
         assert all(diag["hvp_evals"] == n for exact, diag, _ in solves if exact)
 
@@ -1056,33 +1083,35 @@ class TestStepMeasures:
     def test_unconverged_solves_measure_no_curvature(self, monkeypatch):
         # At eps1 = 0 the subspace solves (q = 2 above DENSE_MAX_N) meet no
         # first-order tolerance: each grows its basis until it spans the
-        # space or the Krylov space of a small sample, at most n columns,
-        # without a second-order test.  Nothing reads the order-two
-        # measure at their steps, so none is taken, and no column is asked
-        # outside them.
+        # space or the Krylov space of a small sample, at most n columns
+        # and one at its step, without a second-order test, and a q = 2
+        # step that continues a sizing solve asks nothing more.  Nothing
+        # reads the order-two measure at their steps, so none is taken,
+        # and no column is asked outside them.
         n = DENSE_MAX_N + 1
         measured = self.measured_in_the_solve(monkeypatch)
         prob = sigmoid_problem(seed=7, N=300, d=n)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
         assert len(outside) == 2 and not any(diag["converged"] for diag in reports)
-        assert all(diag["hvp_evals"] == diag["iterations"] <= n for diag in reports)
+        assert all(
+            diag["hvp_evals"] - 1 == diag["iterations"] <= n or diag["hvp_evals"] == diag["iterations"] == 0
+            for diag in reports
+        )
         assert outside == [0, 0]
         assert measured == []
 
     def test_exact_solves_measure_no_curvature(self, monkeypatch):
         # On the dense path the q = 2 steps are exact whatever eps1: they
-        # converge at eps1 = 0, where the sizing solves before them span
-        # the space.  None takes an order-two measure or asks a column
-        # outside the solves.
+        # converge at eps1 = 0, where no sizing solve precedes them.  None
+        # takes an order-two measure or asks a column outside the solves.
         measured = self.measured_in_the_solve(monkeypatch)
         prob = sigmoid_problem(seed=7, N=300, d=6)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
-        exact = [diag for diag in reports if diag["iterations"] == 0]
-        assert len(outside) == 2 and len(exact) >= 2
-        assert all(diag["converged"] and diag["hvp_evals"] == 6 for diag in exact)
-        assert all(diag["hvp_evals"] == diag["iterations"] == 6 for diag in reports if diag not in exact)
+        assert len(outside) == 2 and len(reports) >= 2
+        assert all(diag["converged"] and diag["hvp_evals"] == 6 for diag in reports)
+        assert all(diag["iterations"] == 0 for diag in reports)
         assert outside == [0, 0]
         assert measured == []
 

@@ -113,13 +113,14 @@ class TestCubicStep:
 
     def test_exhausted_space_keeps_descent(self):
         # At eps1 = 0 no tolerance can be met: the basis grows until it
-        # spans the space, n columns, and the step is the global minimiser.
+        # spans the space, n columns, the solve settles on its step with
+        # one more, and the step is the global minimiser.
         n = 6
         g, H, sigma = np.ones(n), np.diag(np.linspace(-2.0, 5.0, n)), 0.4
         m = cubic_model(g, H, sigma)
         s, diag = cubic_step(m, eps1=0.0, theta=0.5)
         assert not diag["converged"]
-        assert diag["hvp_evals"] == diag["iterations"] == n
+        assert diag["hvp_evals"] - 1 == diag["iterations"] == n
         assert m.value_and_gradient(s)[0] <= 0.0
         exact = cubic_model(g, H, sigma)
         s_exact, _ = cubic_step(exact, eps1=0.0, theta=0.5, eps2=0.0)
@@ -191,7 +192,8 @@ class TestCubicStep:
         np.testing.assert_array_equal(s1, s2)
         assert cached_columns == [6]  # the build alone reached the callable
         assert diag1["hvp_evals"] == diag2["hvp_evals"] == sum(columns)
-        assert diag1["hvp_evals"] == diag1["iterations"] > 0  # a column per basis vector
+        # A column per basis vector, and one at the step.
+        assert diag1["hvp_evals"] - 1 == diag1["iterations"] > 0
 
     def test_curvature_test_refuses_an_asymmetric_action(self):
         # Above DENSE_MAX_N nothing builds the dense matrix, but the
@@ -202,6 +204,30 @@ class TestCubicStep:
         m = cubic_model(np.zeros(n), A, 3.0)
         with pytest.raises(ValueError, match="not symmetric"):
             cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+
+    def test_curvature_solve_continues_the_first_order_one(self):
+        # Above DENSE_MAX_N a solve with eps2 on a model that a solve
+        # without it left continues that solve's subspace: it returns what
+        # a solve from scratch returns, bit for bit, and asks only the
+        # columns it adds.  The gradient misses the negative-curvature
+        # axis, so the first-order solve stops at a saddle of the model.
+        n = DENSE_MAX_N + 1
+        H = np.diag(np.linspace(-2.0, 5.0, n))
+        g = np.r_[0.0, np.full(n - 1, (n - 1) ** -0.5)]
+        m = cubic_model(g, H, 0.4)
+        _, first = cubic_step(m, eps1=1e-8, theta=0.5)
+        s, diag = cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)
+        s_scratch, scratch = cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=1e-6)
+        assert s.tobytes() == s_scratch.tobytes()
+        assert first["converged"] and diag["converged"] and diag["escapes"] == scratch["escapes"] >= 1
+        for key in ("hvp_evals", "iterations"):
+            assert first[key] + diag[key] == scratch[key]
+        # After a solve with eps2, or after a first-order solve at another
+        # tolerance, it starts afresh.
+        assert m.subspace is None
+        assert cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)[1] == scratch
+        cubic_step(m, eps1=1e-6, theta=0.5)
+        assert cubic_step(m, eps1=1e-8, theta=0.5, eps2=1e-6)[1] == scratch
 
     @pytest.mark.parametrize("n", [DENSE_MAX_N + 1])
     def test_escape_does_not_depend_on_the_eigenvector_sign(self, n, monkeypatch):
@@ -237,11 +263,11 @@ class TestCubicStep:
         assert phi_2(grad, model_hessian_action(m, s), 2).value <= 0.5 * 1e-6
 
     def test_reports_taylor_decrease_and_grad_norm_at_the_step(self):
-        """The solve's measures equal fresh ones at its step: bit for bit
+        """The solve's measures equal fresh ones at its step, bit for bit:
         on an exact solve, whose product with the matrix a fresh action
-        repeats, and to round-off on a subspace solve, converged, after an
-        eigenvector addition or stopped by a spanning basis, whose H s
-        combines the basis's actions and asks no column of its own."""
+        repeats, and on a subspace solve, converged, after an eigenvector
+        addition or stopped by a spanning basis, which settles on its step
+        with one action there."""
 
         def fresh(m, s):
             _, grad, hs = m.value_and_gradient(s)
@@ -253,20 +279,16 @@ class TestCubicStep:
         assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
 
         n = DENSE_MAX_N + 1
+        H = [[1.5, 1.0, -0.5], [1.0, 1.0, 0.0], [-0.5, 0.0, 0.5]]
         cases = [
             (cubic_model([1.0, 0.3], [[2.0, 0.5], [0.5, 1.0]], 0.7), 1e-8, None, True, 0),
             (cubic_model(np.zeros(n), np.diag(np.r_[-2.0, np.ones(n - 1)]), 3.0), 1e-8, 1e-6, True, 1),
-            (cubic_model([0.0, 0.5, -0.5], [[1.5, 1.0, -0.5], [1.0, 1.0, 0.0], [-0.5, 0.0, 0.5]], 0.25),
-             0.0, None, False, 0),
+            (cubic_model([0.0, 0.5, -0.5], H, 0.25), 0.0, None, False, 0),
         ]
         for m, eps1, eps2, converged, escapes in cases:
             s, diag = cubic_step(m, eps1=eps1, theta=0.5, eps2=eps2)
             assert (diag["converged"], diag["escapes"]) == (converged, escapes)
-            columns = m.hessian_action.columns
-            taylor, grad_norm = fresh(m, s)
-            assert m.hessian_action.columns == columns + 1  # fresh took the only new one
-            assert diag["taylor_decrease"] == pytest.approx(taylor, rel=1e-12, abs=1e-15)
-            assert diag["grad_norm"] == pytest.approx(grad_norm, rel=1e-6, abs=1e-14)
+            assert (diag["taylor_decrease"], diag["grad_norm"]) == fresh(m, s)
 
     def test_theta_validated(self):
         m = cubic_model([1.0, 0.0], np.eye(2), 1.0)
@@ -276,7 +298,8 @@ class TestCubicStep:
 
 class TestSubspaceSolve:
     """Solves without eps2, or above DENSE_MAX_N: the model minimised on a
-    basis grown from g, one Hessian column per basis vector."""
+    basis grown from g, one Hessian column per basis vector and one at
+    the step."""
 
     def test_matches_the_global_oracle_on_small_instances(self):
         # n <= 3, convex and indefinite, with a generic gradient, which
@@ -288,7 +311,7 @@ class TestSubspaceSolve:
             g, H, sigma = rng.standard_normal(n), 0.5 * (A + A.T), float(rng.uniform(0.3, 3.0))
             m = cubic_model(g, H, sigma)
             s, diag = cubic_step(m, eps1=1e-9, theta=0.5)
-            assert diag["converged"] and diag["hvp_evals"] <= n
+            assert diag["converged"] and diag["hvp_evals"] <= n + 1
             assert abs(diag["model_value"] - cubic_model_oracle(g, H, sigma)) <= 1e-8
 
     def test_meets_the_tolerance_within_n_columns(self):
@@ -304,7 +327,7 @@ class TestSubspaceSolve:
             value, grad, _ = m.value_and_gradient(s)
             assert value <= 0.0 and diag["converged"]
             assert np.linalg.norm(grad) <= 0.5 * eps1
-            assert diag["hvp_evals"] == diag["iterations"] <= n
+            assert diag["hvp_evals"] - 1 == diag["iterations"] <= n
 
 
 EXACT_KINDS = ("indefinite", "hard", "saddle", "zero", "psd_singular", "definite")
