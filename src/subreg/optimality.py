@@ -10,25 +10,24 @@ boundary-constrained problem (More and Sorensen, 1983), with the classic
 hard case (gradient orthogonal to the leftmost eigenspace) handled by
 completing the boundary solution along a leftmost eigenvector.  Up to
 ``DENSE_MAX_N`` unknowns numpy's ``eigh`` of ``SampleHessian.dense()``
-serves that search; above, ``eigsh`` and conjugate-gradient solves to a
-relative residual of 1e-10 serve the same search.
+serves that search.  Above, it runs on the projection of H onto a
+``Basis``, an orthonormal Krylov basis of g and a seeded random start
+(the Lanczos trust-region method of Gould, Lucidi, Roma and Toint, SIAM
+J. Optim. 1999), which the cubic model's subspace solves grow too.  The
+random start finds the curvature that a g-started space misses: the hard
+case, and g = 0 at a saddle.
 
 The same search and hard-case rule also give the global minimiser of
 the cubic model from an eigendecomposition (``cubic_minimiser``), whose
 multiplier is that of a ball of radius 2 mu / sigma: of a sample's dense
 matrix, which its order-two measure shares, or of a subspace solve's
 projected one.
-
-SciPy serves only the iterative path (n > DENSE_MAX_N: ``eigsh`` and
-``cg``), which only q = 2 solves reach, so it is imported on first use
-there: ``import subreg``, p = 1, q = 1 at any n and q = 2 on n <=
-DENSE_MAX_N load no SciPy submodule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,10 +44,12 @@ __all__ = [
     "downhill",
     "leftmost_eigenpair",
     "cubic_minimiser",
+    "Basis",
 ]
 
-_EIGSH_SEED = 1423  # deterministic start-vector stream for the eigensolver
+_START_SEED = 1423  # deterministic stream of the Krylov random start
 DENSE_MAX_N = 200  # largest order whose Hessian the eigensolvers materialise
+_KRYLOV_TOL = 1e-10  # residual at which a Krylov measure stops, relative to its scale
 # Step tolerances of the dense multiplier search: brentq's, which the dense
 # phi2 used before, so that the seeded traces keep their bits.
 _MULTIPLIER_XTOL, _MULTIPLIER_RTOL = 1e-14, 8.9e-16
@@ -84,8 +85,8 @@ def check_termination(phis, epsilons) -> bool:
 
 
 def dense_path(n: int) -> bool:
-    """Whether the eigensolvers materialise an order-n Hessian (eigsh needs n >= 3)."""
-    return n <= DENSE_MAX_N or n < 3
+    """Whether the eigensolvers materialise an order-n Hessian."""
+    return n <= DENSE_MAX_N
 
 
 def _sample_hessian(h_action, n: int) -> SampleHessian:
@@ -114,27 +115,17 @@ def leftmost_eigenpair(h_action, n: int):
 
     Only the dense path checks the action, on the matrix that
     ``SampleHessian.dense`` builds from it: one call on the identity block,
-    none for a ``SampleHessian`` that holds its matrix already.
+    none for a ``SampleHessian`` that holds its matrix already.  Above
+    ``DENSE_MAX_N`` it is the leftmost Ritz pair of a basis grown from the
+    seeded random start by that pair's residual until the residual is at
+    most 1e-10 of the projected spectrum's scale: at most n columns.
     """
     if dense_path(n):
         lam, q = _sample_hessian(h_action, n).eigh()
         return float(lam[0]), q[:, 0].copy()
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
-    # ARPACK's tolerance is relative to the eigenvalue, which no residual
-    # meets at a zero eigenvalue: shift by -2 ||H v0|| / ||v0||, at least
-    # twice the leftmost eigenvalue of a positive definite H.  H v0 = 0
-    # (H = 0 on a random v0) would give ARPACK a zero start: shift by 1.
-    # ARPACK's test floors |lambda| at about eps^(2/3) (1e-11), below which
-    # it stopped early, with the wrong sign on a spectrum of scale 1e-20:
-    # dividing by the shift runs it at unit scale, and the eigenvalue is
-    # scaled back.
-    shift = 2.0 * float(np.linalg.norm(h_action(v0))) / float(np.linalg.norm(v0)) or 1.0
-    op = LinearOperator((n, n), matvec=lambda v: np.asarray(h_action(v), dtype=float) / shift - v)
-    lam, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=50 * n, tol=1e-9)
-    v = vec[:, 0]
-    return (float(lam[0]) + 1.0) * shift, v / np.linalg.norm(v)
+    basis, (lam, Y), _ = _krylov(np.zeros(n), h_action, n)
+    x = basis.Q[: basis.k].T @ Y[:, 0]
+    return float(lam[0]), x / step_norm(x)
 
 
 def phi_2(g, h_action, n: int) -> TrustRegionResult:
@@ -145,24 +136,89 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
     with ``SampleHessian.dense`` and decompose it with numpy's ``eigh``,
     both read back from ``h_action`` when it is a ``SampleHessian`` that
     holds them; the value is accurate to about 1e-12 of itself plus
-    machine precision times ||H||.  Iterative path, the only one that uses SciPy: leftmost
-    eigenpair (``eigsh``) plus conjugate-gradient solves to a relative
-    residual of 1e-10, each Newton step taking two.  Either path first
-    checks that the action is symmetric to 1e-3: the dense one on the
-    whole matrix, which must also be finite, the iterative one on two
-    random pairs of vectors.
+    machine precision times ||H||.  Krylov path: the projected problem of
+    a basis of g and the seeded random start, grown by the residual
+    (H + mu I) d + g, read from the basis's actions, to 1e-10 of ||g||
+    plus the projected spectrum's scale, then by the leftmost Ritz
+    residual as in ``leftmost_eigenpair``: at most n columns.  Either
+    path first checks that the action is symmetric to 1e-3: the dense one
+    on the whole matrix, which must also be finite, the Krylov one on two
+    random pairs of vectors (4 columns).
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
     if dense_path(n):
-        return _phi2_dense(g, _sample_hessian(h_action, n))
+        hessian = _sample_hessian(h_action, n)
+        return _phi2_dense(g, hessian.dense(), hessian.eigh())
     _check_symmetry_probabilistic(h_action, n)
-    return _phi2_iterative(g, h_action, n)
+    basis, _, solution = _krylov(g, h_action, n)
+    d = basis.Q[: basis.k].T @ solution.direction
+    # The projected value is the value at d; keep d feasible against round-off.
+    return replace(solution, direction=d / max(1.0, step_norm(d)))
+
+
+class Basis:
+    """An orthonormal basis grown one vector at a time, with the actions
+    of a symmetric operator on it.
+
+    Row j of ``Q`` is the j-th basis vector and row j of ``W`` its action,
+    and T = Q H Q^T; ``k`` rows are in use, and the buffers double when
+    full.  Each vector added asks one column of ``action``.
+    """
+
+    def __init__(self, action, n: int):
+        size = min(n, 8)
+        self.action, self.n, self.k = action, n, 0
+        self.Q, self.W, self.T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+
+    def add(self, v, floor: float) -> bool:
+        """Add v's part orthogonal to the basis, orthogonalised twice,
+        unless its norm is at most ``floor`` or the basis spans the space;
+        whether it was added."""
+        n, k = self.n, self.k
+        for _ in range(2):
+            v = v - self.Q[:k].T @ (self.Q[:k] @ v)
+        rest = step_norm(v)
+        if k == n or rest <= floor:
+            return False
+        if k == len(self.Q):
+            size = min(n, 2 * k)
+            self.Q, self.W = (np.resize(A, (size, n)) for A in (self.Q, self.W))
+            self.T = np.pad(self.T, (0, size - k))
+        Q, W, T = self.Q, self.W, self.T
+        Q[k] = v / rest
+        W[k] = self.action(Q[k])
+        T[k, : k + 1] = T[: k + 1, k] = Q[: k + 1] @ W[k]
+        self.k = k + 1
+        return True
+
+
+def _krylov(g, h_action, n: int):
+    """The Krylov path of ``phi_2`` and ``leftmost_eigenpair`` (g = 0):
+    the basis, the eigendecomposition (lam, Y) of its projected matrix and
+    phi2's projected solution.  Only a residual's part outside the basis
+    counts, so a differenced, slightly asymmetric action converges as an
+    exact one does."""
+    gnorm, basis = step_norm(g), Basis(h_action, n)
+    for v in (g, np.random.default_rng(_START_SEED).standard_normal(n)):
+        basis.add(v, 0.0)
+    while True:
+        k = basis.k
+        Q, W, T = basis.Q[:k], basis.W[:k], basis.T[:k, :k]
+        lam, Y = np.linalg.eigh(T)
+        scale = max(-float(lam[0]), float(lam[-1]))
+        solution = _phi2_dense(Q @ g, T, (lam, Y))
+        y, y1 = solution.direction, Y[:, 0]
+        if not (
+            basis.add(W.T @ y + solution.multiplier * (Q.T @ y) + g, _KRYLOV_TOL * (gnorm + scale))
+            or basis.add(W.T @ y1 - lam[0] * (Q.T @ y1), _KRYLOV_TOL * scale)
+        ):
+            return basis, (lam, Y), solution
 
 
 def _check_symmetry_probabilistic(h_action, n: int):
-    rng = np.random.default_rng(_EIGSH_SEED + 1)
+    rng = np.random.default_rng(_START_SEED + 1)
     for _ in range(2):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
@@ -208,9 +264,10 @@ def _shifted_solves(lam, Q, w):
     return zero_shift, direction, norm_at
 
 
-def _phi2_dense(g: np.ndarray, hessian: SampleHessian) -> TrustRegionResult:
-    lam, Q = hessian.eigh()
-    H = hessian.dense()
+def _phi2_dense(g: np.ndarray, H: np.ndarray, eigh) -> TrustRegionResult:
+    """phi2 of (g, H) for a symmetric matrix H and its eigendecomposition
+    ``eigh = (lam, Q)``, ascending."""
+    lam, Q = eigh
     w = Q.T @ g
     lam1 = float(lam[0])
     zero_shift, direction, norm_at = _shifted_solves(lam, Q, w)
@@ -230,14 +287,17 @@ def _phi2_dense(g: np.ndarray, hessian: SampleHessian) -> TrustRegionResult:
     # Boundary solution.  Every shift lam_i + mu is positive above mu_lo, so
     # the search and the direction divide by all of them; at mu_lo + ||g|| + 1
     # each is above ||w||, so ||d|| < 1 there.
-    def norm_and_slope(mu: float):
-        """||d(mu)|| and sum r_i^2 / (lam_i + mu), with r = w / (lam + mu)."""
+    def newton(mu: float):
+        """Newton steps on 1/||d(mu)|| - 1, whose derivative is
+        d @ (H + mu I)^-1 d / ||d||^3 = sum r_i^2 / (lam_i + mu) / ||d||^3,
+        with r = w / (lam + mu)."""
         shifted = lam + mu
         r = w / shifted
-        return step_norm(r), float(r @ (r / shifted))
+        nd, slope = step_norm(r), float(r @ (r / shifted))
+        return nd >= 1.0, (nd - 1.0) * nd * nd / slope
 
     hi = mu_lo + float(np.linalg.norm(g)) + 1.0
-    mu_star = _boundary_multiplier(_unit_ball(norm_and_slope), probe, hi)
+    mu_star = _boundary_multiplier(newton, probe, hi)
     d = -(Q @ (w / (lam + mu_star)))
     return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)
 
@@ -306,18 +366,6 @@ def _multiplier_bound(lam: float, t: float) -> float:
     return t * (0.5 * t / (root + lam)) if lam > 0.0 else 0.5 * (root - lam)
 
 
-def _unit_ball(norm_and_slope):
-    """Newton steps on 1/||d(mu)|| - 1, whose derivative is
-    d @ (H + mu I)^-1 d / ||d||^3, from ``norm_and_slope``'s ||d|| and
-    that product."""
-
-    def newton(mu: float):
-        nd, slope = norm_and_slope(mu)
-        return nd >= 1.0, (nd - 1.0) * nd * nd / slope
-
-    return newton
-
-
 def _boundary_multiplier(newton, lo: float, hi: float) -> float:
     """The root in [lo, hi] of an increasing concave secular function by
     safeguarded Newton steps.
@@ -363,42 +411,3 @@ def _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo: float, zero_shift: float, r
     if norm > radius:  # keep feasible against round-off
         d /= norm / radius
     return _result(g, apply_H, d, mu_lo, boundary=True)
-
-
-def _phi2_iterative(g: np.ndarray, h_action, n: int) -> TrustRegionResult:
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    apply_H = lambda v: np.asarray(h_action(v), dtype=float)
-    lam1, q1 = leftmost_eigenpair(h_action, n)
-    gnorm = float(np.linalg.norm(g))
-    scale = max(1.0, abs(lam1), gnorm)
-    zero_shift = 1e-12 * scale
-    mu_lo = max(0.0, -lam1)
-
-    def solve(mu: float, rhs: np.ndarray) -> np.ndarray:
-        op = LinearOperator((n, n), matvec=lambda v: apply_H(v) + mu * v)
-        x, info = cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=40 * n)
-        if info < 0:
-            raise RuntimeError("conjugate gradient failed in the multiplier search")
-        return x
-
-    if lam1 > zero_shift:
-        d0 = solve(0.0, -g)
-        if np.linalg.norm(d0) <= 1.0:
-            return _result(g, apply_H, d0, 0.0, boundary=False)
-
-    # CG cannot solve at mu_lo itself, where H + mu I is singular.
-    probe = mu_lo + 1e-8 * scale
-    d_probe = solve(probe, -g)
-    if np.linalg.norm(d_probe) < 1.0:
-        d_f = d_probe - float(q1 @ d_probe) * q1
-        return _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo, zero_shift)
-
-    def norm_and_slope(mu: float):
-        """||d(mu)|| and d @ (H + mu I)^-1 d."""
-        d = d_probe if mu == probe else solve(mu, -g)
-        return float(np.linalg.norm(d)), float(d @ solve(mu, d))
-
-    mu_star = _boundary_multiplier(_unit_ball(norm_and_slope), probe, mu_lo + gnorm + 1.0)
-    d = solve(mu_star, -g)
-    return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)

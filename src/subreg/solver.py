@@ -17,7 +17,8 @@ one-time |H \\ (H & G)| / N for base gradients not shared with G.  That
 term is charged for every problem, although the base gradient is computed
 only when a differenced action asks for it.
 Measurement-only quantities (exact losses recorded in traces, the
-order-two termination measure) are never charged.
+order-two termination measure, whose Krylov path above
+``optimality.DENSE_MAX_N`` asks at most n + 4 columns) are never charged.
 
 Each column the subproblem solver asks of a Hessian action counts as one
 action, however it is answered: computed from the sample's rows, or read
@@ -93,14 +94,14 @@ class SolverConfig:
     fast sample sizes grow.  Setting ``eps1`` (and ``eps2``) to zero
     disables the termination test for budget-only runs.  With ``p = 2`` it
     also makes the inner tolerance ``theta * eps1`` zero, so every subspace
-    solve asks n columns and one at its step (plus its curvature measures'
-    at q = 2 above ``optimality.DENSE_MAX_N``), every q = 2 pass up to that
-    order takes the exact step at once, and ``budget_cm`` is checked only
-    between outer iterations: a 20 CM budget on a 20000 x 50 sigmoid
-    problem charged 27.8, 49.4 and 91.3 CM at q = 1 and 27.3, 48.4 and
-    89.5 CM at q = 2 (solver seeds 1000-1002).  ``_STALL_LIMIT`` (a
-    constant, 60) full-sample iterations in a row without predicted
-    decrease raise ``SolverStallError``.
+    solve asks n columns and one at its step and, meeting no first-order
+    test, measures no curvature; every q = 2 pass up to
+    ``optimality.DENSE_MAX_N`` takes the exact step at once, and
+    ``budget_cm`` is checked only between outer iterations: a 20 CM budget
+    on a 20000 x 50 sigmoid problem charged 27.8, 49.4 and 91.3 CM at
+    q = 1 and 27.3, 48.4 and 89.5 CM at q = 2 (solver seeds 1000-1002).
+    ``_STALL_LIMIT`` (a constant, 60) full-sample iterations in a row
+    without predicted decrease raise ``SolverStallError``.
 
     How the cubic subproblem is solved is not configuration: the bound on
     eigenvector additions lives in ``subproblem``, and the order up to

@@ -3,12 +3,13 @@
 The quadratic model has the closed-form global minimiser -g / sigma.  The
 cubic model is minimised exactly (``optimality.cubic_minimiser`` on the
 sample's dense matrix) when the step targets second-order optimality on
-the dense path, and otherwise on a subspace grown from g by the model
-gradient, orthogonalised twice: in exact arithmetic the Lanczos basis of
-H and g (Gould, Lucidi, Roma and Toint, SIAM J. Optim. 1999, in the cubic
-form of Cartis, Gould and Toint 2011, Part I, section 6.2), whose model
-gradient norm is the Lanczos residual beta_k |e_k^T y_k|.  Every step the
-solver returns satisfies m(s) <= m(0) = 0.
+the dense path, and otherwise on an ``optimality.Basis`` grown from g by
+the model gradient: in exact arithmetic the Lanczos basis of H and g
+(Gould, Lucidi, Roma and Toint, SIAM J. Optim. 1999, in the cubic form
+of Cartis, Gould and Toint 2011, Part I, section 6.2), whose model
+gradient norm is the Lanczos residual beta_k |e_k^T y_k|.  The curvature
+measures of q = 2 solves there grow Krylov bases of the same class.
+Every step the solver returns satisfies m(s) <= m(0) = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import RegularisedModel, model_hessian_action, step_norm
-from .optimality import cubic_minimiser, dense_path, downhill, leftmost_eigenpair, phi_2
+from .optimality import Basis, cubic_minimiser, dense_path, downhill, leftmost_eigenpair, phi_2
 
 __all__ = ["quadratic_step", "cubic_step"]
 
@@ -53,7 +54,8 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     solve asks at most n + 1 columns.  With ``eps2`` the solve then
     measures phi_2 of the model at its step and, while it exceeds
     theta * eps2, adds the leftmost eigenvector of the model Hessian there
-    to the basis (``escapes``, at most 20) and goes on.  A solve with
+    to the basis (``escapes``, at most 20) and goes on; each measure asks
+    at most n + 4 columns (``optimality.phi_2``).  A solve with
     ``eps2`` continues the subspace that a solve without it at the same
     theta * eps1 left on the model, with the same result as a solve from
     scratch, and asks only the columns it adds.  ``converged`` says
@@ -104,43 +106,30 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     )
 
 
-class _Subspace:
+class _Subspace(Basis):
     """The space a subspace solve minimises the model over, and its step.
 
-    Row j of ``Q`` is the j-th orthonormal basis vector and row j of ``W``
-    its action, and T = Q H Q^T; ``k`` rows are in use, and the buffers
-    double when full.  ``s`` is the model's minimiser on the span, with
-    the model's value, gradient and action ``hs = H s`` there, and
-    ``converged`` whether the gradient norm is at most ``tol``.
+    The basis grows by the model's own Hessian action.  ``s`` is the
+    model's minimiser on the span, with the model's value, gradient and
+    action ``hs = H s`` there, and ``converged`` whether the gradient
+    norm is at most ``tol``.
     """
 
     def __init__(self, model: RegularisedModel, tol: float):
-        n, size = model.n, min(model.n, 8)
-        self.tol, self.k, self.converged = tol, 0, False
-        self.Q, self.W, self.T = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+        n = model.n
+        super().__init__(model.hessian_action, n)
+        self.tol, self.converged = tol, False
         self.s, self.hs, self.value, self.grad = np.zeros(n), np.zeros(n), 0.0, model.grad
 
     def grow(self, model: RegularisedModel, v, norm: float) -> bool:
         """Add v's part orthogonal to the basis, where ``norm`` is ||v||,
         and minimise the model on the new span; False when v lies in the
         span."""
-        n, k = model.n, self.k
-        for _ in range(2):
-            v = v - self.Q[:k].T @ (self.Q[:k] @ v)
-        rest = step_norm(v)
-        if k == n or rest <= _IN_SPAN * norm:
+        if not self.add(v, _IN_SPAN * norm):
             return False
-        if k == len(self.Q):
-            size = min(n, 2 * k)
-            self.Q, self.W = (np.resize(A, (size, n)) for A in (self.Q, self.W))
-            self.T = np.pad(self.T, (0, size - k))
-        Q, W, T = self.Q, self.W, self.T
-        Q[k] = v / rest
-        W[k] = model.hessian_action(Q[k])
-        T[k, : k + 1] = T[: k + 1, k] = Q[: k + 1] @ W[k]
-        self.k = k = k + 1
-        y = cubic_minimiser(Q[:k] @ model.grad, np.linalg.eigh(T[:k, :k]), model.sigma)
-        self.s, self.hs = Q[:k].T @ y, W[:k].T @ y
+        k, Q, W = self.k, self.Q[: self.k], self.W[: self.k]
+        y = cubic_minimiser(Q @ model.grad, np.linalg.eigh(self.T[:k, :k]), model.sigma)
+        self.s, self.hs = Q.T @ y, W.T @ y
         self.value, self.grad, _ = model.value_and_gradient(self.s, self.hs)
         return True
 

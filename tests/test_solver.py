@@ -361,7 +361,7 @@ class TestNonFiniteHessian:
     @pytest.mark.parametrize("q", [1, 2])
     def test_non_finite_hessian_estimate_raises(self, q):
         # The q = 1 run used to finish on budget at x = 0, and the q = 2 run
-        # to die inside scipy's eigensolver.
+        # to die inside the eigensolver.
         cfg = SolverConfig(p=2, q=q, eps1=0.0, eps2=0.0, budget_cm=50.0, **EXACT)
         with pytest.raises(FloatingPointError, match="non-finite Hessian estimate"):
             minimize(poisoned_hvp_problem(), cfg)
@@ -944,14 +944,42 @@ class TestSizingPasses:
         assert sum(eps2 is None for _, eps2, _ in solves) > len(grams)
 
 
+def wide_net_problem():
+    """A 20-10-1 tanh net (n = 221, above DENSE_MAX_N) on 300 samples, with its start."""
+    spec = NetworkSpec(20, (10,))
+    prob = SquaredLossProblem(synthesize_dataset(3, 300, 20, 2.0), spec)
+    return prob, initial_point(spec, np.random.default_rng(0))
+
+
 class TestPerSolveBound:
     """A subspace solve asks at most n columns for its basis and one at
     each step it settles on, plus those of the curvature measures of its
     eigenvector additions above DENSE_MAX_N, even at eps1 = 0, where no
     tolerance stops it; only the budget check between iterations is left
-    unbounded.  At eps1 = 0 on the dense path every q = 2 solve is exact."""
+    unbounded.  At eps1 = 0 on the dense path every q = 2 solve is exact.
+    Above DENSE_MAX_N each curvature measure asks at most n basis columns,
+    and phi_2 the 4 of its symmetry check besides."""
 
-    CASES = ["q2_sigmoid", "net", "custom", "wide"]
+    CASES = ["q2_sigmoid", "net", "custom", "wide", "wide_net"]
+
+    @staticmethod
+    def count_measures(monkeypatch, module, measured):
+        """Wrap ``module``'s phi_2 and leftmost_eigenpair so that each call
+        appends the columns it asks to ``measured``."""
+        for name in ("phi_2", "leftmost_eigenpair"):
+            measure = getattr(module, name, None)
+            if measure is None:
+                continue
+
+            def counted(*args, measure=measure, at=-2 if name == "phi_2" else 0):
+                args, columns = list(args), []
+                action = args[at]
+                args[at] = lambda v: (columns.append(1 if v.ndim == 1 else v.shape[1]), action(v))[1]
+                out = measure(*args)
+                measured.append(sum(columns))
+                return out
+
+            monkeypatch.setattr(module, name, counted)
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("q", [1, 2])
@@ -961,6 +989,8 @@ class TestPerSolveBound:
             prob = q2_sigmoid_problem
         elif case == "net":
             prob, x0 = small_net_problem()
+        elif case == "wide_net":
+            prob, x0 = wide_net_problem()
         elif case == "custom":
             prob, x0 = weighted_double_well(False), np.full(3, 0.1)
         else:
@@ -971,25 +1001,13 @@ class TestPerSolveBound:
 
         def counted_solve(model, eps1, theta, eps2):
             before = model.hessian_action.columns
-            measured.append(0)
+            start = len(measured)
             s, diag = solve(model, eps1, theta, eps2)
             assert diag["hvp_evals"] == model.hessian_action.columns - before
-            solves.append((eps2 is not None and dense_path(n), diag, measured[-1]))
+            solves.append((eps2 is not None and dense_path(n), diag, sum(measured[start:])))
             return s, diag
 
-        def counting(name):
-            measure = getattr(subproblem_module, name)
-
-            def counted(action, *args):
-                columns = []
-                out = measure(lambda v: (columns.append(1 if v.ndim == 1 else v.shape[1]), action(v))[1], *args)
-                measured[-1] += sum(columns)
-                return out
-
-            monkeypatch.setattr(subproblem_module, name, counted)
-
-        counting("phi_2")
-        counting("leftmost_eigenpair")
+        self.count_measures(monkeypatch, subproblem_module, measured)
         monkeypatch.setattr(solver_module, "cubic_step", counted_solve)
         cfg = SolverConfig(p=2, q=q, eps1=0.0, eps2=1e-3 if q == 2 else None, budget_cm=20.0, seed=1000)
         res = minimize(prob, cfg, x0=x0)
@@ -999,6 +1017,22 @@ class TestPerSolveBound:
         assert all(diag["hvp_evals"] <= n + 1 + diag["escapes"] + extra for diag, extra in subspace)
         assert all(diag["iterations"] + diag["escapes"] <= n for diag, _ in subspace)
         assert all(diag["hvp_evals"] == n for exact, diag, _ in solves if exact)
+        assert all(columns <= n + 4 for columns in measured)
+
+    @pytest.mark.parametrize("case", ["wide", "wide_net"])
+    def test_columns_per_curvature_measure_above_dense_max_n(self, case, monkeypatch):
+        # At eps1 = 0 no solve meets its first-order test, so neither the
+        # solves nor the termination test measure curvature; a run that
+        # converges asks both.
+        prob, x0 = wide_net_problem() if case == "wide_net" else (sigmoid_problem(seed=1, N=400, d=205), None)
+        n = prob.n
+        measured = {}
+        for module in (subproblem_module, solver_module):
+            self.count_measures(monkeypatch, module, measured.setdefault(module.__name__, []))
+        cfg = SolverConfig(p=2, q=2, eps1=0.1, eps2=0.1, budget_cm=3000.0, seed=1000)
+        assert minimize(prob, cfg, x0=x0).stop_reason == "converged"
+        assert all(measured.values())
+        assert all(columns <= n + 4 for calls in measured.values() for columns in calls)
 
 
 class TestOrderOneGrowth:

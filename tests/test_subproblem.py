@@ -234,8 +234,8 @@ class TestCubicStep:
         # The model is even in the negative-curvature coordinate, so a step
         # either way along it decreases the model alike and only the
         # orientation of the added eigenvector d1 picks one.  Above
-        # DENSE_MAX_N a q = 2 solve adds d1 from eigsh, here from a gradient
-        # orthogonal to the negative-curvature axis.
+        # DENSE_MAX_N a q = 2 solve adds d1 from leftmost_eigenpair, here
+        # from a gradient orthogonal to the negative-curvature axis.
         H = np.diag(np.linspace(-2.0, 5.0, n))
         g = np.r_[0.0, np.full(n - 1, (n - 1) ** -0.5)]
         solves = []
