@@ -30,7 +30,13 @@ from .harness import (
     synthesize_dataset,
 )
 from .problems import Dataset, NetworkSpec, SquaredLossProblem
-from .sampling import audit_accuracy, bernstein_size, gradient_log_argument, value_log_argument
+from .sampling import (
+    audit_accuracy,
+    bernstein_size,
+    check_audit_settings,
+    gradient_log_argument,
+    value_log_argument,
+)
 from .solver import SolverConfig
 
 __all__ = ["main", "build_parser", "parse_config_file"]
@@ -148,26 +154,28 @@ def _scaled(args: argparse.Namespace, dataset: Dataset, reference=None) -> Datas
     return Dataset(minmax_scale(dataset.features, reference.features), dataset.labels)
 
 
+def _refuse(command: str, message: str) -> int:
+    """Report a bad argument on one line; the exit status of a usage error."""
+    print(f"{command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.dataset is None:
-        print("train: --dataset is required (directly or via --config)", file=sys.stderr)
-        return 2
+        return _refuse("train", "--dataset is required (directly or via --config)")
     solver = SolverConfig(**{f.name: getattr(args, f.name) for f in _SOLVER_FIELDS})
     try:
         solver.validate()
     except ValueError as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("train", str(exc))
     if args.runs < 1:
-        print("train: --runs must be at least 1", file=sys.stderr)
-        return 2
+        return _refuse("train", "--runs must be at least 1")
     try:
         hidden = tuple(int(tok) for tok in args.net.split(",") if tok.strip())
         NetworkSpec(1, hidden)  # checks the widths before any data is read
     except ValueError:
         message = f"--net must list positive hidden-layer widths, not {args.net!r}"
-        print(f"train: {message}", file=sys.stderr)
-        return 2
+        return _refuse("train", message)
     train_set = load_dataset(args.dataset, args.format, args.label_col, args.dim)
     test_set = None
     if args.test_dataset is not None:
@@ -190,7 +198,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset = synthesize_dataset(args.seed, args.n, args.d, args.separation)
+    try:  # it checks its arguments before it builds anything
+        dataset = synthesize_dataset(args.seed, args.n, args.d, args.separation)
+    except ValueError as exc:
+        return _refuse("synth", str(exc))
     save_dataset_csv(dataset, args.out)
     print(f"wrote {args.n} samples of dimension {args.d} to {args.out}")
     return 0
@@ -203,10 +214,17 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    try:  # before any data are read
+        check_audit_settings(args.nu, args.kappa, args.t, args.trials)
+    except ValueError as exc:
+        return _refuse("audit", str(exc))
     if args.dataset is not None:
         dataset = _scaled(args, load_dataset(args.dataset, args.format, args.label_col, args.dim))
     else:
-        dataset = synthesize_dataset(args.seed, args.synth_n, args.synth_d, args.synth_separation)
+        try:
+            dataset = synthesize_dataset(args.seed, args.synth_n, args.synth_d, args.synth_separation)
+        except ValueError as exc:
+            return _refuse("audit", str(exc))
     spec = NetworkSpec(input_dim=dataset.d)
     problem = SquaredLossProblem(dataset, spec)
     x = np.zeros(problem.n)

@@ -65,14 +65,15 @@ class SampleHessian:
     call of the action on the identity block, checks that it is finite and
     symmetric and keeps it; from then on every call is a product with
     that matrix and reads no data.  It is the only builder of a dense
-    Hessian: the eigensolvers wrap any action in a ``SampleHessian`` to
-    materialise it.  ``eigh()`` decomposes that matrix once and keeps the
-    decomposition beside it, so every solve and measure on one sample
-    shares one ``np.linalg.eigh``.  Neither the build nor the
-    decomposition is counted.  The counter and the caches make an
-    instance stateful, so it belongs to one solve at a time.  A non-finite
-    estimate raises ``FloatingPointError``: the matrix is checked once
-    when it is built, and every action computed without it is checked.
+    Hessian: the eigensolvers wrap any action in a ``SampleHessian``, which
+    materialises it on their dense path.  ``eigh()`` decomposes that
+    matrix once and keeps the decomposition beside it, so every solve and
+    measure on one sample shares one ``np.linalg.eigh``.  Neither the
+    build nor the decomposition is counted.  The counter and the caches
+    make an instance stateful, so it belongs to one solve at a time.  A
+    non-finite estimate raises ``FloatingPointError``: the matrix is
+    checked once when it is built, and every action computed without it
+    is checked.
     """
 
     def __init__(self, n: int, apply: Callable[[np.ndarray], np.ndarray], build=None):

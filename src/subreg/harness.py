@@ -325,10 +325,11 @@ def write_summary(path, summaries: List[RunSummary]) -> None:
 
 
 def summary_means(summaries: List[RunSummary]) -> dict:
-    """Mean of each numeric summary column over the runs that have it."""
+    """Mean of each numeric summary column over the completed runs that have it."""
+    completed = [s for s in summaries if not s.stop_reason.startswith("error:")]
     means = {}
     for c in SUMMARY_COLUMNS[2:]:
-        values = [getattr(s, c) for s in summaries if getattr(s, c) is not None]
+        values = [getattr(s, c) for s in completed if getattr(s, c) is not None]
         means[c] = sum(values) / len(values) if values else None
     return means
 

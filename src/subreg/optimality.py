@@ -113,17 +113,19 @@ def downhill(g, v) -> np.ndarray:
 def leftmost_eigenpair(h_action, n: int):
     """Smallest eigenvalue and a unit eigenvector of a symmetric action.
 
-    Only the dense path checks the action, on the matrix that
+    Only the dense path checks the action's symmetry, on the matrix that
     ``SampleHessian.dense`` builds from it: one call on the identity block,
     none for a ``SampleHessian`` that holds its matrix already.  Above
     ``DENSE_MAX_N`` it is the leftmost Ritz pair of a basis grown from the
     seeded random start by that pair's residual until the residual is at
-    most 1e-10 of the projected spectrum's scale: at most n columns.
+    most 1e-10 of the projected spectrum's scale: at most n columns.  On
+    either path a non-finite action raises ``FloatingPointError``.
     """
+    hessian = _sample_hessian(h_action, n)
     if dense_path(n):
-        lam, q = _sample_hessian(h_action, n).eigh()
+        lam, q = hessian.eigh()
         return float(lam[0]), q[:, 0].copy()
-    basis, (lam, Y), _ = _krylov(np.zeros(n), h_action, n)
+    basis, (lam, Y), _ = _krylov(np.zeros(n), hessian, n)
     x = basis.Q[: basis.k].T @ Y[:, 0]
     return float(lam[0]), x / step_norm(x)
 
@@ -142,17 +144,17 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
     plus the projected spectrum's scale, then by the leftmost Ritz
     residual as in ``leftmost_eigenpair``: at most n columns.  Either
     path first checks that the action is symmetric to 1e-3: the dense one
-    on the whole matrix, which must also be finite, the Krylov one on two
-    random pairs of vectors (4 columns).
+    on the whole matrix, the Krylov one on two random pairs of vectors (4
+    columns).  A non-finite action raises ``FloatingPointError``.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
+    hessian = _sample_hessian(h_action, n)
     if dense_path(n):
-        hessian = _sample_hessian(h_action, n)
         return _phi2_dense(g, hessian.dense(), hessian.eigh())
-    _check_symmetry_probabilistic(h_action, n)
-    basis, _, solution = _krylov(g, h_action, n)
+    _check_symmetry_probabilistic(hessian, n)
+    basis, _, solution = _krylov(g, hessian, n)
     d = basis.Q[: basis.k].T @ solution.direction
     # The projected value is the value at d; keep d feasible against round-off.
     return replace(solution, direction=d / max(1.0, step_norm(d)))

@@ -41,6 +41,7 @@ __all__ = [
     "hessian_log_argument",
     "draw_subsample",
     "extend_subsample",
+    "check_audit_settings",
     "audit_accuracy",
 ]
 
@@ -148,6 +149,14 @@ def extend_subsample(rng: np.random.Generator, N: int, indices, m: int):
     return grown, extra
 
 
+def check_audit_settings(nu: float, kappa: float, t: float, trials: int) -> None:
+    """Raise ValueError unless ``audit_accuracy`` accepts these settings;
+    reads no data."""
+    if trials < 100:
+        raise ValueError("audit needs at least 100 trials")
+    bernstein_size(kappa, nu, t, math.e, 1)  # its checks of kappa, nu and t
+
+
 def audit_accuracy(
     problem: FiniteSumProblem,
     x,
@@ -168,8 +177,7 @@ def audit_accuracy(
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 (values) or 1 (gradients)")
-    if trials < 100:
-        raise ValueError("audit needs at least 100 trials")
+    check_audit_settings(nu, kappa, t, trials)
     if order == 0:
         log_arg = value_log_argument(t)
         exact = full_value(problem, x)

@@ -31,13 +31,13 @@ Both model orders share one sample-growth loop (``_grow_and_step``),
 whose passes lower an accuracy level until the targets of the current
 step hold or every sample is the full sum.  At q = 2 a subspace step
 sizes the samples, and only the pass whose targets hold takes the q = 2
-step, so the dense matrix and its n columns come once per iteration.  A
-pass redoes only what grew, so CM and traces are those of a loop that
-rebuilds and re-solves on every pass that grew a sample.
+step, on the dense matrix at most once per iteration.  A pass redoes
+only what grew, so CM and traces are those of a loop that rebuilds and
+re-solves on every pass that grew a sample.
 
 The subproblem solver reports the Taylor decrease and the model gradient
-norm at its step, from the Hessian action it took there; the accuracy
-test of a growth pass reads them and takes no action of its own.
+norm at its step (``subproblem.cubic_step``); the accuracy test of a
+growth pass reads them and takes no action of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .finite_sum import FiniteSumProblem, SampleHessian, full_value
 from .model import RegularisedModel, accuracy_quantities
-from .optimality import check_termination, dense_path, phi_2
+from .optimality import check_termination, phi_2
 from .sampling import (
     bernstein_size,
     draw_subsample,
@@ -94,18 +94,18 @@ class SolverConfig:
     fast sample sizes grow.  Setting ``eps1`` (and ``eps2``) to zero
     disables the termination test for budget-only runs.  With ``p = 2`` it
     also makes the inner tolerance ``theta * eps1`` zero, so every subspace
-    solve asks n columns and one at its step and, meeting no first-order
-    test, measures no curvature; every q = 2 pass up to
-    ``optimality.DENSE_MAX_N`` takes the exact step at once, and
-    ``budget_cm`` is checked only between outer iterations: a 20 CM budget
-    on a 20000 x 50 sigmoid problem charged 27.8, 49.4 and 91.3 CM at
-    q = 1 and 27.3, 48.4 and 89.5 CM at q = 2 (solver seeds 1000-1002).
+    solve grows until its basis spans the space or the Krylov space of its
+    sample, at most n columns, and, meeting no first-order test, measures
+    no curvature; a q = 2 step that continues a spanning one asks nothing
+    more.  ``budget_cm`` is checked only between outer iterations: a 20 CM
+    budget on a 20000 x 50 sigmoid problem charged 27.3, 48.4 and 89.5 CM
+    at q = 1 and at q = 2 (solver seeds 1000-1002).
     ``_STALL_LIMIT`` (a constant, 60) full-sample iterations in a row
     without predicted decrease raise ``SolverStallError``.
 
     How the cubic subproblem is solved is not configuration: the bound on
     eigenvector additions lives in ``subproblem``, and the order up to
-    which q = 2 solves are exact and the eigensolvers materialise the
+    which q = 2 steps are exact and the eigensolvers materialise the
     Hessian is ``optimality.DENSE_MAX_N``.
     """
 
@@ -355,10 +355,9 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     ``gamma_eps * eps`` and the targets, the size the current step asks
     for in one pass.  At q = 2 the targets come from the step without
     ``eps2``; a pass whose targets hold takes the q = 2 step on the same
-    model (continuing the subspace above ``optimality.DENSE_MAX_N``) and
-    checks them against it, and a pass on full samples, or at
-    ``eps1 = 0`` on the dense path, takes it at once.  Returns the last
-    pass's ``StepRecord``.
+    model, continuing that step's subspace, and checks them against it,
+    and a pass on full samples takes it at once.  Returns the last pass's
+    ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The step is solved again
@@ -413,9 +412,7 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
                 if grew[1]:
                     hessian = _sample_hessian(problem, samples[1], x, known)
                 model = RegularisedModel(g, sigma, hessian)
-                # Full samples need no sizing step, nor does eps1 = 0 on the
-                # dense path, where it would ask as many columns as the step.
-                taken = eps2 is None or full or (cfg.eps1 == 0.0 and dense_path(n))
+                taken = eps2 is None or full  # full samples need no sizing step
                 s, delta_t, targets = solve(model, eps2 if taken else None)
 
         passes += 1

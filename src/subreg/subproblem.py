@@ -1,15 +1,14 @@
 """Trial-step computation for the regularised models.
 
 The quadratic model has the closed-form global minimiser -g / sigma.  The
-cubic model is minimised exactly (``optimality.cubic_minimiser`` on the
-sample's dense matrix) when the step targets second-order optimality on
-the dense path, and otherwise on an ``optimality.Basis`` grown from g by
-the model gradient: in exact arithmetic the Lanczos basis of H and g
-(Gould, Lucidi, Roma and Toint, SIAM J. Optim. 1999, in the cubic form
-of Cartis, Gould and Toint 2011, Part I, section 6.2), whose model
-gradient norm is the Lanczos residual beta_k |e_k^T y_k|.  The curvature
-measures of q = 2 solves there grow Krylov bases of the same class.
-Every step the solver returns satisfies m(s) <= m(0) = 0.
+cubic model is minimised on an ``optimality.Basis`` grown from g by the
+model gradient: in exact arithmetic the Lanczos basis of H and g (Gould,
+Lucidi, Roma and Toint, SIAM J. Optim. 1999, in the cubic form of
+Cartis, Gould and Toint 2011, Part I, section 6.2), whose model gradient
+norm is the Lanczos residual beta_k |e_k^T y_k|; for second-order
+optimality on the dense path, exactly (``optimality.cubic_minimiser`` on
+the sample's dense matrix) unless that basis spans the space.  Every
+step the solver returns satisfies m(s) <= m(0) = 0.
 """
 
 from __future__ import annotations
@@ -42,51 +41,48 @@ def quadratic_step(g, sigma: float):
 
 
 def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float | None = None):
-    """Approximately minimise the cubic model.
+    """Approximately minimise the cubic model; the step has m(s) <= 0.
 
-    Returns a step with m(s) <= 0.  With ``eps2`` given on the dense path
-    the step is the model's global minimiser, from the eigendecomposition
-    the model's ``SampleHessian`` keeps: it meets every tolerance, takes no
-    iteration and asks for the matrix's n columns.  Otherwise the subspace
-    grows, one column per basis vector (``iterations``), until the model
-    gradient norm is at most theta * eps1 or the basis spans the space,
-    and the solve settles on its step with one more column there, so a
-    solve asks at most n + 1 columns.  With ``eps2`` the solve then
-    measures phi_2 of the model at its step and, while it exceeds
-    theta * eps2, adds the leftmost eigenvector of the model Hessian there
-    to the basis (``escapes``, at most 20) and goes on; each measure asks
-    at most n + 4 columns (``optimality.phi_2``).  A solve with
-    ``eps2`` continues the subspace that a solve without it at the same
-    theta * eps1 left on the model, with the same result as a solve from
-    scratch, and asks only the columns it adds.  ``converged`` says
-    whether the tolerances were met.  The diagnostics carry ``grad_norm``
-    and ``taylor_decrease = -g @ s - 0.5 s @ H s`` at the returned step,
-    from the one action the solve asked there.  ``hvp_evals`` counts the
-    columns asked of the model's ``SampleHessian``.
+    The subspace grows, one column per basis vector (``iterations``),
+    until the model gradient norm is at most theta * eps1 or the basis
+    spans the space: at most n columns.  A solve with ``eps2`` continues
+    the subspace that a solve without it at the same theta * eps1 left on
+    the model, as a solve from scratch would grow it.  On the dense path
+    it then takes the global minimiser from the eigendecomposition the
+    model's ``SampleHessian`` keeps (n columns, no iteration, every
+    tolerance met), unless the basis it continues spans the space and
+    its step is that minimiser, reported alike.  Above, while phi_2 of
+    the model at the step exceeds theta * eps2, it adds the leftmost
+    eigenvector of the model Hessian there to the basis (``escapes``, at
+    most 20) and goes on; each measure asks at most n + 4 columns.  ``converged`` says
+    whether the tolerances were met, and ``hvp_evals`` counts the columns
+    asked of the ``SampleHessian``.  ``model_value``, ``grad_norm`` and
+    ``taylor_decrease = -g @ s - 0.5 s @ H s`` take H s from the exact
+    step's product, as a fresh ``model.value_and_gradient(s)`` does, or
+    from the basis's actions, which miss it by their error: round-off for
+    an exact action (within 1e-13 of the terms' size on the sigmoid),
+    about the square root of machine epsilon relative for a differenced
+    one (within 1e-6 on a tanh net).
     """
     if not 0.0 < theta <= 0.5:
         raise ValueError("theta must lie in (0, 0.5]")
-    H = model.hessian_action
+    H, n = model.hessian_action, model.n
     start = H.columns
-    n, g = model.n, model.grad
-    if eps2 is not None and dense_path(n):
-        s = cubic_minimiser(g, H.eigh(), model.sigma)
-        H.columns += n  # the solve reads every column of the matrix
-        value, grad, hs = model.value_and_gradient(s, H.dense() @ s)
-        return s, _report(model, s, value, grad, hs, 0, n, True, 0)
-
     tol = theta * eps1
-    sub, earlier = model.subspace, 0
+    sub = model.subspace
     object.__setattr__(model, "subspace", None)
-    if eps2 is not None and sub is not None and sub.tol == tol:
-        earlier = sub.k  # basis vectors of the solve it continues
-    else:
-        sub = _Subspace(model, tol)
-        sub.descend(model)
-    escapes = 0
-    converged = sub.converged
-    # At the global minimiser of a basis that spans the space the
-    # first-order test decides.
+    if eps2 is None or sub is None or sub.tol != tol:
+        sub = _Subspace(model, tol)  # no solve to continue
+    if eps2 is not None and dense_path(n) and sub.k < n:
+        s = cubic_minimiser(model.grad, H.eigh(), model.sigma)
+        H.columns += n  # the solve reads every column of the matrix
+        return s, _report(model, s, H.dense() @ s, 0, n, True, 0)
+
+    earlier, escapes = sub.k, 0  # basis vectors of the solve it continues
+    # A continued descent has ended and asks no column.  On the dense path
+    # its basis spans the space, so its step is the exact step's; above,
+    # at the minimiser of a spanning basis the first-order test decides.
+    converged = sub.descend(model) or (eps2 is not None and dense_path(n))
     while eps2 is not None and converged and sub.k < n:
         model_hessian = model_hessian_action(model, sub.s)
         converged = phi_2(sub.grad, model_hessian, n).value <= theta * eps2
@@ -101,25 +97,21 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
         object.__setattr__(model, "subspace", sub)
 
     iterations = sub.k - earlier - escapes
-    return sub.s, _report(
-        model, sub.s, sub.value, sub.grad, sub.hs, iterations, H.columns - start, converged, escapes
-    )
+    return sub.s, _report(model, sub.s, sub.hs, iterations, H.columns - start, converged, escapes)
 
 
 class _Subspace(Basis):
     """The space a subspace solve minimises the model over, and its step.
 
     The basis grows by the model's own Hessian action.  ``s`` is the
-    model's minimiser on the span, with the model's value, gradient and
-    action ``hs = H s`` there, and ``converged`` whether the gradient
-    norm is at most ``tol``.
+    model's minimiser on the span, with the model gradient there and
+    ``hs = H s``, both from the basis's actions.
     """
 
     def __init__(self, model: RegularisedModel, tol: float):
-        n = model.n
-        super().__init__(model.hessian_action, n)
-        self.tol, self.converged = tol, False
-        self.s, self.hs, self.value, self.grad = np.zeros(n), np.zeros(n), 0.0, model.grad
+        super().__init__(model.hessian_action, model.n)
+        self.tol, self.grad = tol, model.grad
+        self.s, self.hs = np.zeros(model.n), np.zeros(model.n)
 
     def grow(self, model: RegularisedModel, v, norm: float) -> bool:
         """Add v's part orthogonal to the basis, where ``norm`` is ||v||,
@@ -130,27 +122,23 @@ class _Subspace(Basis):
         k, Q, W = self.k, self.Q[: self.k], self.W[: self.k]
         y = cubic_minimiser(Q @ model.grad, np.linalg.eigh(self.T[:k, :k]), model.sigma)
         self.s, self.hs = Q.T @ y, W.T @ y
-        self.value, self.grad, _ = model.value_and_gradient(self.s, self.hs)
+        self.grad = model.value_and_gradient(self.s, self.hs)[1]
         return True
 
     def descend(self, model: RegularisedModel) -> bool:
         """Grow along the model gradient until its norm is at most ``tol``
-        or the basis spans the space, then settle on the step: the model's
-        measures there come from one action at the step, not from the
-        basis's actions combined, and decide ``converged``."""
+        or the basis spans the space; whether the norm is at most ``tol``.
+        A descent that has ended asks nothing more."""
         norm = step_norm(self.grad)
         while norm > self.tol and self.grow(model, self.grad, norm):
             norm = step_norm(self.grad)
-        if self.s.any():
-            self.value, self.grad, self.hs = model.value_and_gradient(self.s)
-        self.converged = step_norm(self.grad) <= self.tol
-        return self.converged
+        return norm <= self.tol
 
 
-def _report(model, s, value, grad, hs, iterations, hvp_evals, converged, escapes):
-    """The diagnostics of a solve that returns ``s``, where the model has
-    ``value`` and gradient ``grad`` from the action ``hs = H s``; it raises
-    unless the step decreases the model."""
+def _report(model, s, hs, iterations, hvp_evals, converged, escapes):
+    """The diagnostics of a solve that returns ``s``, with ``hs = H s``;
+    it raises unless the step decreases the model."""
+    value, grad, _ = model.value_and_gradient(s, hs)
     report = {
         "iterations": iterations,
         "hvp_evals": hvp_evals,

@@ -14,6 +14,7 @@ from subreg.harness import (
     load_dataset,
     minmax_scale,
     read_trace,
+    RunSummary,
     run_experiment,
     save_dataset_csv,
     summary_means,
@@ -400,6 +401,16 @@ class TestExperiment:
         assert text[-1].startswith("mean,")
         assert len(text) == 1 + 3 + 1  # header, rows, mean
 
+    def test_summary_mean_skips_failed_runs(self):
+        # A failed run used to enter the mean of the columns it fills with
+        # zeros and NaNs: iterations 2.5, total_cm and final_train_loss nan.
+        done = RunSummary(5, "budget", 5, 3, 12.5, 0.25, 0.5, 0.75)
+        failed = RunSummary(6, "error: stalled", 0, 0, math.nan, math.nan, None, None)
+        assert summary_means([done, failed]) == {
+            "iterations": 5.0, "successes": 3.0, "total_cm": 12.5,
+            "final_train_loss": 0.25, "final_test_loss": 0.5, "classification_rate": 0.75,
+        }
+
     def test_trace_rewrite_is_identity(self, tmp_path):
         config = small_experiment(tmp_path, runs=1)
         run_experiment(config, verbose=False)
@@ -732,6 +743,33 @@ class TestCli:
         assert main(["convert", "--dataset", str(src), "--out", str(dst)]) == 0
         ds = load_dataset(dst, "csv")
         np.testing.assert_array_equal(ds.labels, [1.0, 0.0])
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("audit", ["--trials", "50"], "audit needs at least 100 trials"),
+        ("audit", ["--t", "1.5"], "t must lie in (0, 1)"),
+        ("audit", ["--nu", "-1"], "nu must be nonnegative"),
+        ("audit", ["--kappa", "0"], "kappa must be positive"),
+        ("audit", ["--synth-n", "0"], "N and d must be positive"),
+        ("synth", ["--n", "0"], "N and d must be positive"),
+        ("synth", ["--separation", "-1"], "separation must be nonnegative"),
+    ])
+    def test_invalid_audit_and_synth_setting_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, flags, message
+    ):
+        # Used to build the data and die with a traceback and status 1.
+        def no_data(*args):
+            raise AssertionError("built the data")
+
+        monkeypatch.setattr("subreg.cli.audit_accuracy", no_data)
+        monkeypatch.setattr("subreg.cli.save_dataset_csv", no_data)
+        out = tmp_path / "out.csv"
+        base = {
+            "audit": ["audit", "--nu", "0.5", "--kappa", "1.0", "--synth-n", "200"],
+            "synth": ["synth", "--n", "10", "--d", "2", "--out", str(out)],
+        }[command]
+        assert main([*base, *flags]) == 2
+        assert capsys.readouterr().err == f"{command}: {message}\n"
+        assert not out.exists()
 
     def test_audit_cli(self, capsys):
         code = main([

@@ -815,8 +815,8 @@ class TestOrderTwoTargets:
         # of 5338 CM over these seeds against the 20 CM budget: 44.7 CM
         # with targets from the predicted decrease and spectral-gradient
         # solves run to their iteration cap, and 55.0 CM with exact solves
-        # on every pass, which these passes take without a sizing solve
-        # (one would span the space, n columns, as the exact step does).
+        # on every pass, as now, where each pass's sizing solve spans the
+        # space (n columns) and the q = 2 step continuing it asks nothing.
         cfg = dict(p=2, q=2, eps1=0.0, eps2=1e-3, budget_cm=20.0)
         charged = [
             minimize(q2_sigmoid_problem, SolverConfig(seed=seed, **cfg)).total_cm
@@ -952,13 +952,14 @@ def wide_net_problem():
 
 
 class TestPerSolveBound:
-    """A subspace solve asks at most n columns for its basis and one at
-    each step it settles on, plus those of the curvature measures of its
-    eigenvector additions above DENSE_MAX_N, even at eps1 = 0, where no
-    tolerance stops it; only the budget check between iterations is left
-    unbounded.  At eps1 = 0 on the dense path every q = 2 solve is exact.
-    Above DENSE_MAX_N each curvature measure asks at most n basis columns,
-    and phi_2 the 4 of its symmetry check besides."""
+    """A subspace solve asks at most n columns, one per basis vector, plus
+    those of the curvature measures of its eigenvector additions above
+    DENSE_MAX_N, even at eps1 = 0, where no tolerance stops it; only the
+    budget check between iterations is left unbounded.  On the dense path
+    a q = 2 step is exact, n columns, or continues a sizing solve whose
+    basis spans the space and asks none.  Above DENSE_MAX_N each
+    curvature measure asks at most n basis columns, and phi_2 the 4 of
+    its symmetry check besides."""
 
     CASES = ["q2_sigmoid", "net", "custom", "wide", "wide_net"]
 
@@ -1004,7 +1005,7 @@ class TestPerSolveBound:
             start = len(measured)
             s, diag = solve(model, eps1, theta, eps2)
             assert diag["hvp_evals"] == model.hessian_action.columns - before
-            solves.append((eps2 is not None and dense_path(n), diag, sum(measured[start:])))
+            solves.append((eps2 is not None, diag, sum(measured[start:])))
             return s, diag
 
         self.count_measures(monkeypatch, subproblem_module, measured)
@@ -1012,12 +1013,12 @@ class TestPerSolveBound:
         cfg = SolverConfig(p=2, q=q, eps1=0.0, eps2=1e-3 if q == 2 else None, budget_cm=20.0, seed=1000)
         res = minimize(prob, cfg, x0=x0)
         assert res.stop_reason == "budget"
-        subspace = [(diag, extra) for exact, diag, extra in solves if not exact]
-        assert bool(subspace) != (q == 2 and dense_path(n))
-        assert all(diag["hvp_evals"] <= n + 1 + diag["escapes"] + extra for diag, extra in subspace)
-        assert all(diag["iterations"] + diag["escapes"] <= n for diag, _ in subspace)
-        assert all(diag["hvp_evals"] == n for exact, diag, _ in solves if exact)
+        assert all(diag["hvp_evals"] <= n + extra for _, diag, extra in solves)
+        assert all(diag["iterations"] + diag["escapes"] <= n for _, diag, _ in solves)
         assert all(columns <= n + 4 for columns in measured)
+        if q == 2 and dense_path(n):
+            steps = [diag for order_two, diag, _ in solves if order_two]
+            assert all(diag["iterations"] == 0 and diag["hvp_evals"] in (0, n) for diag in steps)
 
     @pytest.mark.parametrize("case", ["wide", "wide_net"])
     def test_columns_per_curvature_measure_above_dense_max_n(self, case, monkeypatch):
@@ -1065,7 +1066,7 @@ class TestStepMeasures:
     @staticmethod
     def columns_outside_the_solve(prob, cfg, monkeypatch):
         """Per growth loop, the Hessian columns asked outside cubic_step,
-        and every solve's diagnostics."""
+        and every solve's eps2 and diagnostics."""
         built, solved, outside, reports = [], [], [], []
         build = prob.hessian_action
         solve, grow = solver_module.cubic_step, solver_module._grow_and_step
@@ -1079,7 +1080,7 @@ class TestStepMeasures:
             s, diag = solve(model, *args)
             solved.append(model.hessian_action.columns - before)
             assert diag["hvp_evals"] == solved[-1]
-            reports.append(diag)
+            reports.append((args[2], diag))
             return s, diag
 
         def counted_grow(*args):
@@ -1117,9 +1118,9 @@ class TestStepMeasures:
     def test_unconverged_solves_measure_no_curvature(self, monkeypatch):
         # At eps1 = 0 the subspace solves (q = 2 above DENSE_MAX_N) meet no
         # first-order tolerance: each grows its basis until it spans the
-        # space or the Krylov space of a small sample, at most n columns
-        # and one at its step, without a second-order test, and a q = 2
-        # step that continues a sizing solve asks nothing more.  Nothing
+        # space or the Krylov space of a small sample, at most n columns,
+        # without a second-order test, and a q = 2 step that continues a
+        # sizing solve asks nothing more.  Nothing
         # reads the order-two measure at their steps, so none is taken,
         # and no column is asked outside them.
         n = DENSE_MAX_N + 1
@@ -1127,25 +1128,32 @@ class TestStepMeasures:
         prob = sigmoid_problem(seed=7, N=300, d=n)
         cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
-        assert len(outside) == 2 and not any(diag["converged"] for diag in reports)
-        assert all(
-            diag["hvp_evals"] - 1 == diag["iterations"] <= n or diag["hvp_evals"] == diag["iterations"] == 0
-            for diag in reports
-        )
+        assert len(outside) == 2 and not any(diag["converged"] for _, diag in reports)
+        assert all(diag["hvp_evals"] == diag["iterations"] <= n for _, diag in reports)
         assert outside == [0, 0]
         assert measured == []
 
-    def test_exact_solves_measure_no_curvature(self, monkeypatch):
-        # On the dense path the q = 2 steps are exact whatever eps1: they
-        # converge at eps1 = 0, where no sizing solve precedes them.  None
-        # takes an order-two measure or asks a column outside the solves.
+    @pytest.mark.parametrize("kappa", [1e-2, 1e9])
+    def test_q2_steps_on_the_dense_path_measure_no_curvature(self, kappa, monkeypatch):
+        # On the dense path a q = 2 step continues the pass's sizing solve
+        # and asks nothing more when that solve's basis spans the space, as
+        # every one does at eps1 = 0 on these samples; full samples
+        # (kappa = 1e9) take the exact step at once, converged with its n
+        # columns.  None takes an order-two measure or asks a column
+        # outside the solves.
         measured = self.measured_in_the_solve(monkeypatch)
         prob = sigmoid_problem(seed=7, N=300, d=6)
-        cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, max_iters=2, seed=3)
+        cfg = SolverConfig(p=2, q=2, eps1=0.0, eps2=1e-3, kappa=kappa, max_iters=2, seed=3)
         outside, reports = self.columns_outside_the_solve(prob, cfg, monkeypatch)
-        assert len(outside) == 2 and len(reports) >= 2
-        assert all(diag["converged"] and diag["hvp_evals"] == 6 for diag in reports)
-        assert all(diag["iterations"] == 0 for diag in reports)
+        steps = [diag for eps2, diag in reports if eps2 is not None]
+        assert len(outside) == 2 and len(steps) >= 2
+        assert all(diag["iterations"] == 0 for diag in steps)
+        if kappa > 1.0:
+            assert len(steps) == len(reports)
+            assert all(diag["converged"] and diag["hvp_evals"] == 6 for diag in steps)
+        else:
+            assert all(diag["hvp_evals"] == 0 for diag in steps)
+            assert all(diag["hvp_evals"] == 6 for eps2, diag in reports if eps2 is None)
         assert outside == [0, 0]
         assert measured == []
 
