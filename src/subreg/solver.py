@@ -35,6 +35,15 @@ step, on the dense matrix at most once per iteration.  A pass redoes
 only what grew, so CM and traces are those of a loop that rebuilds and
 re-solves on every pass that grew a sample.
 
+The termination test reads the measures at x_k, so at p = 2 a pass whose
+samples are all full, whose estimates are exact, takes it before its
+step: when it holds, the iteration ends with no step and is charged only
+the sizing solves before it.  On the dense path that test's phi_2, which
+is measurement and uncharged, still builds and decomposes the sample's
+matrix; only the step's minimiser is skipped.  Any other iteration is tested after its
+growth loop, on the last pass's estimates, and no iteration measures
+phi_2 twice.
+
 The subproblem solver reports the Taylor decrease and the model gradient
 norm at its step (``subproblem.cubic_step``); the accuracy test of a
 growth pass reads them and takes no action of its own.
@@ -50,7 +59,7 @@ import numpy as np
 
 from .finite_sum import FiniteSumProblem, SampleHessian, full_value
 from .model import RegularisedModel, accuracy_quantities
-from .optimality import check_termination, phi_2
+from .optimality import check_termination, phi_1, phi_2
 from .sampling import (
     bernstein_size,
     draw_subsample,
@@ -286,12 +295,28 @@ def _sample_hessian(problem, sample, x, known):
     return hessian
 
 
+def _terminated(cfg, g, hessian) -> bool:
+    """The termination test on the estimated measures: ||g|| against eps1
+    and, at q = 2 and only when that holds, phi_2 of (g, ``hessian``)
+    against eps2.  ``eps1 = 0`` disables it, and it measures nothing."""
+    grad_norm = phi_1(g)
+    if not (cfg.eps1 > 0.0 and check_termination([grad_norm], [cfg.eps1])):
+        return False
+    if cfg.q == 1:
+        return True
+    # On the dense path phi_2 builds, or reads back, the matrix and the
+    # decomposition that an exact step on the same sample then reads.
+    return check_termination([grad_norm, phi_2(g, hessian, hessian.n).value], [cfg.eps1, cfg.eps2])
+
+
 @dataclass
 class StepRecord:
     """What the growth loop hands ``minimize``: the gradient estimate and its
     sample, the Hessian sample (empty for p = 1), the trial step and its
-    Taylor decrease, the Hessian work charged, the number of growth passes
-    and the last pass's ``SampleHessian`` (None for p = 1)."""
+    Taylor decrease, the Hessian work charged, the number of growth passes,
+    the last pass's ``SampleHessian`` (None for p = 1) and the outcome of
+    the termination test.  A loop whose test held on full samples took no
+    step: ``s`` is then the zero step, with zero decrease."""
 
     g: np.ndarray
     g_idx: np.ndarray
@@ -301,6 +326,7 @@ class StepRecord:
     hvp_props: int
     passes: int
     hessian: Optional[SampleHessian]
+    converged: bool
 
 
 class _SampleGradient:
@@ -355,9 +381,12 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     ``gamma_eps * eps`` and the targets, the size the current step asks
     for in one pass.  At q = 2 the targets come from the step without
     ``eps2``; a pass whose targets hold takes the q = 2 step on the same
-    model, continuing that step's subspace, and checks them against it,
-    and a pass on full samples takes it at once.  Returns the last pass's
-    ``StepRecord``.
+    model, continuing that step's subspace, and checks them against it.
+    Every loop takes the termination test (``_terminated``) once: a p = 2
+    pass on full samples before its step, returning with no step when the
+    test holds and otherwise taking the step with ``eps2`` at once; any
+    other loop on its last pass's estimates, after the step.  Returns the
+    last pass's ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
     extension, so a pass redoes only what grew.  The step is solved again
@@ -392,12 +421,13 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
         hvp_props += diag["hvp_evals"] * samples[1].idx.size
         return s, diag["taylor_decrease"], accuracy_quantities(s, diag, omega)
 
-    hessian = None
+    hessian = converged = None
     hvp_props = passes = 0
     grew = [True] * cfg.p
     taken = True  # whether s is the step the iteration takes
     while True:
         full = all(sample.idx.size == N for sample in samples)
+        h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
         if any(grew):
             # A new solve: the first pass, or a sample grew.  Caught here,
             # NaNs would otherwise surface inside the eigensolvers; the
@@ -411,6 +441,14 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
             else:
                 if grew[1]:
                     hessian = _sample_hessian(problem, samples[1], x, known)
+                if full:
+                    # Exact estimates at x_k: test termination before the step.
+                    converged = _terminated(cfg, g, hessian)
+                    if converged:
+                        return StepRecord(
+                            g, samples[0].idx, h_idx, np.zeros(n), 0.0, hvp_props, passes + 1,
+                            hessian, True,
+                        )
                 model = RegularisedModel(g, sigma, hessian)
                 taken = eps2 is None or full  # full samples need no sizing step
                 s, delta_t, targets = solve(model, eps2 if taken else None)
@@ -423,8 +461,11 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
             s, delta_t, targets = solve(model, eps2)
             taken, done = True, all(eps <= e for e in targets)
         if done:
-            h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
-            return StepRecord(g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian)
+            if converged is None:
+                converged = _terminated(cfg, g, hessian)
+            return StepRecord(
+                g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian, converged
+            )
         eps = cfg.gamma_eps * eps if cfg.p == 1 else min(cfg.gamma_eps * eps, *targets)
         grew = [sample.grow(rng, size(log)) for sample, log in zip(samples, logs)]
 
@@ -455,7 +496,11 @@ def minimize(
 
     Stops when the estimated optimality measures fall below the tolerances
     (``converged``), when the cost meter reaches the budget (``budget``, the
-    running iteration is completed first) or at the iteration cap.  Exact
+    running iteration is completed first) or at the iteration cap.  The
+    measures are tested once per iteration, on the estimates at x_k: at
+    p = 2 by the growth pass that reaches full samples, before it takes a
+    step, and otherwise after the growth loop, on its last pass's
+    estimates.  An iteration that converges takes no step.  Exact
     losses are recorded in the trace for desk-scale problems and are never
     charged to the meter.  They are computed once per distinct iterate, and
     a full-sample function estimate doubles as the exact training loss, so
@@ -507,17 +552,11 @@ def minimize(
     for k in range(config.max_iters):
         omega = config.omega(sigma)
         # Step 1, with the trial step (step 2) of either model.
+        # The growth loop also takes the termination test on its estimates.
         step = _grow_and_step(problem, x, omega, sigma, config, rng, known)
         g, g_idx, h_idx, delta_t = step.g, step.g_idx, step.h_idx, step.delta_t
         grad_norm = float(np.linalg.norm(g))
-
-        # Termination on the estimated measures.
-        converged = config.eps1 > 0.0 and check_termination([grad_norm], [config.eps1])
-        if converged and config.q == 2:
-            # The last growth pass's Hessian: the same sample at the same x,
-            # with the dense matrix and decomposition its exact solve kept.
-            phi2_val = phi_2(g, step.hessian, n).value
-            converged = check_termination([grad_norm, phi2_val], [config.eps1, config.eps2])
+        converged = step.converged
 
         d1_idx = d2_idx = _EMPTY
         f_x = None

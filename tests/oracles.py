@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 from subreg.model import RegularisedModel, accuracy_quantities
-from subreg.optimality import TrustRegionResult, dense_path
+from subreg.optimality import TrustRegionResult, dense_path, phi_2
 from subreg.sampling import (
     bernstein_size,
     draw_subsample,
@@ -245,10 +245,18 @@ def masked_sigmoid(z, clamp=500.0, lo=1e-300, hi=1.0 - 1e-16):
     return np.clip(out, lo, hi)
 
 
+def terminated(cfg, g, hessian):
+    """The termination test at x_k: ||g|| <= eps1 and, at q = 2, phi_2 of
+    (g, ``hessian``) <= eps2 / 2; never at ``eps1 = 0``."""
+    if not (cfg.eps1 > 0.0 and float(np.linalg.norm(g)) <= cfg.eps1):
+        return False
+    return cfg.q == 1 or phi_2(g, hessian, g.size).value <= cfg.eps2 / 2.0
+
+
 def grow_gradient_reference(problem, x, omega, sigma, cfg, rng, known):
     """The order-one growth loop on its own: one gradient sample, grown
     until its accuracy level is at most omega * ||g|| or it is the full
-    sum, then the quadratic step.
+    sum, then the quadratic step and the termination test.
 
     Same contract and return value as ``solver._grow_and_step`` at p = 1.
     """
@@ -269,7 +277,9 @@ def grow_gradient_reference(problem, x, omega, sigma, cfg, rng, known):
         passes += 1
     _require_finite("gradient", float(np.linalg.norm(g)))
     s, delta_t = quadratic_step(g, sigma)
-    return StepRecord(g, idx, np.empty(0, dtype=np.intp), s, delta_t, 0, passes, None)
+    return StepRecord(
+        g, idx, np.empty(0, dtype=np.intp), s, delta_t, 0, passes, None, terminated(cfg, g, None)
+    )
 
 
 def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
@@ -281,7 +291,10 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     step without ``eps2``; at q = 2, once its targets hold, it takes the
     step with ``eps2`` and checks the targets again against that one; on
     full samples, and at ``eps1 = 0`` on the dense path, it takes that step
-    at once.  A pass that grew neither sample solves again
+    at once.  On full samples the termination test (``terminated``) comes
+    first, and when it holds the loop returns the zero step, converged,
+    with no solve on that pass; otherwise the loop takes it on the
+    estimates it returns.  A pass that grew neither sample solves again
     for the step the previous pass ended with, and that solve is not
     charged; every other solve is charged its columns.  After each pass the
     accuracy level drops to the smallest of ``gamma_eps`` times itself and
@@ -308,6 +321,8 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
         hessian = problem.hessian_action(h_idx, x, base=h_base)
         model = RegularisedModel(g, sigma, hessian)
         full = g_idx.size == N and h_idx.size == N
+        if full and terminated(cfg, g, hessian):
+            return StepRecord(g, g_idx, h_idx, np.zeros(n), 0.0, hvp_props, passes, hessian, True)
         taken = (taken and not grew) or full or cfg.q == 1 or (cfg.eps1 == 0.0 and dense_path(n))
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2 if taken else None)
         if grew:
@@ -322,7 +337,8 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
             done = full or all(eps <= e for e in targets)
         if done:
             delta_t = diag["taylor_decrease"]
-            return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian)
+            converged = not full and terminated(cfg, g, hessian)  # full: tested above
+            return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian, converged)
 
         eps = min(cfg.gamma_eps * eps, *targets)
         grew = False

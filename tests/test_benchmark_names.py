@@ -24,7 +24,7 @@ RUNS = {
             "finite_sum.full_value",
         ),
     ),
-    # The run converges, so minimize's termination test takes phi_2.
+    # The run converges, so the termination test takes phi_2.
     "p2_q2": (
         dict(p=2, q=2, eps2=1e-3, budget_cm=400.0),
         (

@@ -33,8 +33,9 @@ code = cli.main(["train", "--dataset", data, "--p", "1", "--budget-cm", "2",
 assert code == 0
 
 # The dense path on 4 unknowns: subspace solves to size the samples and
-# exact q = 2 steps, and phi_2 in the termination test of the converged
-# run; a q = 1 run then takes only subspace solves.
+# exact q = 2 steps, and phi_2 once, in the termination test of the
+# converged run's last iteration, taken on full samples before its step;
+# a q = 1 run then takes only subspace solves.
 solves, measures = [], []
 solve, phi_2 = solver.cubic_step, solver.phi_2
 solver.cubic_step = lambda model, *args: solves.append((model.n, args[-1])) or solve(model, *args)

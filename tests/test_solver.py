@@ -732,7 +732,9 @@ class TestGrowthLoopReuse:
                     assert got_array.dtype == ref_array.dtype
                     assert got_array.tobytes() == ref_array.tobytes()
                 assert repr(got.delta_t) == repr(ref.delta_t)
-                assert (got.hvp_props, got.passes) == (ref.hvp_props, ref.passes)
+                assert (got.hvp_props, got.passes, got.converged) == (
+                    ref.hvp_props, ref.passes, ref.converged
+                )
                 assert got.hessian.dense().tobytes() == ref.hessian.dense().tobytes()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -921,7 +923,8 @@ class TestSizingPasses:
 
     def test_one_gram_build_per_iteration(self, q2_sigmoid_problem, monkeypatch):
         # Sizing solves answer their columns from the sample's rows: the
-        # Gram matrix is built for the samples an exact step is taken on.
+        # Gram matrix is built for the samples an exact step or the
+        # termination test's phi_2 reads.
         solves = self.recorded_solves(q2_sigmoid_problem, monkeypatch)
         grams = []
         build = q2_sigmoid_problem.hessian_action
@@ -936,12 +939,116 @@ class TestSizingPasses:
         cfg = SolverConfig(p=2, q=2, eps2=1e-3, budget_cm=1200.0, seed=1000)
         res = minimize(q2_sigmoid_problem, cfg)
         assert res.stop_reason == "converged"
-        # Every iteration takes an exact step, and a rejected step's full
-        # sample keeps its matrix for the next.
+        # Every iteration but the converged one takes an exact step, and a
+        # rejected step's full sample keeps its matrix for the next.  The
+        # converged iteration tests full samples before its step and takes
+        # none: its phi_2 builds the one matrix no step reads.
         exact = sum(eps2 is not None for _, eps2, _ in solves)
-        assert len(res.trace) <= exact <= len(res.trace) + 2
-        assert res.successes < res.iterations and len(grams) < exact
+        assert len(res.trace) == res.iterations + 1
+        assert res.iterations <= exact <= res.iterations + 2
+        assert res.successes < res.iterations and len(grams) < exact + 1
         assert sum(eps2 is None for _, eps2, _ in solves) > len(grams)
+
+
+class TestTerminationBeforeTheStep:
+    """At p = 2 a growth pass on full samples tests termination before its
+    step: an iteration whose test holds takes no step and is charged only
+    its sizing solves, and one whose test fails takes its step on the
+    decomposition phi_2 built."""
+
+    @staticmethod
+    def solves_per_iteration(prob, monkeypatch):
+        """Per growth loop, the (H sample size, eps2, diagnostics) of each
+        cubic_step call."""
+        solves = TestSizingPasses.recorded_solves(prob, monkeypatch)
+        loops, grow = [], solver_module._grow_and_step
+
+        def counted_grow(*args):
+            start = len(solves)
+            step = grow(*args)
+            loops.append(solves[start:])
+            return step
+
+        monkeypatch.setattr(solver_module, "_grow_and_step", counted_grow)
+        return loops
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_converged_iteration_takes_no_step(self, q, q2_sigmoid_problem, monkeypatch):
+        prob = q2_sigmoid_problem
+        loops = self.solves_per_iteration(prob, monkeypatch)
+        cfg = SolverConfig(p=2, q=q, eps2=1e-3 if q == 2 else None, budget_cm=1200.0, seed=1000)
+        res = minimize(prob, cfg)
+        last = res.trace[-1]
+        assert res.stop_reason == "converged" and last.g_size == last.h_size == prob.N
+        assert len(loops) == len(res.trace)
+        # Every iteration before the last ends on the step it takes (at
+        # q = 2 one with eps2); the last one solves only to size its
+        # samples, on partial ones.
+        assert all(loop and loop[-1][1] == cfg.eps2 for loop in loops[:-1])
+        assert loops[-1] and all(size < prob.N and eps2 is None for size, eps2, _ in loops[-1])
+        assert last.hvp_props == sum(size * diag["hvp_evals"] for size, _, diag in loops[-1])
+        cm = 0.0
+        for e in res.trace:
+            cm += iteration_charge(
+                prob.N, e.d1_size, e.d2_size, e.g_size, e.g_d1_overlap,
+                e.h_size, e.h_g_overlap, e.hvp_props,
+            )
+            assert cm == e.cm
+
+    def test_failed_test_leaves_its_decomposition_to_the_step(self, monkeypatch):
+        # From x = 0.1 every double well curves downward: the gradient
+        # meets eps1 = 1 and phi_2 fails eps2.
+        prob, x = double_well_problem(), np.full(3, 0.1)
+        calls, decompositions = [], []
+        phi_2, solve, eigh = solver_module.phi_2, solver_module.cubic_step, np.linalg.eigh
+        monkeypatch.setattr(solver_module, "phi_2", lambda *args: (calls.append("phi_2"), phi_2(*args))[1])
+        monkeypatch.setattr(
+            solver_module, "cubic_step",
+            lambda model, *args: (calls.append(("step", args[-1])), solve(model, *args))[1],
+        )
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (decompositions.append(A), eigh(A))[1])
+        cfg = SolverConfig(p=2, q=2, eps1=1.0, eps2=1e-2, **EXACT)
+        step = _grow_and_step(prob, x, 0.4, 0.1, cfg, np.random.default_rng(3), {})
+        assert step.converged is False
+        assert calls == ["phi_2", ("step", 1e-2)]
+        assert len(decompositions) == 1 and decompositions[0] is step.hessian.dense()
+        assert step.s.tobytes() == cubic_minimiser(step.g, step.hessian.eigh(), 0.1).tobytes()
+        assert step.hvp_props == prob.n * prob.N
+
+    def test_phi_2_once_per_iteration(self, monkeypatch):
+        # Each of these full-sample iterations meets eps1 and measures
+        # phi_2 once, before its step; none measures it again after.
+        prob = double_well_problem()
+        measured, phi_2, grow = [], solver_module.phi_2, solver_module._grow_and_step
+        monkeypatch.setattr(
+            solver_module, "phi_2", lambda *args: (measured.append(None), phi_2(*args))[1]
+        )
+        monkeypatch.setattr(
+            solver_module, "_grow_and_step", lambda *args: (measured.append("loop"), grow(*args))[1]
+        )
+        cfg = SolverConfig(p=2, q=2, eps1=1.0, eps2=1e-2, budget_cm=500.0, seed=3, **EXACT)
+        res = minimize(prob, cfg, x0=np.full(3, 0.1))
+        assert res.stop_reason == "converged"
+        assert measured == ["loop", None] * len(res.trace)
+
+    @pytest.mark.parametrize(
+        "case,stop",
+        [
+            (dict(budget_cm=5.0, seed=3), "budget"),
+            (dict(eps1=2e-2, kappa=1e-1, budget_cm=500.0, seed=1), "converged"),
+        ],
+    )
+    def test_order_one_traces_keep_their_bytes(self, case, stop, tmp_path, monkeypatch):
+        # At p = 1 the test follows the quadratic step: the order-one
+        # reference loop, which tests after its step, writes the same trace.
+        prob = sigmoid_problem(seed=29, N=250, d=6)
+        res = minimize(prob, SolverConfig(**case))
+        monkeypatch.setattr(solver_module, "_grow_and_step", grow_gradient_reference)
+        ref = minimize(prob, SolverConfig(**case))
+        assert res.stop_reason == ref.stop_reason == stop
+        write_trace(tmp_path / "got.csv", res.trace)
+        write_trace(tmp_path / "ref.csv", ref.trace)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def wide_net_problem():
@@ -1057,6 +1164,7 @@ class TestOrderOneGrowth:
                     assert got_array.tobytes() == ref_array.tobytes()
                 assert repr(got.delta_t) == repr(ref.delta_t)
                 assert (got.hvp_props, got.passes, got.hessian) == (0, ref.passes, None)
+                assert got.converged == ref.converged
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -1176,10 +1284,11 @@ class TestOneDecompositionPerSample:
     @pytest.mark.parametrize("case", ["sampled_sigmoid", "full_double_well"])
     def test_solves_and_termination_share_each_decomposition(self, case, monkeypatch):
         # A dense q = 2 run decomposes the n x n matrix of a SampleHessian
-        # once, at the first exact step taken on it.  The sizing solves
-        # before it decompose only their small projected matrices, later
-        # exact steps on a kept sample (here the full one after a rejected
-        # step) and the termination test's phi_2 read the decomposition back.
+        # once, at the first exact step or termination phi_2 on it.  The
+        # sizing solves before it decompose only their small projected
+        # matrices; a full sample's phi_2, which comes first, leaves its
+        # decomposition to the step, and later exact steps on a kept sample
+        # (here the full one after a rejected step) read it back.
         if case == "sampled_sigmoid":
             prob, x0, kappa = sigmoid_problem(seed=7, N=300, d=6), None, 1e-2
         else:
