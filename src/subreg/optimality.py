@@ -15,7 +15,8 @@ serves that search.  Above, it runs on the projection of H onto a
 (the Lanczos trust-region method of Gould, Lucidi, Roma and Toint, SIAM
 J. Optim. 1999), which the cubic model's subspace solves grow too.  The
 random start finds the curvature that a g-started space misses: the hard
-case, and g = 0 at a saddle.
+case, and g = 0 at a saddle.  Either way the measure also returns the
+leftmost eigenpair it solved with, which the cubic solve's escape reads.
 
 The same search and hard-case rule also give the global minimiser of
 the cubic model from an eigendecomposition (``cubic_minimiser``), whose
@@ -66,13 +67,15 @@ class TrustRegionResult:
     """Outcome of the unit-ball maximisation.
 
     Only ``value`` is contractual; the maximiser is diagnostic and ties are
-    broken by the solver's deterministic iteration order.
+    broken by the solver's deterministic iteration order.  ``leftmost`` is
+    the smallest eigenvalue of H and a unit eigenvector.
     """
 
     direction: np.ndarray
     value: float
     multiplier: float
     boundary: bool
+    leftmost: tuple[float, np.ndarray]
 
 
 def check_termination(phis, epsilons) -> bool:
@@ -111,23 +114,12 @@ def downhill(g, v) -> np.ndarray:
 
 
 def leftmost_eigenpair(h_action, n: int):
-    """Smallest eigenvalue and a unit eigenvector of a symmetric action.
-
-    Only the dense path checks the action's symmetry, on the matrix that
-    ``SampleHessian.dense`` builds from it: one call on the identity block,
-    none for a ``SampleHessian`` that holds its matrix already.  Above
-    ``DENSE_MAX_N`` it is the leftmost Ritz pair of a basis grown from the
-    seeded random start by that pair's residual until the residual is at
-    most 1e-10 of the projected spectrum's scale: at most n columns.  On
-    either path a non-finite action raises ``FloatingPointError``.
-    """
-    hessian = _sample_hessian(h_action, n)
-    if dense_path(n):
-        lam, q = hessian.eigh()
-        return float(lam[0]), q[:, 0].copy()
-    basis, (lam, Y), _ = _krylov(np.zeros(n), hessian, n)
-    x = basis.Q[: basis.k].T @ Y[:, 0]
-    return float(lam[0]), x / step_norm(x)
+    """Smallest eigenvalue and a unit eigenvector of a symmetric action:
+    ``phi_2(np.zeros(n), h_action, n).leftmost``, with its symmetry check
+    on both paths and its ``FloatingPointError`` on a non-finite action.
+    Above ``DENSE_MAX_N`` the basis grows from the seeded random start
+    alone, by the leftmost Ritz residual: at most n + 4 columns."""
+    return phi_2(np.zeros(n), h_action, n).leftmost
 
 
 def phi_2(g, h_action, n: int) -> TrustRegionResult:
@@ -142,10 +134,12 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
     a basis of g and the seeded random start, grown by the residual
     (H + mu I) d + g, read from the basis's actions, to 1e-10 of ||g||
     plus the projected spectrum's scale, then by the leftmost Ritz
-    residual as in ``leftmost_eigenpair``: at most n columns.  Either
-    path first checks that the action is symmetric to 1e-3: the dense one
-    on the whole matrix, the Krylov one on two random pairs of vectors (4
+    residual to 1e-10 of that scale: at most n columns.  Either path
+    first checks that the action is symmetric to 1e-3: the dense one on
+    the whole matrix, the Krylov one on two random pairs of vectors (4
     columns).  A non-finite action raises ``FloatingPointError``.
+    ``leftmost`` is column 0 of the dense ``eigh``, or the basis's
+    converged leftmost Ritz pair lifted to the full space.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
@@ -154,10 +148,7 @@ def phi_2(g, h_action, n: int) -> TrustRegionResult:
     if dense_path(n):
         return _phi2_dense(g, hessian.dense(), hessian.eigh())
     _check_symmetry_probabilistic(hessian, n)
-    basis, _, solution = _krylov(g, hessian, n)
-    d = basis.Q[: basis.k].T @ solution.direction
-    # The projected value is the value at d; keep d feasible against round-off.
-    return replace(solution, direction=d / max(1.0, step_norm(d)))
+    return _krylov(g, hessian, n)
 
 
 class Basis:
@@ -196,12 +187,11 @@ class Basis:
         return True
 
 
-def _krylov(g, h_action, n: int):
-    """The Krylov path of ``phi_2`` and ``leftmost_eigenpair`` (g = 0):
-    the basis, the eigendecomposition (lam, Y) of its projected matrix and
-    phi2's projected solution.  Only a residual's part outside the basis
-    counts, so a differenced, slightly asymmetric action converges as an
-    exact one does."""
+def _krylov(g, h_action, n: int) -> TrustRegionResult:
+    """The Krylov path of ``phi_2``: its projected solution on the basis
+    that neither residual grows, lifted to the full space.  Only a
+    residual's part outside the basis counts, so a differenced, slightly
+    asymmetric action converges as an exact one does."""
     gnorm, basis = step_norm(g), Basis(h_action, n)
     for v in (g, np.random.default_rng(_START_SEED).standard_normal(n)):
         basis.add(v, 0.0)
@@ -211,12 +201,16 @@ def _krylov(g, h_action, n: int):
         lam, Y = np.linalg.eigh(T)
         scale = max(-float(lam[0]), float(lam[-1]))
         solution = _phi2_dense(Q @ g, T, (lam, Y))
-        y, y1 = solution.direction, Y[:, 0]
+        y, y1 = solution.direction, Y[:, 0]  # a view: a copy rounds the products otherwise
         if not (
             basis.add(W.T @ y + solution.multiplier * (Q.T @ y) + g, _KRYLOV_TOL * (gnorm + scale))
             or basis.add(W.T @ y1 - lam[0] * (Q.T @ y1), _KRYLOV_TOL * scale)
         ):
-            return basis, (lam, Y), solution
+            break
+    d, x = Q.T @ y, Q.T @ y1
+    # The projected value is the value at d; keep d feasible against round-off.
+    d /= max(1.0, step_norm(d))
+    return replace(solution, direction=d, leftmost=(float(lam[0]), x / step_norm(x)))
 
 
 def _check_symmetry_probabilistic(h_action, n: int):
@@ -228,11 +222,6 @@ def _check_symmetry_probabilistic(h_action, n: int):
         right = float(v @ np.asarray(h_action(u), dtype=float))
         if abs(left - right) > 1e-3 * (1.0 + abs(left)):
             raise ValueError("Hessian action is not symmetric")
-
-
-def _result(g, H_apply, d, mu, boundary) -> TrustRegionResult:
-    value = float(-(g @ d) - 0.5 * (d @ H_apply(d)))
-    return TrustRegionResult(direction=d, value=value, multiplier=float(mu), boundary=boundary)
 
 
 def _shifted_solves(lam, Q, w):
@@ -274,17 +263,15 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray, eigh) -> TrustRegionResult:
     lam1 = float(lam[0])
     zero_shift, direction, norm_at = _shifted_solves(lam, Q, w)
     mu_lo = max(0.0, -lam1)
-    apply_H = lambda d: H @ d
 
-    # Interior solution: positive definite Hessian with a short Newton step.
-    if lam1 > zero_shift:
-        d0 = direction(0.0)
-        if np.linalg.norm(d0) <= 1.0:
-            return _result(g, apply_H, d0, 0.0, boundary=False)
+    def result(d, mu: float, boundary: bool) -> TrustRegionResult:
+        value = float(-(g @ d) - 0.5 * (d @ (H @ d)))
+        return TrustRegionResult(d, value, float(mu), boundary, (lam1, Q[:, 0].copy()))
 
     probe = mu_lo + max(1e-14, 1e-14 * mu_lo)
-    if norm_at(probe) < 1.0:
-        return _inside_or_hard_case(g, apply_H, direction(mu_lo), Q[:, 0], mu_lo, zero_shift)
+    if norm_at(probe) < 1.0:  # interior, d(0) for positive semidefinite H, or hard case
+        d, mu = _inside_or_hard_case(g, direction(mu_lo), Q[:, 0], mu_lo, zero_shift)
+        return result(d, mu, mu > 0.0)
 
     # Boundary solution.  Every shift lam_i + mu is positive above mu_lo, so
     # the search and the direction divide by all of them; at mu_lo + ||g|| + 1
@@ -301,7 +288,7 @@ def _phi2_dense(g: np.ndarray, H: np.ndarray, eigh) -> TrustRegionResult:
     hi = mu_lo + float(np.linalg.norm(g)) + 1.0
     mu_star = _boundary_multiplier(newton, probe, hi)
     d = -(Q @ (w / (lam + mu_star)))
-    return _result(g, apply_H, d / np.linalg.norm(d), mu_star, boundary=True)
+    return result(d / np.linalg.norm(d), mu_star, True)
 
 
 def cubic_minimiser(g, eigh, sigma: float) -> np.ndarray:
@@ -327,10 +314,8 @@ def cubic_minimiser(g, eigh, sigma: float) -> np.ndarray:
 
     probe = mu_lo + max(1e-14, 1e-14 * mu_lo)
     if norm_at(probe) < radius(probe):
-        apply_H = lambda d: Q @ (lam * (Q.T @ d))
-        return _inside_or_hard_case(
-            g, apply_H, direction(mu_lo), Q[:, 0], mu_lo, zero_shift, radius(mu_lo)
-        ).direction
+        s, _ = _inside_or_hard_case(g, direction(mu_lo), Q[:, 0], mu_lo, zero_shift, radius(mu_lo))
+        return s
 
     # Easy case: the root lies above the probe, where every shift is
     # positive.  ||s(mu)|| >= |w_i| / (lam_i + mu) puts it above the
@@ -395,21 +380,21 @@ def _boundary_multiplier(newton, lo: float, hi: float) -> float:
     raise RuntimeError("the multiplier search did not converge")
 
 
-def _inside_or_hard_case(g, apply_H, d_f, q1, mu_lo: float, zero_shift: float, radius=1.0):
-    """The solution when ||d(mu)|| < ``radius`` just above the leftmost
-    shift mu_lo.
+def _inside_or_hard_case(g, d_f, q1, mu_lo: float, zero_shift: float, radius=1.0):
+    """The solution and its multiplier when ||d(mu)|| < ``radius`` just
+    above the leftmost shift mu_lo.
 
     ``d_f`` is d(mu_lo) without its component along the leftmost
     eigenvector ``q1``.  For a positive semidefinite H (mu_lo <= ``zero_shift``)
-    it is the solution; otherwise (hard case) it is completed to the
-    boundary along q1, oriented by ``downhill``.
+    it is the solution, with multiplier 0; otherwise (hard case) it is
+    completed to the boundary along q1, oriented by ``downhill``.
     """
     if mu_lo <= zero_shift:
-        return _result(g, apply_H, d_f, 0.0, boundary=False)
+        return d_f, 0.0
     # Scaled by the radius, which 2 mu_lo / sigma can make too small to square.
     tau = radius * float(np.sqrt(max(0.0, 1.0 - float(d_f @ d_f) / radius / radius)))
     d = d_f + tau * downhill(g, q1)
     norm = float(np.linalg.norm(d))
     if norm > radius:  # keep feasible against round-off
         d /= norm / radius
-    return _result(g, apply_H, d, mu_lo, boundary=True)
+    return d, mu_lo

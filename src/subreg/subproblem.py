@@ -16,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .model import RegularisedModel, model_hessian_action, step_norm
-from .optimality import Basis, cubic_minimiser, dense_path, downhill, leftmost_eigenpair, phi_2
+from .optimality import Basis, cubic_minimiser, dense_path, downhill, phi_2
+# benchmarks/tracing.py wraps this name here, until ROADMAP item 8.
+from .optimality import leftmost_eigenpair  # noqa: F401
 
 __all__ = ["quadratic_step", "cubic_step"]
 
@@ -53,8 +55,9 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     tolerance met), unless the basis it continues spans the space and
     its step is that minimiser, reported alike.  Above, while phi_2 of
     the model at the step exceeds theta * eps2, it adds the leftmost
-    eigenvector of the model Hessian there to the basis (``escapes``, at
-    most 20) and goes on; each measure asks at most n + 4 columns.  ``converged`` says
+    eigenvector of the model Hessian there, which that phi_2's basis
+    returns with it, to the basis (``escapes``, at most 20) and goes on;
+    each measure asks at most n + 4 columns.  ``converged`` says
     whether the tolerances were met, and ``hvp_evals`` counts the columns
     asked of the ``SampleHessian``.  ``model_value``, ``grad_norm`` and
     ``taylor_decrease = -g @ s - 0.5 s @ H s`` take H s from the exact
@@ -84,11 +87,11 @@ def cubic_step(model: RegularisedModel, eps1: float, theta: float, eps2: float |
     # at the minimiser of a spanning basis the first-order test decides.
     converged = sub.descend(model) or (eps2 is not None and dense_path(n))
     while eps2 is not None and converged and sub.k < n:
-        model_hessian = model_hessian_action(model, sub.s)
-        converged = phi_2(sub.grad, model_hessian, n).value <= theta * eps2
+        measure = phi_2(sub.grad, model_hessian_action(model, sub.s), n)
+        converged = measure.value <= theta * eps2
         if converged or escapes == _MAX_ESCAPES:
             break
-        lam1, d1 = leftmost_eigenpair(model_hessian, n)
+        lam1, d1 = measure.leftmost
         if lam1 >= -1e-12 or not sub.grow(model, downhill(sub.grad, d1), 1.0):
             break  # no curvature left to add at this accuracy
         escapes += 1

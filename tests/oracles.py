@@ -117,7 +117,8 @@ def phi2_dense_brentq(g, H):
 
     def result(d, mu, boundary):
         value = float(-(g @ d) - 0.5 * (d @ H @ d))
-        return TrustRegionResult(direction=d, value=value, multiplier=float(mu), boundary=boundary)
+        leftmost = (lam1, Q[:, 0])
+        return TrustRegionResult(d, value, float(mu), boundary, leftmost)
 
     if lam1 > zero_shift:
         d0 = direction(0.0)

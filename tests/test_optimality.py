@@ -302,10 +302,28 @@ class TestPhi2Iterative:
 
 
 class TestLeftmost:
-    def test_asymmetric_action_refused_on_the_dense_path(self):
-        H = np.array([[1.0, 5.0], [0.0, 1.0]])
+    @staticmethod
+    def leftmost(gradient, H, Q):
+        """The leftmost pair of H from ``leftmost_eigenpair`` (g = 0) or
+        from phi_2 at a generic g or a hard-case g, short and orthogonal to
+        the leftmost eigenvector ``Q[:, 0]``."""
+        n = len(H)
+        if gradient == "zero":
+            return leftmost_eigenpair(action_of(H), n)
+        g = np.random.default_rng(10).standard_normal(n)
+        if gradient == "hard":
+            g = 1e-3 * (g - (g @ Q[:, 0]) * Q[:, 0])
+        r = phi_2(g, action_of(H), n)
+        lam1, _ = r.leftmost
+        assert r.boundary and (r.multiplier == pytest.approx(-lam1, rel=1e-9)) == (gradient == "hard")
+        return r.leftmost
+
+    @pytest.mark.parametrize("n", [2, DENSE_MAX_N + 1])
+    def test_asymmetric_action_refused_on_both_paths(self, n):
+        # Above DENSE_MAX_N by phi_2's probabilistic check (4 columns).
+        H = np.eye(n) + np.triu(np.ones((n, n)), 1)
         with pytest.raises(ValueError, match="not symmetric"):
-            leftmost_eigenpair(action_of(H), 2)
+            leftmost_eigenpair(action_of(H), n)
 
     def test_iterative_finds_a_repeated_zero_eigenvalue(self):
         # A 50-fold zero eigenvalue, which no eigenvalue-relative test meets.
@@ -349,24 +367,27 @@ class TestLeftmost:
         assert lam1 == pytest.approx(scale * leftmost, rel=1e-12)
         assert abs(vec[np.argmin(d)]) == pytest.approx(1.0, rel=1e-6)
 
-    def test_dense_matches_numpy(self):
+    @pytest.mark.parametrize("gradient", ["zero", "generic", "hard"])
+    def test_dense_matches_numpy(self, gradient):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 6))
         H = 0.5 * (A + A.T)
-        lam, vec = leftmost_eigenpair(action_of(H), 6)
         w, Q = np.linalg.eigh(H)
+        lam, vec = self.leftmost(gradient, H, Q)
         assert lam == pytest.approx(w[0], rel=1e-12)
         assert abs(abs(vec @ Q[:, 0]) - 1.0) <= 1e-10
 
-    def test_iterative_matches_dense(self):
+    @pytest.mark.parametrize("gradient", ["zero", "generic", "hard"])
+    def test_iterative_matches_dense(self, gradient):
         rng = np.random.default_rng(9)
         n = DENSE_MAX_N + 10
         A = rng.standard_normal((n, n))
         H = 0.5 * (A + A.T)
-        lam_i, vec = leftmost_eigenpair(action_of(H), n)
         w, Q = np.linalg.eigh(H)
+        lam_i, vec = self.leftmost(gradient, H, Q)
         assert abs(w[0] - lam_i) <= 1e-6 * max(1.0, abs(w[0]))
         assert abs(abs(vec @ Q[:, 0]) - 1.0) <= 1e-6
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", ITERATIVE_ORDERS)
     def test_iterative_at_a_strict_saddle(self, n):

@@ -1142,6 +1142,30 @@ class TestPerSolveBound:
         assert all(measured.values())
         assert all(columns <= n + 4 for calls in measured.values() for columns in calls)
 
+    def test_escape_probe_grows_one_basis(self, monkeypatch):
+        # At eps2 = 1e-2 the first solve's phi_2 exceeds theta * eps2 at its
+        # step, so it probes an escape.  The leftmost eigenpair it reads is
+        # that phi_2's own: no solve grows a second basis for it.
+        prob = sigmoid_problem(seed=1, N=400, d=205)
+        measured, values, pairs = [], [], []
+        self.count_measures(monkeypatch, subproblem_module, measured)
+        measure, pair = subproblem_module.phi_2, subproblem_module.leftmost_eigenpair
+
+        def valued(*args):
+            result = measure(*args)
+            values.append(result.value)
+            return result
+
+        monkeypatch.setattr(subproblem_module, "phi_2", valued)
+        monkeypatch.setattr(
+            subproblem_module, "leftmost_eigenpair", lambda *args: pairs.append(1) or pair(*args)
+        )
+        cfg = SolverConfig(p=2, q=2, eps1=0.1, eps2=1e-2, budget_cm=300.0, seed=1000)
+        minimize(prob, cfg)
+        assert max(values) > cfg.theta * cfg.eps2
+        assert pairs == []
+        assert all(columns <= prob.n + 4 for columns in measured)
+
 
 class TestOrderOneGrowth:
     """At p = 1 the shared loop is the order-one loop it replaced, bit for bit."""

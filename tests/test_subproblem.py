@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from subreg import optimality, subproblem
 from subreg.finite_sum import SampleHessian
 from subreg.harness import synthesize_dataset
 from subreg.model import RegularisedModel, model_hessian_action, step_norm
-from subreg.optimality import DENSE_MAX_N, dense_path, leftmost_eigenpair, phi_2
+from subreg.optimality import DENSE_MAX_N, dense_path, phi_2
 from subreg.problems import NetworkSpec, SquaredLossProblem, initial_point
 from subreg.subproblem import cubic_step, quadratic_step
 
@@ -256,20 +258,26 @@ class TestCubicStep:
         # The model is even in the negative-curvature coordinate, so a step
         # either way along it decreases the model alike and only the
         # orientation of the added eigenvector d1 picks one.  Above
-        # DENSE_MAX_N a q = 2 solve adds d1 from leftmost_eigenpair, here
-        # from a gradient orthogonal to the negative-curvature axis.
+        # DENSE_MAX_N a q = 2 solve adds d1 from its phi_2's leftmost
+        # pair, here from a gradient orthogonal to the negative-curvature
+        # axis.  The action is odd only up to round-off, as a differenced
+        # one is, so a basis vector of the other sign changes the step's
+        # bits: an exactly odd action carries the flip through the solve
+        # and would pass without the orientation.
         H = np.diag(np.linspace(-2.0, 5.0, n))
         g = np.r_[0.0, np.full(n - 1, (n - 1) ** -0.5)]
+        action = lambda v: H @ (v + 1.0) - H @ np.ones_like(v)  # noqa: E731
         solves = []
         for sign in (1.0, -1.0):
-            monkeypatch.setattr(
-                subproblem,
-                "leftmost_eigenpair",
-                lambda action, n, sign=sign: (lambda lam, d1: (lam, sign * d1))(
-                    *leftmost_eigenpair(action, n)
-                ),
-            )
-            solves.append(cubic_step(cubic_model(g, H, 0.4), eps1=1e-8, theta=0.5, eps2=1e-6))
+
+            def flipped(*args, sign=sign):
+                measure = phi_2(*args)
+                lam1, d1 = measure.leftmost
+                return replace(measure, leftmost=(lam1, sign * d1))
+
+            monkeypatch.setattr(subproblem, "phi_2", flipped)
+            model = RegularisedModel(g, 0.4, action)
+            solves.append(cubic_step(model, eps1=1e-8, theta=0.5, eps2=1e-6))
         (s_plus, diag_plus), (s_minus, diag_minus) = solves
         assert diag_plus["escapes"] >= 1
         assert s_plus.tobytes() == s_minus.tobytes()
