@@ -199,26 +199,20 @@ class FiniteSumProblem:
             total += self.component_gradient(int(i), x)
         return total / idx.size
 
-    def hessian_action(self, indices, x, base=None) -> SampleHessian:
+    def hessian_action(self, indices, x) -> SampleHessian:
         """Mean Hessian over a frozen index set, as a :class:`SampleHessian`.
 
         It takes a vector ``(n,)`` or a block ``(n, k)`` and returns the
         action with the same shape.  Here it is a forward difference of
-        batched gradient means about ``base``, the gradient mean at ``x``
-        over the same indices.  A caller that holds it passes it in, and one
-        that can produce it passes a function of no arguments that returns
-        it; otherwise it is computed here once.  Each column then costs one
-        batched gradient evaluation at a shifted point, and ``dense()``
-        costs n of them.  Problems with analytic Hessians override this one
-        method and may ignore ``base``, so a function passed as ``base`` is
-        then never called.
+        batched gradient means about the gradient mean at ``x`` over the
+        same indices, computed here once, so the action is a function of
+        the set and ``x`` alone.  Each column then costs one batched
+        gradient evaluation at a shifted point, and ``dense()`` costs n of
+        them.  Problems with analytic Hessians override this one method.
         """
         idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
-        if base is None:
-            base = self.gradient_mean(idx, x)
-        elif callable(base):
-            base = base()
+        base = self.gradient_mean(idx, x)
         u = float(np.finfo(float).eps)
         scale = float(np.sqrt(u)) * (1.0 + float(np.linalg.norm(x)))
 
@@ -255,9 +249,9 @@ class CustomProblem(FiniteSumProblem):
     def component_gradient(self, i: int, x) -> np.ndarray:
         return as_vector(self._gradient(int(i), as_vector(x, self.n)), self.n, "gradient")
 
-    def hessian_action(self, indices, x, base=None):
+    def hessian_action(self, indices, x):
         if self._hvp is None:
-            return super().hessian_action(indices, x, base)
+            return super().hessian_action(indices, x)
         idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n).copy()
 

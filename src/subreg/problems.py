@@ -543,7 +543,7 @@ class SquaredLossProblem(FiniteSumProblem):
         flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         return flat / idx.size
 
-    def hessian_action(self, indices, x, base=None) -> SampleHessian:
+    def hessian_action(self, indices, x) -> SampleHessian:
         """Mean Hessian over a frozen index set, as a ``SampleHessian``.
 
         For the bias-free sigmoid it is exact: with p = sigmoid(A x) over
@@ -553,11 +553,11 @@ class SquaredLossProblem(FiniteSumProblem):
         computed once here from ``_margins``; each action reads the rows in
         blocks and never copies the whole set, and ``dense()`` is one Gram
         product A_b^T (c_b * A_b) per row block, which equals the action on
-        the identity block bit for bit.  ``base`` is not needed and is ignored.
-        Networks keep the differenced default.
+        the identity block bit for bit.  Networks keep the differenced
+        default.
         """
         if self.spec.hidden_sizes:
-            return super().hessian_action(indices, x, base)
+            return super().hessian_action(indices, x)
         idx = as_index_set(indices, self.N).copy()
         x = as_vector(x, self.n)
         a = self.dataset.features

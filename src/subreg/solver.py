@@ -13,9 +13,9 @@ Work is metered in cost units where one full-sample objective evaluation
 a gradient over G costs an extra (2 |G \\ D1| + |G & D1|) / N because
 forward passes shared with the first function estimate are not recounted;
 each Hessian-action of the cubic subproblem costs 2 |H| / N plus a
-one-time |H \\ (H & G)| / N for base gradients not shared with G.  That
-term is charged for every problem, although the base gradient is computed
-only when a differenced action asks for it.
+one-time |H \\ (H & G)| / N.  That term is a charging convention, the
+base gradient of a differenced action over the rows it does not share
+with G; it is charged for every problem, whatever its action computes.
 Measurement-only quantities (exact losses recorded in traces, the
 order-two termination measure, whose Krylov path above
 ``optimality.DENSE_MAX_N`` asks at most n + 4 columns) are never charged.
@@ -33,7 +33,10 @@ step hold or every sample is the full sum.  At q = 2 a subspace step
 sizes the samples, and only the pass whose targets hold takes the q = 2
 step, on the dense matrix at most once per iteration.  A pass redoes
 only what grew, so CM and traces are those of a loop that rebuilds and
-re-solves on every pass that grew a sample.
+re-solves on every pass that grew a sample.  A sample's Hessian estimate
+is a function of the sample and x alone, whatever the problem's action
+(a differenced one computes its own base gradient), so the full sample's
+is built once per iterate and read back after a rejected step.
 
 The termination test reads the measures at x_k, so at p = 2 a pass whose
 samples are all full, whose estimates are exact, takes it before its
@@ -165,6 +168,8 @@ class SolverConfig:
             raise ValueError("budget must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def omega(self, sigma: float) -> float:
         return min(0.5 * self.alpha * self.eta, 1.0 / sigma)
@@ -271,28 +276,18 @@ def _first_gradient(problem, idx, x, known):
     return known["grad"]
 
 
-def _sample_hessian(problem, sample, x, known):
-    """``SampleHessian`` over a Hessian sample, with ``sample`` as its base.
+def _sample_hessian(problem, idx, x, known):
+    """``SampleHessian`` over a Hessian sample at ``x``.
 
-    The full set's Hessian at ``x`` is kept in ``known`` (with the dense
-    matrix it may cache) and read back while ``x`` does not move, but only
-    one whose construction asked for no base: such an action is a function
-    of the set and ``x`` alone.  A differenced action keeps its base's bits,
-    which depend on how the sample grew to the full set, so it is rebuilt.
+    A sample's Hessian is a function of the set and ``x`` alone, so the
+    full set's is kept in ``known`` (with the dense matrix and the
+    decomposition it may cache) and read back while ``x`` does not move.
     """
-    full = sample.idx.size == problem.N
-    if full and "hess" in known:
-        return known["hess"]
-    asked = []
-
-    def base():
-        asked.append(True)
-        return sample()
-
-    hessian = problem.hessian_action(sample.idx, x, base=base)
-    if full and not asked:
-        known["hess"] = hessian
-    return hessian
+    if idx.size != problem.N:
+        return problem.hessian_action(idx, x)
+    if "hess" not in known:
+        known["hess"] = problem.hessian_action(idx, x)
+    return known["hess"]
 
 
 def _terminated(cfg, g, hessian) -> bool:
@@ -329,42 +324,6 @@ class StepRecord:
     converged: bool
 
 
-class _SampleGradient:
-    """A growing sample and the gradient mean at ``x`` over it.
-
-    ``idx`` is the sample, ascending, and ``grow`` extends it.  Calling the
-    sample returns the mean: each piece of the sample (the draw, then
-    every extension) is evaluated at the first call after it was added
-    and merged in order, so the mean has the bits of evaluating each piece
-    as it is drawn.  The gradient sample's mean is read after every
-    growth; the Hessian sample is its ``SampleHessian``'s ``base``, which
-    a differenced action asks for and an exact one never does.
-    """
-
-    def __init__(self, problem, x, idx, mean=None):
-        self.idx = idx
-        self._problem, self._x = problem, x
-        self._mean, self._count = mean, 0 if mean is None else idx.size
-        self._pending = [idx] if mean is None else []
-
-    def grow(self, rng, size: int) -> bool:
-        """Extend the sample to ``size`` indices; False when it has as many."""
-        if size <= self.idx.size:
-            return False
-        self.idx, ext = extend_subsample(rng, self._problem.N, self.idx, size)
-        self._pending.append(ext)
-        return True
-
-    def __call__(self) -> np.ndarray:
-        for part in self._pending:
-            mean = self._problem.gradient_mean(part, self._x)
-            if self._count:
-                mean = merged_mean(self._mean, self._count, mean, part.size)
-            self._mean, self._count = mean, self._count + part.size
-        self._pending = []
-        return self._mean
-
-
 def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     """Step 1 of the method, growing the derivative samples, with the
     model's trial step (step 2).
@@ -389,65 +348,66 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
     last pass's ``StepRecord``.
 
     Within one loop x and sigma are fixed and samples only grow by
-    extension, so a pass redoes only what grew.  The step is solved again
-    only when a sample grew, and the ``SampleHessian`` (with the dense
-    matrix it caches) is built only when H was drawn or grew; a full H
-    sample reads back an exact Hessian already built at ``x`` in an
-    earlier iteration (``_sample_hessian``).  A pass that grows neither
-    sample keeps the previous step and its targets and is charged nothing;
-    at p = 2 its ``eps`` already meets those targets, so it is the last.
+    extension, so a pass redoes only what grew.  Each gradient extension
+    is evaluated as it is drawn and merged into the mean in order.  The
+    step is solved again only when a sample grew, and the
+    ``SampleHessian`` (with the dense matrix it caches) is built only when
+    H was drawn or grew; a full H sample reads back the Hessian already
+    built at ``x`` in an earlier iteration (``_sample_hessian``).  A pass
+    that grows neither sample keeps the previous step and its targets and
+    is charged nothing; at p = 2 its ``eps`` already meets those targets,
+    so it is the last.
     """
     N, n = problem.N, problem.n
     eps = cfg.kappa_eps
     eps2 = cfg.eps2 if cfg.q == 2 else None
-    logs = [gradient_log_argument(n, cfg.t), hessian_log_argument(n, cfg.t)][: cfg.p]
+    glog, hlog = gradient_log_argument(n, cfg.t), hessian_log_argument(n, cfg.t)
 
     def size(log):
         return bernstein_size(cfg.kappa, eps, cfg.t, log, N)
 
-    draws = [draw_subsample(rng, N, size(log)) for log in logs]
-    g = _first_gradient(problem, draws[0], x, known)
-    samples = [_SampleGradient(problem, x, draws[0], g)]
-    if cfg.p == 2:
-        # Two full draws are the same set at the same x: one evaluation serves both.
-        shared = g if draws[0].size == draws[1].size == N else None
-        samples.append(_SampleGradient(problem, x, draws[1], shared))
+    def extend(idx, log):
+        """``idx`` extended to the size ``eps`` asks, and the extension,
+        empty when ``idx`` has as many already."""
+        want = size(log)
+        return extend_subsample(rng, N, idx, want) if want > idx.size else (idx, _EMPTY)
+
+    g_idx = draw_subsample(rng, N, size(glog))
+    g = _first_gradient(problem, g_idx, x, known)
+    h_idx = draw_subsample(rng, N, size(hlog)) if cfg.p == 2 else _EMPTY
 
     def solve(model, eps2):
         """``cubic_step`` on ``model``, charged its columns: the step, its
         Taylor decrease and its accuracy targets."""
         nonlocal hvp_props
         s, diag = cubic_step(model, cfg.eps1, cfg.theta, eps2)
-        hvp_props += diag["hvp_evals"] * samples[1].idx.size
+        hvp_props += diag["hvp_evals"] * h_idx.size
         return s, diag["taylor_decrease"], accuracy_quantities(s, diag, omega)
 
     hessian = converged = None
     hvp_props = passes = 0
-    grew = [True] * cfg.p
+    grew_g, grew_h = True, cfg.p == 2
     taken = True  # whether s is the step the iteration takes
     while True:
-        full = all(sample.idx.size == N for sample in samples)
-        h_idx = samples[1].idx if cfg.p == 2 else _EMPTY
-        if any(grew):
+        full = g_idx.size == N and h_idx.size in (0, N)
+        if grew_g or grew_h:
             # A new solve: the first pass, or a sample grew.  Caught here,
             # NaNs would otherwise surface inside the eigensolvers; the
             # Hessian estimate checks its own.
-            g = samples[0]()
             grad_norm = float(np.linalg.norm(g))
             _require_finite("gradient", grad_norm)
             if cfg.p == 1:
                 s, delta_t = quadratic_step(g, sigma)
                 targets = [omega * grad_norm]
             else:
-                if grew[1]:
-                    hessian = _sample_hessian(problem, samples[1], x, known)
+                if grew_h:
+                    hessian = _sample_hessian(problem, h_idx, x, known)
                 if full:
                     # Exact estimates at x_k: test termination before the step.
                     converged = _terminated(cfg, g, hessian)
                     if converged:
                         return StepRecord(
-                            g, samples[0].idx, h_idx, np.zeros(n), 0.0, hvp_props, passes + 1,
-                            hessian, True,
+                            g, g_idx, h_idx, np.zeros(n), 0.0, hvp_props, passes + 1, hessian, True
                         )
                 model = RegularisedModel(g, sigma, hessian)
                 taken = eps2 is None or full  # full samples need no sizing step
@@ -463,11 +423,15 @@ def _grow_and_step(problem, x, omega, sigma, cfg, rng, known):
         if done:
             if converged is None:
                 converged = _terminated(cfg, g, hessian)
-            return StepRecord(
-                g, samples[0].idx, h_idx, s, delta_t, hvp_props, passes, hessian, converged
-            )
+            return StepRecord(g, g_idx, h_idx, s, delta_t, hvp_props, passes, hessian, converged)
         eps = cfg.gamma_eps * eps if cfg.p == 1 else min(cfg.gamma_eps * eps, *targets)
-        grew = [sample.grow(rng, size(log)) for sample, log in zip(samples, logs)]
+        g_idx, ext = extend(g_idx, glog)
+        grew_g = ext.size > 0
+        if grew_g:
+            g = merged_mean(g, g_idx.size - ext.size, problem.gradient_mean(ext, x), ext.size)
+        if cfg.p == 2:
+            h_idx, ext = extend(h_idx, hlog)
+            grew_h = ext.size > 0
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> int:
@@ -508,7 +472,7 @@ def minimize(
     ``value_mean``, ``gradient_mean`` and ``hessian_action``): a rejected
     step records the values already measured, and a full first gradient
     draw or full Hessian sample at the unchanged ``x`` reads the gradient
-    or exact Hessian already computed there.  An ``x0``
+    or Hessian already computed there.  An ``x0``
     of the wrong shape or with a NaN or infinite entry raises
     ``ValueError``.
     """
@@ -531,7 +495,7 @@ def minimize(
     stop_reason = "iteration_cap"
 
     # Full-sample objective ("train"), test loss, full-sample gradient
-    # ("grad") and exact full-sample Hessian ("hess") at x, each computed
+    # ("grad") and full-sample Hessian ("hess") at x, each computed
     # at most once per iterate; emptied whenever x moves.  A full-sample
     # estimate is exact, so it doubles as the measurement and vice versa:
     # every full-set value is value_mean over 0..N-1 at the same x, bit for

@@ -310,7 +310,6 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     g_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps, cfg.t, glog, N))
     g = _first_gradient(problem, g_idx, x, known)
     h_idx = draw_subsample(rng, N, bernstein_size(cfg.kappa, eps, cfg.t, hlog, N))
-    h_base = g if g_idx.size == h_idx.size == N else problem.gradient_mean(h_idx, x)
 
     hvp_props = 0
     passes = 0
@@ -318,8 +317,8 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
     taken = False  # whether the previous pass ended with the step it would take
     while True:
         passes += 1
-        _require_finite("gradient", float(np.linalg.norm(g)) + float(np.linalg.norm(h_base)))
-        hessian = problem.hessian_action(h_idx, x, base=h_base)
+        _require_finite("gradient", float(np.linalg.norm(g)))
+        hessian = problem.hessian_action(h_idx, x)
         model = RegularisedModel(g, sigma, hessian)
         full = g_idx.size == N and h_idx.size == N
         if full and terminated(cfg, g, hessian):
@@ -351,9 +350,7 @@ def grow_model_and_step_rebuild(problem, x, omega, sigma, cfg, rng, known):
             grew = True
         new_h = bernstein_size(cfg.kappa, eps, cfg.t, hlog, N)
         if new_h > h_idx.size:
-            old = h_idx.size
-            h_idx, ext = extend_subsample(rng, N, h_idx, new_h)
-            h_base = merged_mean(h_base, old, problem.gradient_mean(ext, x), ext.size)
+            h_idx, _ = extend_subsample(rng, N, h_idx, new_h)
             grew = True
 
 

@@ -205,42 +205,28 @@ class TestContractInvariants:
 
 
 class TestHessianAction:
-    def test_base_function_is_called_only_by_a_differenced_action(self):
-        ds = Dataset(np.random.default_rng(4).standard_normal((15, 3)),
-                     (np.random.default_rng(5).random(15) > 0.5).astype(float))
-        rng = np.random.default_rng(7)
-        idx = np.array([9, 1, 4, 12])
-        for hidden, calls in [((2,), 1), ((), 0)]:
-            prob = SquaredLossProblem(ds, NetworkSpec(3, hidden))
-            x = rng.standard_normal(prob.n)
-            asked = []
-
-            def base():
-                asked.append(1)
-                return prob.gradient_mean(idx, x)
-
-            lazy = prob.hessian_action(idx, x, base=base)
-            v = rng.standard_normal(prob.n)
-            np.testing.assert_array_equal(lazy(v), prob.hessian_action(idx, x)(v))
-            lazy.dense()
-            assert len(asked) == calls
-        custom = CustomProblem(2, 4, value=lambda i, x: float(x @ x),
-                               gradient=lambda i, x: 2.0 * x, hvp=lambda i, x, v: 2.0 * v)
-        action = custom.hessian_action([0, 3], np.ones(2), base=lambda: pytest.fail("called"))
-        np.testing.assert_array_equal(action(np.ones(2)), np.full(2, 2.0))
-
-    def test_supplied_base_is_bit_identical(self):
-        ds = Dataset(np.random.default_rng(4).standard_normal((15, 3)),
-                     (np.random.default_rng(5).random(15) > 0.5).astype(float))
-        prob = SquaredLossProblem(ds, NetworkSpec(3, (2,)))
+    @pytest.mark.parametrize("kind", ["net", "custom"])
+    def test_differenced_action_is_a_function_of_the_set_and_x(self, kind):
+        # The differenced default computes its own base gradient: two builds
+        # on one set give the same matrix, and a column is the forward
+        # difference about the set's gradient mean at x.
+        if kind == "net":
+            ds = Dataset(np.random.default_rng(4).standard_normal((15, 3)),
+                         (np.random.default_rng(5).random(15) > 0.5).astype(float))
+            prob = SquaredLossProblem(ds, NetworkSpec(3, (2,)))
+        else:
+            prob = random_smooth_problem(seed=13, N=15)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(prob.n)
         idx = np.array([9, 1, 4, 12])  # unsorted on purpose
-        with_base = prob.hessian_action(idx, x, base=prob.gradient_mean(idx, x))
-        without = prob.hessian_action(idx, x)
-        for _ in range(3):
-            v = rng.standard_normal(prob.n)
-            np.testing.assert_array_equal(with_base(v), without(v))
+        first, second = prob.hessian_action(idx, x), prob.hessian_action(idx, x)
+        assert first.dense().tobytes() == second.dense().tobytes()
+        v = rng.standard_normal(prob.n)
+        u = float(np.finfo(float).eps)
+        scale = float(np.sqrt(u)) * (1.0 + float(np.linalg.norm(x)))
+        h = scale / max(float(np.linalg.norm(v)), u)
+        column = (prob.gradient_mean(idx, x + h * v) - prob.gradient_mean(idx, x)) / h
+        np.testing.assert_array_equal(prob.hessian_action(idx, x)(v), column)
 
     def test_exact_path_is_mean_of_callable(self):
         rng = np.random.default_rng(8)

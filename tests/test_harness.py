@@ -680,6 +680,8 @@ class TestCli:
         (["--sigma0", "-1"], "need 0 < sigma_min < sigma0"),
         # Used to load the dataset and die with ExperimentConfig's ValueError.
         (["--runs", "0"], "--runs must be at least 1"),
+        # Used to load the dataset and die with numpy's ValueError.
+        (["--seed", "-1"], "seed must be nonnegative"),
         # Used to load the dataset and die with int()'s or NetworkSpec's ValueError.
         (["--net", "abc"], "--net must list positive hidden-layer widths, not 'abc'"),
         (["--net", "0"], "--net must list positive hidden-layer widths, not '0'"),

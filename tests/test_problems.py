@@ -347,14 +347,6 @@ class TestExactSigmoidAction:
                 stacked = np.column_stack([action(column) for column in V.T])
                 np.testing.assert_allclose(action(V), stacked, rtol=1e-12, atol=1e-15)
 
-    def test_base_is_ignored(self, case):
-        prob, x, sets, rng = case
-        v = rng.standard_normal(prob.n)
-        idx = sets["partial"]
-        np.testing.assert_array_equal(
-            prob.hessian_action(idx, x, base=np.zeros(prob.n))(v), prob.hessian_action(idx, x)(v)
-        )
-
     def test_dense_is_the_identity_block_action_bit_for_bit(self, case):
         # The Gram build equals the materialisation through the row passes
         # (the action on the identity block, symmetrised), bit for bit.

@@ -101,6 +101,7 @@ class TestConfigValidation:
             dict(kappa=0.0),
             dict(t=0.0),
             dict(q=2, p=2),  # missing eps2
+            dict(seed=-1),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -571,12 +572,14 @@ class TestOneGradientPerIterate:
     @pytest.mark.parametrize("x0", [0.1, 1.0])
     def test_termination_check_reuses_the_last_hessian(self, x0):
         # The q = 2 check takes the growth loop's Hessian of the same sample
-        # at the same x, so no base gradient is recomputed for it.
+        # at the same x, so no base gradient is recomputed for it: the full
+        # gradients at the last x are the gradient sample's and the base of
+        # the one differenced Hessian built there.
         prob = DoubleWellProblem()
         cfg = SolverConfig(p=2, q=2, eps1=1e-4, eps2=1e-3, budget_cm=1e4, **EXACT)
         res = minimize(prob, cfg, x0=np.full(3, x0))
         assert res.stop_reason == "converged"
-        assert prob.full_gradient_points.count(res.x.tobytes()) == 1
+        assert prob.full_gradient_points.count(res.x.tobytes()) == 2
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_rejected_step_reuses_the_full_gradient(self, q):
@@ -598,8 +601,8 @@ def count_full_builds(prob, monkeypatch):
     built = []
     build = prob.hessian_action
 
-    def counted(indices, x, base=None):
-        hessian = build(indices, x, base)
+    def counted(indices, x):
+        hessian = build(indices, x)
         if len(indices) == prob.N:
             dense = hessian.dense
 
@@ -628,9 +631,8 @@ def full_hessian_starts(res, N):
 
 
 class TestOneHessianPerIterate:
-    """An exact full-sample Hessian is built once per iterate; a rejected
-    step reads it back.  A differenced one is rebuilt, since its base
-    gradient's bits depend on how the sample grew."""
+    """A full-sample Hessian, exact or differenced, is built once per
+    iterate; a rejected step reads it back."""
 
     def test_rejected_step_reuses_the_full_gram(self, monkeypatch):
         # The q2_sigmoid benchmark workload's problem and settings, with
@@ -653,7 +655,18 @@ class TestOneHessianPerIterate:
         res = minimize(prob, cfg, x0=np.full(3, 0.1))
         starts = full_hessian_starts(res, prob.N)
         assert len(starts) > len(set(starts))
-        assert len(built) == (len(set(starts)) if with_hvp else len(starts))
+        assert len(built) == len(set(starts))
+
+    def test_net(self, monkeypatch):
+        # Criterion 11's saddle of a 10-5-1 tanh net, whose action is
+        # differenced, with exact samples: 11 of its steps are rejected.
+        prob = SquaredLossProblem(synthesize_dataset(3, 600, 10, 2.0), NetworkSpec(10, (5,)))
+        built = count_full_builds(prob, monkeypatch)
+        cfg = SolverConfig(p=2, q=2, eps1=1e-3, eps2=1e-2, seed=0, **EXACT)
+        res = minimize(prob, cfg, x0=np.zeros(prob.n))
+        starts = full_hessian_starts(res, prob.N)
+        assert len(starts) > len(set(starts))
+        assert len(built) == len(set(starts))
 
 
 def weighted_double_well(with_hvp):
@@ -745,8 +758,8 @@ class TestGrowthLoopReuse:
         builds, solves = [], []
         build = prob.hessian_action
 
-        def counted_build(indices, x, base=None):
-            builds.append((len(indices), build(indices, x, base)))
+        def counted_build(indices, x):
+            builds.append((len(indices), build(indices, x)))
             return builds[-1][1]
 
         def counted_solve(model, eps1, theta, eps2):
@@ -855,8 +868,8 @@ class TestSizingPasses:
         sizes, solves = {}, []
         build, solve = prob.hessian_action, solver_module.cubic_step
 
-        def counted_build(indices, x, base=None):
-            hessian = build(indices, x, base)
+        def counted_build(indices, x):
+            hessian = build(indices, x)
             sizes[id(hessian)] = len(indices)
             return hessian
 
@@ -929,8 +942,8 @@ class TestSizingPasses:
         grams = []
         build = q2_sigmoid_problem.hessian_action
 
-        def counted(indices, x, base=None):
-            hessian = build(indices, x, base)
+        def counted(indices, x):
+            hessian = build(indices, x)
             dense = hessian.dense
             hessian.dense = lambda: (grams.append(1) if hessian._dense is None else None, dense())[1]
             return hessian
@@ -1203,8 +1216,8 @@ class TestStepMeasures:
         build = prob.hessian_action
         solve, grow = solver_module.cubic_step, solver_module._grow_and_step
 
-        def counted_build(indices, x, base=None):
-            built.append(build(indices, x, base))
+        def counted_build(indices, x):
+            built.append(build(indices, x))
             return built[-1]
 
         def counted_solve(model, *args):
@@ -1342,13 +1355,14 @@ class TestOneDecompositionPerSample:
 
 
 class TestBaseGradient:
-    """The Hessian sample's gradient is computed only for a differenced action."""
+    """A differenced action computes its base gradient over its whole set,
+    once per build; an exact one computes none."""
 
     @pytest.mark.parametrize("kind,q", GROWTH_GRID)
     def test_gradient_rows(self, kind, q, monkeypatch):
         prob, points = growth_case(kind)
-        seen = []
-        gradient_mean = prob.gradient_mean
+        seen, built = [], []
+        gradient_mean, build = prob.gradient_mean, prob.hessian_action
 
         def counted(indices, x):
             # Differenced actions also read gradients at shifted points.
@@ -1356,21 +1370,25 @@ class TestBaseGradient:
                 seen.append(np.asarray(indices).copy())
             return gradient_mean(indices, x)
 
+        def counted_build(indices, x):
+            built.append(np.asarray(indices).copy())
+            return build(indices, x)
+
         monkeypatch.setattr(prob, "gradient_mean", counted)
+        monkeypatch.setattr(prob, "hessian_action", counted_build)
         for point in points:
             for omega, sigma, cfg in growth_configs(q, prob):
                 seen.clear()
+                built.clear()
                 got = _grow_and_step(
                     prob, point, omega, sigma, cfg, np.random.default_rng(3), {}
                 )
-                g_idx, h_idx = got.g_idx, got.h_idx
                 rows = np.sort(np.concatenate(seen))
                 if kind in ("sigmoid", "custom_hvp"):
                     # Exact actions: the G sample's pieces, each once.
-                    np.testing.assert_array_equal(rows, g_idx)
-                elif rows.size == g_idx.size:
-                    # Differenced, two full draws sharing one evaluation.
-                    assert g_idx.size == h_idx.size == prob.N
+                    np.testing.assert_array_equal(rows, got.g_idx)
                 else:
-                    # Differenced: G's pieces and H's.
-                    np.testing.assert_array_equal(rows, np.sort(np.concatenate([g_idx, h_idx])))
+                    # Differenced: G's pieces and every H set built.
+                    np.testing.assert_array_equal(
+                        rows, np.sort(np.concatenate([got.g_idx, *built]))
+                    )
